@@ -6,13 +6,17 @@ Runs passes of the workload one after another (closed loop, one query at a
 time, one process), each in a fresh interpreter so that the fixture cache and
 the per-algebra memos start cold, as for a user's CLI call.  Passes continue
 until ``--seconds`` have elapsed and at least ``MIN_PASSES`` are done.  Every
-pass of a run has the same inputs, so their answers must agree.
+pass of a run has the same inputs, so their answers must agree; an untraced
+run alternates the seed's order of the queries and its reverse.
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 metrics of traced passes, alternated with untraced passes to measure the
-tracing overhead.  The last line of standard output is the result object;
-the line before it carries metadata (source line count, versions, sample
-counts, error rate).  The full result is also written to ``.bench_out/``.
+tracing overhead.  Each worker is pinned to one CPU, where a thread of this
+process samples the host's speed (``probe.py``); reported times are net of
+the probe's CPU time and scaled to the host's fast state.  The last line of
+standard output is the result object; the line before it carries metadata
+(source line count, versions, sample counts, error rate).  The full result
+is also written to ``.bench_out/``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import subprocess
 import sys
 import time
 
+import probe
 from spans import LAYERS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -77,10 +82,13 @@ def fail(msg: str) -> int:
     return 1
 
 
-def worker_cmd(workload, seed, traced, setup_only=False, spans=None):
+def worker_cmd(workload, seed, traced, reverse=False, setup_only=False,
+               spans=None):
     cmd = [sys.executable, os.path.join(HERE, "worker.py"),
            "--workload", workload, "--seed", str(seed),
            "--trace", "1" if traced else "0"]
+    if reverse:
+        cmd.append("--reverse")
     if setup_only:
         cmd.append("--setup-only")
     if spans:
@@ -88,19 +96,21 @@ def worker_cmd(workload, seed, traced, setup_only=False, spans=None):
     return cmd
 
 
-def run_worker(cmd, seed):
-    """Start one worker; return (set-up seconds, its result or None)."""
+def run_worker(cmd, seed, cpu):
+    """Start one worker pinned to ``cpu``; return its set-up window
+    (start, inputs ready) and its result, or None for a set-up-only pass."""
     env = dict(os.environ, PYTHONHASHSEED=str(seed % 4294967296))
     t0 = time.perf_counter()
     # unbuffered, so that readline() takes no more than the first line and
     # communicate() gets the rest
     proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                             bufsize=0)
+    probe.pin(proc.pid, cpu)
     try:
         if not select.select([proc.stdout], [], [], PASS_TIMEOUT_S)[0]:
             raise subprocess.TimeoutExpired(cmd, PASS_TIMEOUT_S)
         first = proc.stdout.readline()
-        setup_s = time.perf_counter() - t0
+        t_ready = time.perf_counter()
         rest, _ = proc.communicate(timeout=PASS_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         proc.kill()
@@ -110,7 +120,7 @@ def run_worker(cmd, seed):
         raise RuntimeError("worker failed (exit %s): %s"
                            % (proc.returncode, " ".join(cmd)))
     lines = rest.decode().strip().splitlines()
-    return setup_s, (json.loads(lines[-1]) if lines else None)
+    return (t0, t_ready), (json.loads(lines[-1]) if lines else None)
 
 
 def quantile(values, q):
@@ -169,8 +179,22 @@ def metadata(workload, seed, trace) -> dict:
     }
 
 
-def scaled_run_s(res) -> float:
-    return res["run_s"] * res["speed_factor"]
+def net_seconds(hp, a, b) -> float:
+    """Duration of [a, b] without the probe's CPU time in it, scaled to
+    the host's fast state."""
+    return (b - a - hp.busy(a, b)) * hp.factor(a, b)
+
+
+def add_times(hp, res):
+    """Add the pass's scaled ``run_s``, query latencies and speed factor."""
+    a, b = res["run_span"]
+    res["raw_run_s"] = b - a
+    res["speed_factor"] = hp.factor(a, b)
+    res["run_s"] = net_seconds(hp, a, b)
+    # a query is too short for a factor of its own: it takes the pass's
+    res["latencies_s"] = {
+        q: (e - s - hp.busy(s, e)) * res["speed_factor"]
+        for q, (s, e) in res["query_spans"].items()}
 
 
 def layer_metrics(traced, untraced) -> dict:
@@ -200,8 +224,8 @@ def layer_metrics(traced, untraced) -> dict:
                     if k.startswith(layer + "."))
             for a, f in zip(aggs, factors))
         out[layer + ".self_s"] = {"value": value, "unit": "s"}
-    overhead = (min(map(scaled_run_s, traced))
-                / min(map(scaled_run_s, untraced)) - 1.0)
+    overhead = (min(r["run_s"] for r in traced)
+                / min(r["run_s"] for r in untraced) - 1.0)
     out["trace_overhead"] = {"value": overhead, "unit": "ratio"}
     return out
 
@@ -224,32 +248,47 @@ def main(argv=None) -> int:
     os.makedirs(OUT_DIR, exist_ok=True)
     tag = "%s-seed%d-trace%d" % (args.workload, args.seed, args.trace)
 
-    passes = []          # (traced, set-up seconds, worker result)
+    passes = []          # (traced, set-up window, worker result)
+    cpu = probe.pick_cpu()
+    hp = probe.HostProbe(cpu)
+    hp.start()
     start = time.perf_counter()
     try:
         while True:
             n_traced = sum(1 for t, _, _ in passes if t)
             traced = bool(args.trace) and n_traced < len(passes) - n_traced
+            # What a query leaves resident depends on the queries before it,
+            # so an untraced run alternates the seed's order and its
+            # reverse: every pair of queries runs in both relative orders.
+            # Traced passes keep the seed's order, so their counts repeat.
+            reverse = not args.trace and len(passes) % 2 == 1
             spans = (os.path.join(OUT_DIR, "spans-%s.json" % tag)
                      if traced and n_traced == 0 else None)
-            setup_s, res = run_worker(
-                worker_cmd(args.workload, args.seed, traced, spans=spans),
-                args.seed)
-            passes.append((traced, setup_s, res))
+            window, res = run_worker(
+                worker_cmd(args.workload, args.seed, traced, reverse,
+                           spans=spans),
+                args.seed, cpu)
+            res["reverse"] = reverse
+            passes.append((traced, window, res))
             elapsed = time.perf_counter() - start
             n_traced += traced
             enough = (len(passes) - n_traced >= MIN_PASSES
                       and (not args.trace or n_traced >= MIN_PASSES))
             if (elapsed >= args.seconds and enough) or elapsed >= RUN_LIMIT_S:
                 break
-        setups = [(s, r) for t, s, r in passes if not t]
-        while not args.trace and len(setups) < MIN_SETUPS:
-            setups.append(run_worker(
+        windows = [w for t, w, _ in passes if not t]
+        while not args.trace and len(windows) < MIN_SETUPS:
+            windows.append(run_worker(
                 worker_cmd(args.workload, args.seed, False, setup_only=True),
-                args.seed))
-        # set-up seconds without the probe's time, scaled like run times
-        setups = [(s - r["setup_probe_s"]) * r["setup_speed_factor"]
-                  for s, r in setups]
+                args.seed, cpu)[0])
+    except RuntimeError as e:
+        return fail(str(e))
+    finally:
+        hp.stop()
+    try:
+        setups = [net_seconds(hp, a, b) for a, b in windows]
+        for _, _, r in passes:
+            add_times(hp, r)
     except RuntimeError as e:
         return fail(str(e))
 
@@ -270,22 +309,24 @@ def main(argv=None) -> int:
     if args.trace:
         metrics = layer_metrics(traced, untraced)
     else:
-        # Times are scaled to the host's fast state (worker.HostSpeed).
+        # Times are scaled to the host's fast state (probe.HostProbe).
         # run_s is the fastest scaled pass; a latency percentile is the
         # median over passes of the pass's percentile, which does not
         # depend on how many passes fitted in the run.
-        lat_ms = [[1000.0 * x * r["speed_factor"]
-                   for x in r["latencies_s"].values()] for r in untraced]
+        lat_ms = [[1000.0 * x for x in r["latencies_s"].values()]
+                  for r in untraced]
 
         def percentile(q):
             return statistics.median(quantile(xs, q) for xs in lat_ms)
         metrics = {
             "setup_s": {"value": statistics.median(setups), "unit": "s"},
-            "run_s": {"value": min(map(scaled_run_s, untraced)),
+            "run_s": {"value": min(r["run_s"] for r in untraced),
                       "unit": "s"},
             "query_p50_ms": {"value": percentile(0.5), "unit": "ms"},
             "query_p90_ms": {"value": percentile(0.9), "unit": "ms"},
-            "peak_rss_mb": {"value": statistics.median(
+            # the largest over both orders: which queries ran before the
+            # heaviest one decides how much memory is resident under it
+            "peak_rss_mb": {"value": max(
                 r["peak_rss_mb"] for r in untraced), "unit": "MB"},
         }
     meta = metadata(args.workload, args.seed, args.trace)
@@ -293,8 +334,11 @@ def main(argv=None) -> int:
         "passes_untraced": len(untraced), "passes_traced": len(traced),
         "setup_samples": len(setups),
         "query_samples": sum(len(r["latencies_s"]) for r in untraced),
-        "raw_run_s": [r["run_s"] for r in untraced + traced],
+        "raw_run_s": [r["raw_run_s"] for r in untraced + traced],
         "speed_factors": [r["speed_factor"] for r in untraced + traced],
+        "reversed": [r["reverse"] for r in untraced + traced],
+        "probe": {"cpu": cpu, "pinned": hp.pinned,
+                  "samples": len(hp.samples)},
         "error_rate": {"failed": failed, "attempted": attempted,
                        "value": failed / attempted if attempted else 0.0},
         "failed_queries": sorted({q for r in untraced + traced

@@ -148,12 +148,6 @@ class Tracer:
             setattr(owner, attr, fn)
         self._saved = []
 
-    def exclude(self, dt):
-        """Leave ``dt`` seconds spent outside gorlab out of the open span's
-        self time (the host speed probe runs inside spans)."""
-        if self._stack:
-            self._stack[-1][0] += dt
-
     def _wrap(self, name, fn):
         tracer = self
         stack = self._stack

@@ -8,6 +8,8 @@ seed (about two minutes), then checks that
 * every wrapped name is reached on at least one workload;
 * traced and untraced passes return identical answers, all correct;
 * the computed counts (calls, cells, macs, unknowns, ...) repeat exactly.
+
+and that the host speed probe nets and scales a window as documented.
 """
 
 import json
@@ -18,6 +20,7 @@ import time
 
 import pytest
 
+import probe
 import spans
 import worker
 
@@ -126,3 +129,27 @@ def test_self_time_is_span_minus_children():
     total = outer_span[2] - outer_span[1]
     self_sum = sum(rec["self_s"] for rec in agg.values())
     assert abs(total - self_sum) < 1e-6
+
+
+def test_probe_nets_and_scales_a_window():
+    hp = probe.HostProbe(None)
+    # (wall start, warm kernel CPU time, CPU time of the whole sample)
+    hp.samples = [(10.0, 0.004, 0.009), (10.2, 0.004, 0.009),
+                  (20.0, 0.001, 0.002)]
+    assert hp.busy(9.9, 10.3) == pytest.approx(0.018)
+    assert hp.factor(10.0, 10.2) == pytest.approx(probe.REF_S / 0.004)
+    # a window shorter than a period takes the samples near it
+    assert hp.factor(10.3, 10.35) == pytest.approx(probe.REF_S / 0.004)
+    with pytest.raises(RuntimeError):
+        hp.factor(15.0, 16.0)
+
+
+def test_probe_samples_while_started():
+    hp = probe.HostProbe(probe.pick_cpu())
+    hp.start()
+    time.sleep(3 * probe.PERIOD_S)
+    hp.stop()
+    assert len(hp.samples) >= 2
+    a, b = hp.samples[0][0], hp.samples[-1][0]
+    assert 0 < hp.busy(a, b + 1) < b + 1 - a
+    assert hp.factor(a, b) > 0

@@ -5,9 +5,8 @@ the workload's inputs, prints ``ready`` (the parent times set-up up to that
 line), runs the timed section, checks the answers and prints one JSON
 object as its last line.  With ``--trace 1`` the tracer wraps gorlab's
 public functions before set-up and the result carries the per-name
-aggregates.  A host speed probe (``HostSpeed``) runs from interpreter start
-to the end of the timed section, so that the parent can scale set-up and
-run times to the host's fast state.
+aggregates.  Times are given as ``time.perf_counter()`` readings, which the
+parent turns into durations net of its host speed probe (``probe.py``).
 """
 
 from __future__ import annotations
@@ -16,11 +15,8 @@ import argparse
 import json
 import os
 import resource
-import signal
 import sys
 import time
-
-import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -42,80 +38,16 @@ def import_gorlab():
     return gorlab
 
 
-# The host speed probe: a fixed kernel mixing interpreter work with small
-# and mid-sized int64 numpy operations, as gorlab does.  CAL_REF_S is its
-# time in the fast state of the host the baseline was recorded on.
-CAL_PERIOD_S = 0.1
-CAL_REF_S = 0.002
-_SMALL = np.arange(64, dtype=np.int64).reshape(8, 8)
-_MID = np.arange(96 * 96, dtype=np.int64).reshape(96, 96) % 5
-
-
-def _kernel():
-    a = _SMALL.copy()
-    for i in range(120):
-        a = (a * 3 + i) % 5
-        a[[0, 1]] = a[[1, 0]]
-        np.nonzero(a[:, 0])
-    return (_MID @ _MID) % 5
-
-
-class HostSpeed:
-    """Times the probe kernel every CAL_PERIOD_S while the pass runs.
-
-    The host alternates, for seconds to minutes, between a fast state and
-    one 1.5 to 1.8 times slower.  ``factor(since)`` scales a time measured
-    while samples ``since``.. were taken to the fast state: CAL_REF_S over
-    their mean.  The probe runs from a SIGALRM handler, between bytecodes
-    of the main thread; ``spent`` is the time it took, which the timers
-    subtract.
-    """
-
-    def __init__(self):
-        self.samples = []
-        self.spent = 0.0
-        self.tracer = None
-
-    def tick(self, signum=None, frame=None):
-        t = time.perf_counter()
-        _kernel()
-        dt = time.perf_counter() - t
-        self.samples.append(dt)
-        self.spent += dt
-        if self.tracer is not None:
-            self.tracer.exclude(dt)
-
-    def start(self):
-        self.tick()
-        signal.signal(signal.SIGALRM, self.tick)
-        signal.setitimer(signal.ITIMER_REAL, CAL_PERIOD_S, CAL_PERIOD_S)
-
-    def stop(self):
-        signal.setitimer(signal.ITIMER_REAL, 0, 0)
-        signal.signal(signal.SIGALRM, signal.SIG_DFL)
-
-    def factor(self, since: int = 0) -> float:
-        xs = self.samples[since:] or self.samples[-1:]
-        return CAL_REF_S / (sum(xs) / len(xs))
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser()
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--reverse", action="store_true",
+                   help="run the seed's queries in the opposite order")
     p.add_argument("--setup-only", action="store_true")
     p.add_argument("--spans", help="write the trace spans to this file")
     args = p.parse_args(argv)
-    speed = HostSpeed()
-    speed.start()
-    try:
-        return run_pass(args, speed)
-    finally:
-        speed.stop()
-
-
-def run_pass(args, speed) -> int:
     gorlab = import_gorlab()
     import workloads
     from spans import Tracer
@@ -125,53 +57,45 @@ def run_pass(args, speed) -> int:
         tracer = Tracer()
         tracer.install(gorlab)
         tracer.query = "setup"
-        speed.tracer = tracer
-    wl = workloads.WORKLOADS[args.workload](args.seed)
+    wl = workloads.WORKLOADS[args.workload](args.seed, args.reverse)
     # the parent times set-up up to the "ready" line
-    setup = {"setup_probe_s": speed.spent,
-             "setup_speed_factor": speed.factor()}
     print("ready", flush=True)
     if args.setup_only:
-        print(json.dumps(setup))
         return 0
 
-    latencies = {}
+    query_spans = {}
     errors = {}
     clock = time.perf_counter
 
     def timer(qid, fn, *fargs):
         if tracer is not None:
             tracer.query = qid
-        spent, t = speed.spent, clock()
+        t = clock()
         try:
             result = fn(*fargs)
         except Exception as e:   # a failing query is counted, not fatal
             errors[qid] = "%s: %s" % (type(e).__name__, e)
             result = None
-        latencies[qid] = clock() - t - (speed.spent - spent)
+        query_spans[qid] = [t, clock()]
         if tracer is not None:
             tracer.query = None
         return result
 
-    first = len(speed.samples)
-    spent, t0 = speed.spent, clock()
+    t0 = clock()
     answers = wl.run(timer)
-    run_s = clock() - t0 - (speed.spent - spent)
-    speed.stop()
+    run_span = [t0, clock()]
     failed = sorted(set(wl.check(answers)) | set(errors))
     if tracer is not None:
         tracer.uninstall()
-    out = dict(setup, **{
-        "run_s": run_s,
-        "speed_factor": speed.factor(first),
-        "speed_samples": len(speed.samples) - first,
-        "latencies_s": latencies,
+    out = {
+        "run_span": run_span,
+        "query_spans": query_spans,
         "answers": answers,
         "failed": failed,
         "errors": errors,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
-    })
+    }
     if tracer is not None:
         out["trace"] = tracer.aggregate()
         if args.spans:

@@ -3,7 +3,9 @@
 A workload is built from the benchmark seed (its set-up), then ``run(timer)``
 performs the timed section, calling ``timer(query_id, fn, *args)`` once per
 query, and ``check(answers)`` returns the ids of the queries whose answer is
-wrong or uncertain.  The program only ever sees the generated inputs.
+wrong or uncertain.  The program only ever sees the generated inputs.  The
+seed also fixes the order of the queries; ``reverse=True`` runs the same
+queries in the opposite order.
 
 * ``oracle``      generic engine against the Nakayama closed forms: many
                   tiny eliminations, class-table and dimension-DFS work.
@@ -53,7 +55,7 @@ def _dim(d):
 class Oracle:
     name = "oracle"
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, reverse: bool = False):
         rng = random.Random(seed)
         known = set(cli._cyclic_series(3, 7))
         series = list(ORACLE_SERIES)
@@ -69,6 +71,9 @@ class Oracle:
                 mods = list(nak.indecomposables(a))
                 rng.shuffle(mods)
                 self.jobs.append((s, p, a, mods))
+        if reverse:
+            self.jobs = [(s, p, a, mods[::-1])
+                         for s, p, a, mods in reversed(self.jobs)]
 
     @staticmethod
     def _qid(series, p, m):
@@ -111,14 +116,12 @@ class Oracle:
 
 
 def translate_classes(f) -> list:
-    """Non-projective iso classes of the fixture's pool, in pool order."""
-    classes = []
-    for m in f.pool:
-        for part in mr.decompose(m):
-            if any(c.dim == part.dim and mr.iso(part, c) for c in classes):
-                continue
-            classes.append(part)
-    return [c for c in classes if not mr.projective_cover(c).is_iso()]
+    """Non-projective pool classes of the fixture as theorem check (b)
+    takes them: the representatives of the program's class table, in pool
+    order.  Building the table is part of the workload's set-up."""
+    eng, ids = inv._pool_classes(f, 0)
+    reps = [eng.table.reps[ci] for ci in ids]
+    return [m for m in reps if not inv._is_proj_module(m, 0)]
 
 
 def translate_query(m) -> dict:
@@ -138,7 +141,7 @@ def load_expected(name: str):
 class Translates:
     name = "translates"
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, reverse: bool = False):
         rng = random.Random(seed)
         self.expected = load_expected("translates")["classes"]
         f = fx.build_fixture(TRANSLATES_FIXTURE)
@@ -149,6 +152,8 @@ class Translates:
                              % (len(classes), len(self.expected)))
         self.items = [(i, classes[i]) for i in TRANSLATES_CLASSES]
         rng.shuffle(self.items)
+        if reverse:
+            self.items.reverse()
 
     def run(self, timer) -> dict:
         return {"class%d" % i: timer("class%d" % i, translate_query, m)
@@ -209,7 +214,8 @@ def gf4_argv(seed: int) -> list:
 class GendoGF4:
     name = "gendo-gf4"
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, reverse: bool = False):
+        # one query: both orders are the same
         self.argv = gf4_argv(seed)
         self.expected = load_expected("gendo-gf4")
 
