@@ -47,7 +47,7 @@ class _CliError(ValueError):
 
 @dataclass
 class RunConfig:
-    field: linalg.FieldSpec
+    field: linalg.FieldSpec | None    # None: each fixture's default field
     cutoff: int = inv.DEFAULT_BOUND
     seed: int = 0
     jobs: int = 1
@@ -295,8 +295,11 @@ def _resolve_fixture(name, cfg: RunConfig):
         raise _CliError("a --fixture name is required")
     if name.startswith("kupisch-s"):
         return fx.parametric_kupisch(int(name[len("kupisch-s"):]), cfg.field)
+    if name == "gf4-local-gendo" and cfg.field is not None:
+        raise _CliError("fixture gf4-local-gendo is defined over GF(4) only; "
+                        "drop --field")
     try:
-        return fx.build_fixture(name, seed=cfg.seed)
+        return fx.build_fixture(name, cfg.field, cfg.seed)
     except KeyError as e:
         raise _CliError(str(e))
 
@@ -482,8 +485,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="gorlab",
                 description="Exact homological invariants of "
                             "finite-dimensional algebras")
-    p.add_argument("--field", default="2",
-                   help="coefficient field: a prime or 'gf4' (default 2)")
+    p.add_argument("--field",
+                   help="coefficient field: a prime or 'gf4' (default: the "
+                        "fixture's own field, GF(2) for all but "
+                        "gf4-local-gendo)")
     p.add_argument("--cutoff", type=int, default=inv.DEFAULT_BOUND,
                    help="Ext/resolution certification bound (default %d)"
                         % inv.DEFAULT_BOUND)
@@ -526,7 +531,8 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        cfg = RunConfig(field=parse_field(args.field), cutoff=args.cutoff,
+        field = None if args.field is None else parse_field(args.field)
+        cfg = RunConfig(field=field, cutoff=args.cutoff,
                         seed=args.seed, jobs=args.jobs, fmt=args.fmt)
         return args.func(args, cfg, out)
     except (_CliError, BudgetExceeded, nak.KupischViolation,

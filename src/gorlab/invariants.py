@@ -730,57 +730,6 @@ def almost_split_verify(a: BasedAlgebra, seq, indec_pool,
     return True
 
 
-def nak_ar_sequence(a: BasedAlgebra, i: int, k: int, seed: int = 0):
-    """Candidate almost split sequence ending at the bridged module (i,k)
-    over a from_kupisch algebra: middle term (i+1,k-1) + (i,k+1), left term
-    tau = (i+1,k).  Returns (f, g) or None when no exact candidate exists;
-    callers must pass the result through almost_split_verify."""
-    series = a.nak_bridge["series"]
-    m = nak.NakModule(i, k)
-    if nak.is_projective(series, m):
-        return None
-    fl = a.field
-    M = mr.bridge_module(a, i, k)
-    summands = []
-    i2 = series.v(i + 1)
-    if k >= 2:
-        summands.append(mr.bridge_module(a, i2, k - 1))
-    if k + 1 <= series.c[i]:
-        summands.append(mr.bridge_module(a, i, k + 1))
-    if not summands:
-        return None
-    E, _, parts = mr.direct_sum(summands)
-    # one maximal-rank component per summand; the AR surjection uses both
-    # the radical inclusion and the extension epimorphism at once
-    blocks = []
-    rng = np.random.default_rng(seed)
-    for s in summands:
-        hb = mr.hom_basis(s, M)
-        if not hb:
-            return None
-        best = hb[0].matrix
-        best_rank = linalg.rank_raw(fl, best)
-        for h in hb[1:]:
-            r = linalg.rank_raw(fl, h.matrix)
-            if r > best_rank:
-                best, best_rank = h.matrix, r
-        mats = np.array([h.matrix for h in hb])
-        for _ in range(50):
-            coeffs = rng.integers(0, fl.order, size=len(hb))
-            cand = mr._combine_mats(fl, mats, coeffs)
-            r = linalg.rank_raw(fl, cand)
-            if r > best_rank:
-                best, best_rank = cand, r
-        blocks.append(best)
-    g = mr.ModuleMap(E, M, np.concatenate(blocks, axis=0))
-    if linalg.rank_raw(fl, g.matrix) != M.dim:
-        return None
-    ker, incl = mr.kernel_submodule(g)
-    if ker.dim != M.dim:
-        return None
-    return incl, g
-
-
 # ---------------------------------------------------------------------------
 # Theorem suite
 
@@ -940,9 +889,7 @@ def _check_d(fixture, bound, seed):
                 return CheckResult(name, "fail",
                                    "%s of %s not GPI: %s" % (opname, m.label, v))
             checked += 1
-    return CheckResult(name, "pass",
-                       "%d translates of %d GPI classes; AR middle terms "
-                       "exercised separately on Nakayama fixtures"
+    return CheckResult(name, "pass", "%d translates of %d GPI classes"
                        % (checked, len(gpis)))
 
 

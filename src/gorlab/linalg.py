@@ -80,9 +80,6 @@ class FieldSpec:
     def inv(self, x: int) -> int:
         raise NotImplementedError
 
-    def elements(self):
-        return range(self.order)
-
     # -- derived helpers -------------------------------------------------
 
     def check(self, a) -> np.ndarray:
@@ -111,12 +108,6 @@ class FieldSpec:
         m = self.zeros(n, n)
         np.fill_diagonal(m, self.one)
         return m
-
-    def pow_scalar(self, x: int, e: int) -> int:
-        r = self.one
-        for _ in range(e):
-            r = int(self.mul(r, x))
-        return r
 
 
 class PrimeField(FieldSpec):
@@ -418,10 +409,8 @@ def nullspace(field: FieldSpec, arr: np.ndarray):
     r, pivots = row_echelon(field, arr)
     free = [j for j in range(cols) if j not in pivots]
     out = np.zeros((len(free), cols), dtype=np.int64)
-    for t, j in enumerate(free):
-        out[t, j] = field.one
-        for i, pc in enumerate(pivots):
-            out[t, pc] = field.neg(r[i, j])
+    out[np.arange(len(free)), free] = field.one
+    out[:, pivots] = field.neg(r[:len(pivots)][:, free].T)
     return out
 
 

@@ -8,6 +8,12 @@ right module M to the right opposite(A)-module on the transposed matrices.
 
 Maps f: M -> N are stored as dim(M) x dim(N) matrices acting by
 v -> v @ F, so composition "f then g" is F @ G.
+
+The Nakayama functor nu, the transpose Tr and the AR translate tau all come
+from the minimal presentation g: P_1 -> P_0 of a module and the closed form
+Hom(e_iA, A) = Ae_i (h -> h(e_i)), valid for any finite-dimensional algebra
+(Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, II/IV):
+Hom(g, A) is read off the components of g, with no Hom-space solve.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ __all__ = [
     "stable_hom_dim",
     "dual",
     "nu",
-    "nu_inv",
     "transpose_tr",
     "tau",
     "tau_inv",
@@ -55,7 +60,6 @@ __all__ = [
     "in_add",
     "min_right_approx",
     "resdim",
-    "coresdim",
     "endo_algebra",
     "EndoData",
     "hom_functor",
@@ -111,17 +115,6 @@ class ModuleMap:
     def is_iso(self) -> bool:
         return (self.source.dim == self.target.dim
                 and linalg.is_invertible(self.source.algebra.field, self.matrix))
-
-
-def _check_intertwines(mp: ModuleMap):
-    a = mp.source.algebra
-    f = a.field
-    gens = np.concatenate([a.idempotents, a.radical_generators], axis=0)
-    for g in gens:
-        lhs = f.matmul(mp.source.rho(g), mp.matrix)
-        rhs = f.matmul(mp.matrix, mp.target.rho(g))
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("map does not intertwine the action")
 
 
 def make_module(a: BasedAlgebra, action, label: str = "", check: bool = True) -> RightModule:
@@ -341,7 +334,6 @@ def projectives(a: BasedAlgebra) -> tuple:
     for i in range(a.n_idem):
         sub, _ = submodule_from_rows(reg, a.L(a.idempotents[i]),
                                      close=False, label="e%dA" % i)
-        sub._proj_idem = i
         out.append(sub)
     a._projectives = (out, reg)
     return out, reg
@@ -360,31 +352,16 @@ def simples(a: BasedAlgebra) -> list:
 
 
 def injectives(a: BasedAlgebra) -> list:
-    """Indecomposable injectives D(e_i A^op), socle S_i."""
+    """Indecomposable injectives nu(e_iA) = D(Ae_i), socle S_i."""
     cached = getattr(a, "_injectives", None)
     if cached is not None:
         return cached
-    op_projs, _ = projectives(opp(a))
-    out = [dual(p) for p in op_projs]
+    projs, _ = projectives(a)
+    out = [nu(p) for p in projs]
     for i, m in enumerate(out):
         m.label = "D(Ae%d)" % i
     a._injectives = out
     return out
-
-
-def top_multiplicities(m: RightModule) -> list:
-    """Multiplicity of each simple S_i in top(m)."""
-    a = m.algebra
-    f = a.field
-    t = structure(m).top
-    return [linalg.rank_raw(f, t.rho(a.idempotents[i])) for i in range(a.n_idem)]
-
-
-def socle_multiplicities(m: RightModule) -> list:
-    a = m.algebra
-    f = a.field
-    s = structure(m).socle
-    return [linalg.rank_raw(f, s.rho(a.idempotents[i])) for i in range(a.n_idem)]
 
 
 def projective_cover(m: RightModule) -> ModuleMap:
@@ -392,7 +369,9 @@ def projective_cover(m: RightModule) -> ModuleMap:
     a = m.algebra
     f = a.field
     if m.dim == 0:
-        return ModuleMap(zero_module(a), m, np.zeros((0, 0), dtype=np.int64))
+        cover = ModuleMap(zero_module(a), m, np.zeros((0, 0), dtype=np.int64))
+        cover.summand_idems = []
+        return cover
     projs, _ = projectives(a)
     st = structure(m)
     pi = st.top_projection.matrix
@@ -410,10 +389,8 @@ def projective_cover(m: RightModule) -> ModuleMap:
     F = np.zeros((P.dim, m.dim), dtype=np.int64)
     pos = 0
     for (i, v), sm in zip(gen_vectors, summands):
-        basis_rows = None
         # e_iA basis rows are elements of A; the map sends b -> v * b
-        incl = a.L(a.idempotents[i])
-        sub_basis = linalg.row_space_basis(f, incl)
+        sub_basis, _ = _idem_basis(a, i)
         for r in range(sm.dim):
             F[pos + r] = f.matmul(v[None, :], m.rho(sub_basis[r]))[0]
         pos += sm.dim
@@ -531,121 +508,87 @@ def _flatten_mats(mats, ncols: int) -> np.ndarray:
     return np.array([np.asarray(m).ravel() for m in mats]).reshape(len(mats), ncols)
 
 
-def _hom_to_regular(m: RightModule):
-    a = m.algebra
-    reg = regular_module(a)
-    basis = hom_basis(m, reg)
-    flats = _flatten_mats([h.matrix for h in basis], m.dim * reg.dim)
-    return basis, flats
-
-
-def nu(m: RightModule) -> RightModule:
-    """Nakayama functor D Hom(m, A); sends e_iA to D(Ae_i)."""
-    a = m.algebra
-    f = a.field
-    basis, flats = _hom_to_regular(m)
-    h = len(basis)
-    action = np.zeros((a.dim, h, h), dtype=np.int64)
-    for j in range(a.dim):
-        Lj = a.mult[j]          # left multiplication by b_j on row vectors
-        sigma = np.zeros((h, h), dtype=np.int64)
-        for t, hb in enumerate(basis):
-            img = f.matmul(hb.matrix, Lj).ravel()
-            sigma[t] = linalg.solve_raw(f, flats.T, img)
-        action[j] = sigma.T
-    return RightModule(a, h, action, "nu(%s)" % m.label if m.label else "")
-
-
-def nu_map(mp: ModuleMap, nu_src: RightModule = None, nu_tgt: RightModule = None):
-    """nu applied to a map; returns (nu(source), nu(target), ModuleMap)."""
-    f = mp.source.algebra.field
-    sb, sflat = _hom_to_regular(mp.source)
-    tb, tflat = _hom_to_regular(mp.target)
-    ns = nu_src if nu_src is not None else nu(mp.source)
-    nt = nu_tgt if nu_tgt is not None else nu(mp.target)
-    # precomposition Hom(target, A) -> Hom(source, A), then dualize
-    pre = np.zeros((len(tb), len(sb)), dtype=np.int64)
-    for s, hb in enumerate(tb):
-        img = f.matmul(mp.matrix, hb.matrix).ravel()
-        pre[s] = linalg.solve_raw(f, sflat.T, img)
-    return ns, nt, ModuleMap(ns, nt, pre.T.copy())
-
-
-def nu_inv(m: RightModule) -> RightModule:
-    """Inverse Nakayama functor Hom_A(D(m), A) with the right A-action."""
-    a = m.algebra
-    f = a.field
-    dm = dual(m)
-    reg_op = regular_module(opp(a))
-    basis = hom_basis(dm, reg_op)
-    h = len(basis)
-    flats = np.array([hb.matrix.ravel() for hb in basis]).reshape(h, -1)
-    action = np.zeros((a.dim, h, h), dtype=np.int64)
-    for j in range(a.dim):
-        Rj = a.mult[:, j, :]    # right multiplication by b_j on A
-        tau_j = np.zeros((h, h), dtype=np.int64)
-        for t, hb in enumerate(basis):
-            img = f.matmul(hb.matrix, Rj).ravel()
-            tau_j[t] = linalg.solve_raw(f, flats.T, img)
-        action[j] = tau_j
-    return RightModule(a, h, action, "nu_inv(%s)" % m.label if m.label else "")
-
-
 def minimal_presentation(m: RightModule):
-    """(g: P_1 -> P_0, p: P_0 -> m) with both covers minimal."""
+    """g: P_1 -> P_0 with both covers minimal, and the idempotent index of
+    each indecomposable summand of P_1 and of P_0."""
     p = projective_cover(m)
     k, incl = kernel_submodule(p)
     q = projective_cover(k)
     f = m.algebra.field
     g = ModuleMap(q.source, p.source, f.matmul(q.matrix, incl.matrix))
-    return g, p
+    return g, q.summand_idems, p.summand_idems
+
+
+def _idem_basis(a: BasedAlgebra, i: int) -> tuple:
+    """Echelon basis of e_iA as rows in A, and its pivot columns: the
+    coordinates of x in e_iA (as in projectives(a)[i]) are x[pivots]."""
+    r, pivots = linalg.row_echelon(a.field, a.L(a.idempotents[i]))
+    return r[:len(pivots)], pivots
+
+
+def _hom_to_regular(m: RightModule) -> ModuleMap:
+    """Hom(g, A): Hom(P_0, A) -> Hom(P_1, A) for the minimal presentation g
+    of m, as a map of right opp(A)-modules.
+
+    Hom(e_iA, A) is Ae_i = projectives(opp(a))[i] via h -> h(e_i), and
+    precomposition with g sends x in Ae_i to x*y, where y in e_iAe_j is the
+    e_iA-component of g(e_j).
+    """
+    a = m.algebra
+    f = a.field
+    op = opp(a)
+    g, idems1, idems0 = minimal_presentation(m)
+    ea = {i: _idem_basis(a, i) for i in set(idems0) | set(idems1)}   # e_iA
+    ae = {i: _idem_basis(op, i) for i in ea}                          # Ae_i
+
+    def offsets(basis, idems):
+        return np.cumsum([0] + [len(basis[i][1]) for i in idems])
+
+    p0, p1 = offsets(ea, idems0), offsets(ea, idems1)     # P_0, P_1
+    h0, h1 = offsets(ae, idems0), offsets(ae, idems1)     # Hom(P_0, A), ...
+    mat = np.zeros((h0[-1], h1[-1]), dtype=np.int64)
+    for t, j in enumerate(idems1):
+        e_j = a.idempotents[j][ea[j][1]]
+        gen = f.matmul(e_j[None, :], g.matrix[p1[t]:p1[t + 1]])    # g(e_j)
+        for s, i in enumerate(idems0):
+            y = f.matmul(gen[:, p0[s]:p0[s + 1]], ea[i][0])[0]
+            mat[h0[s]:h0[s + 1], h1[t]:h1[t + 1]] = \
+                f.matmul(ae[i][0], a.R(y))[:, ae[j][1]]
+    op_projs, _ = projectives(op)
+    src, tgt = (direct_sum([op_projs[i] for i in idems])[0] if idems
+                else zero_module(op) for idems in (idems0, idems1))
+    return ModuleMap(src, tgt, mat)
+
+
+def nu(m: RightModule) -> RightModule:
+    """Nakayama functor D Hom(m, A), with Hom(m, A) the kernel of Hom(g, A)
+    by left exactness; sends e_iA to D(Ae_i)."""
+    k, _ = kernel_submodule(_hom_to_regular(m))
+    out = dual(k)
+    out.label = "nu(%s)" % m.label if m.label else ""
+    return out
+
+
+def nu_map(m: RightModule):
+    """nu of the minimal presentation g: P_1 -> P_0 of m; returns
+    (nu(P_1), nu(P_0), nu(g))."""
+    ng = dual_map(_hom_to_regular(m))
+    return ng.source, ng.target, ng
 
 
 def transpose_tr(m: RightModule) -> RightModule:
     """Tr(m): cokernel of Hom(g, A) over the opposite algebra."""
-    a = m.algebra
-    f = a.field
-    g, p = minimal_presentation(m)
-    h0 = _HomPA(g.target)
-    h1 = _HomPA(g.source)
-    # f in Hom(P_0, A) -> g-then-f in Hom(P_1, A)
-    mat = np.zeros((h0.dim, h1.dim), dtype=np.int64)
-    for t, hb in enumerate(h0.basis):
-        img = f.matmul(g.matrix, hb.matrix).ravel()
-        mat[t] = linalg.solve_raw(f, h1.flats.T, img)
-    mp = ModuleMap(h0.module, h1.module, mat)
-    tr, _ = cokernel_quotient(mp)
+    tr, _ = cokernel_quotient(_hom_to_regular(m))
     tr.label = "Tr(%s)" % m.label if m.label else ""
     return tr
-
-
-class _HomPA:
-    """Hom(P, A) as a right module over the opposite algebra."""
-
-    def __init__(self, p: RightModule):
-        a = p.algebra
-        f = a.field
-        self.basis, self.flats = _hom_to_regular(p)
-        self.dim = len(self.basis)
-        h = self.dim
-        action = np.zeros((a.dim, h, h), dtype=np.int64)
-        for j in range(a.dim):
-            Lj = a.mult[j]
-            sig = np.zeros((h, h), dtype=np.int64)
-            for t, hb in enumerate(self.basis):
-                img = f.matmul(hb.matrix, Lj).ravel()
-                sig[t] = linalg.solve_raw(f, self.flats.T, img)
-            action[j] = sig
-        self.module = RightModule(opp(a), h, action)
 
 
 def tau(m: RightModule) -> RightModule:
     """AR translate: kernel of nu(P_1) -> nu(P_0) from the minimal
     presentation (projective summands of m contribute nothing)."""
-    g, _ = minimal_presentation(m)
-    if g.source.dim == 0:
+    ns, _, ng = nu_map(m)
+    if ns.dim == 0:
         return zero_module(m.algebra)
-    ns, nt, ng = nu_map(g)
     t, _ = kernel_submodule(ng)
     t.label = "tau(%s)" % m.label if m.label else ""
     return t
@@ -940,10 +883,6 @@ def _summand_embedding(old_parts, new_parts, seed):
     return witness
 
 
-def coresdim(addgens, x: RightModule, cutoff: int = 24, seed: int = 0) -> HomologicalDim:
-    return resdim([dual(g) for g in addgens], dual(x), cutoff, seed)
-
-
 # ---------------------------------------------------------------------------
 # Endomorphism algebras
 
@@ -1116,8 +1055,7 @@ def bridge_module(a: BasedAlgebra, i: int, k: int) -> RightModule:
         # coordinates inside e_iA
         rows.append(v)
     # express in p's basis
-    incl = a.L(a.idempotents[i])
-    sub_basis = linalg.row_space_basis(f, incl)
-    coords = np.array([linalg.solve_raw(f, sub_basis.T, r) for r in rows])
+    _, pivots = _idem_basis(a, i)
+    coords = np.array(rows)[:, pivots]
     quo, _ = quotient_by_rows(p, coords, label="e%dA/e%dJ^%d" % (i, i, k))
     return quo

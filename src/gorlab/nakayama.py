@@ -34,7 +34,6 @@ __all__ = [
     "ZeroModule",
     "ResolutionQuiver",
     "validate_kupisch",
-    "injective_lengths",
     "to_inj_coord",
     "from_inj_coord",
     "top",
@@ -174,10 +173,6 @@ def validate_kupisch(c, cyclic: bool = True) -> NakAlgebra:
     selfinj = cyclic and len(set(c)) == 1
     symmetric = selfinj and c[0] % n == 1 % n
     return NakAlgebra(series, selfinj, symmetric, cart, d)
-
-
-def injective_lengths(a: NakAlgebra):
-    return list(a.d)
 
 
 # -- module bookkeeping ------------------------------------------------------

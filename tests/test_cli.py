@@ -1,10 +1,12 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from gorlab import cli
 from gorlab import fixtures as fx
+from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import serialize as ser
 
@@ -87,6 +89,29 @@ def test_module_file_round_trip_same_seed_same_report(tmp_path):
                               ser.algebra_from_json(ser.load_json(str(apath))))
     assert m2.dim == m.dim
     assert parsed["verdicts"]["gpi"]["status"] == "yes"
+
+
+def test_field_flag_reaches_named_fixtures(tmp_path):
+    # e0A/e0J^3 over GF(5) with its first basis vector doubled: the action
+    # has entries 2 and 3, so the file only loads over a field of order > 3
+    f5 = la.PrimeField(5)
+    m = mr.bridge_module(fx.build_fixture("kupisch-455", f5).algebra, 0, 3)
+    d, d_inv = f5.eye(3), f5.eye(3)
+    d[0, 0], d_inv[0, 0] = 2, 3
+    m.action = np.array([f5.matmul(f5.matmul(d_inv, x), d) for x in m.action])
+    assert m.action.max() > 1
+    path = tmp_path / "mod.json"
+    ser.dump_json(ser.module_to_json(m, algebra_ref="kupisch-455"), str(path))
+    assert run(["module", "@%s" % path])[0] == 1      # kupisch-455 over GF(2)
+    code, text = run(["--field", "5", "module", "@%s" % path])
+    assert code == 0
+    assert "domdim     4" in text
+
+
+def test_field_flag_rejected_for_fixed_field_fixture():
+    for field in ("5", "gf4"):
+        code, _ = run(["--field", field, "endo", "--fixture", "gf4-local-gendo"])
+        assert code == 1
 
 
 def test_scan_csv_schema_and_clean_exit():

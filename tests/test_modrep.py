@@ -131,6 +131,23 @@ def test_nu_sends_projectives_to_injectives(a777):
         assert any(mr.iso(v, j, 0) for j in injs)
 
 
+@pytest.mark.parametrize("name", ["penny-farthing-gendo", "gf4-local-gendo",
+                                  "kupisch-455"])
+def test_nu_tr_tau_on_base_pools(fix, name):
+    """nu, Tr and tau against hom_basis, Tr Tr = id and tau = D Tr, on the
+    non-projective base-pool modules (the pool for a Nakayama fixture)."""
+    f = fix(name)
+    mods = [m for m in f.base_pool or f.pool
+            if not mr.projective_cover(m).is_iso()]
+    assert mods
+    for m in mods:
+        reg = mr.regular_module(m.algebra)
+        assert mr.nu(m).dim == len(mr.hom_basis(m, reg))
+        tr = mr.transpose_tr(m)
+        assert_iso(mr.transpose_tr(tr), m)
+        assert_iso(mr.tau(m), mr.dual(tr))
+
+
 def test_zero_module_edge_cases(a455):
     z = mr.zero_module(a455)
     assert z.dim == 0
