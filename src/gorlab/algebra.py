@@ -111,26 +111,13 @@ class BasedAlgebra:
 
     def L(self, x: np.ndarray) -> np.ndarray:
         """Left multiplication matrix of the element with coordinates x."""
-        out = self.field.zeros(self.dim, self.dim)
-        for i in np.nonzero(np.asarray(x))[0]:
-            out = self.field.add(out, self.field.mul(int(x[i]), self.mult[i]))
-        return out
+        return linalg.combine(self.field, x, self.mult)
 
     def R(self, x: np.ndarray) -> np.ndarray:
-        out = self.field.zeros(self.dim, self.dim)
-        for j in np.nonzero(np.asarray(x))[0]:
-            out = self.field.add(out, self.field.mul(int(x[j]), self.mult[:, j, :]))
-        return out
+        return linalg.combine(self.field, x, self.mult.transpose(1, 0, 2))
 
     def elem_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.field.matmul(np.asarray(y, dtype=np.int64)[None, :], self.L(x))[0]
-
-    def basis_right_mult(self, j: int) -> np.ndarray:
-        """Matrix of v -> v * b_j on the regular module (row convention)."""
-        return self.mult[:, j, :]
-
-    def basis_left_mult(self, i: int) -> np.ndarray:
-        return self.mult[i]
 
     def __repr__(self):
         return "BasedAlgebra(dim=%d, idem=%d, %r)" % (self.dim, self.n_idem, self.field)
@@ -573,59 +560,21 @@ def is_symmetric(a: BasedAlgebra, seed: int = 0) -> SymmetryResult:
         for j in range(i + 1, n):
             rows.append(f.sub(a.mult[i, j], a.mult[j, i]))
     central = linalg.nullspace(f, np.array(rows).reshape(-1, n)) if rows else f.eye(n)
-    res = SymmetryResult(False, True, None)
-    grams = [_gram(a, lam) for lam in central]
+    # Gram matrix of each central form: (i, j) -> lambda(b_i b_j)
+    grams = np.array([linalg.combine(f, lam, a.mult.transpose(2, 0, 1))
+                      for lam in central])
 
     def nondegenerate(coeffs):
-        g = f.zeros(n, n)
-        for t, ct in enumerate(coeffs):
-            if ct:
-                g = f.add(g, f.mul(int(ct), grams[t]))
-        return linalg.rank_raw(f, g) == n
+        if linalg.rank_raw(f, linalg.combine(f, coeffs, grams)) == n:
+            return linalg.combine(f, coeffs, central)
+        return None
 
-    c = central.shape[0]
-    for t in range(c):
-        e = np.zeros(c, dtype=np.int64)
-        e[t] = f.one
-        if nondegenerate(e):
-            res = SymmetryResult(True, True, central[t].copy())
-            break
-    if not res.symmetric and c:
-        rng = np.random.default_rng(seed)
-        for _ in range(1000):
-            coeffs = rng.integers(0, f.order, size=c)
-            if nondegenerate(coeffs):
-                lam = _combine(f, central, coeffs)
-                res = SymmetryResult(True, True, lam)
-                break
-    if not res.symmetric and c and f.order ** c <= 1 << 20:
-        for coeffs in itertools.product(range(f.order), repeat=c):
-            if any(coeffs) and nondegenerate(np.array(coeffs, dtype=np.int64)):
-                lam = _combine(f, central, np.array(coeffs, dtype=np.int64))
-                res = SymmetryResult(True, True, lam)
-                break
-        else:
-            res = SymmetryResult(False, True, None)
-    elif not res.symmetric:
-        res = SymmetryResult(False, False, None)   # probably false
+    lam, certain = linalg.search_combinations(
+        f, central.shape[0], nondegenerate, seed,
+        random_budget=1000, exhaustive_limit=1 << 20)
+    res = SymmetryResult(lam is not None, certain, lam)
     a._sym_cache[seed] = res
     return res
-
-
-def _gram(a, lam):
-    f = a.field
-    g = f.zeros(a.dim, a.dim)
-    for k in np.nonzero(lam)[0]:
-        g = f.add(g, f.mul(int(lam[k]), a.mult[:, :, k]))
-    return g
-
-
-def _combine(f, rows, coeffs):
-    out = np.zeros(rows.shape[1], dtype=np.int64)
-    for t, ct in enumerate(coeffs):
-        if ct:
-            out = f.add(out, f.mul(int(ct), rows[t]))
-    return out
 
 
 @dataclass

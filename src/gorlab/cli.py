@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -383,7 +384,7 @@ def cmd_module(args, cfg: RunConfig, out) -> int:
 # scan
 
 
-def _scan_row(series) -> dict:
+def _scan_row(series, field=None, cutoff=inv.DEFAULT_BOUND, seed=0) -> dict:
     a = nak.validate_kupisch(series)
     core = nak.algebra_invariants_nak(a)
     n = a.n
@@ -394,8 +395,8 @@ def _scan_row(series) -> dict:
     # gendo-symmetric algebras; Nakayama algebras are always CM-finite.
     gendo = False
     if core["domdim"].ge(2) and gl.kind == "finite":
-        ba = alg.from_kupisch(a, linalg.PrimeField(2))
-        gendo = inv.gendo_symmetric_check(ba)
+        ba = alg.from_kupisch(a, field or linalg.PrimeField(2))
+        gendo = inv.gendo_symmetric_check(ba, cutoff, seed)
     viol_gplus1 = bool(gendo and gl.kind == "finite" and fd.kind == "finite"
                        and fd.value > gl.value + 1)
     viol_gd = not bool(core["is_gorenstein_dominant"])
@@ -437,11 +438,13 @@ def cmd_scan(args, cfg: RunConfig, out) -> int:
         if len(series) > SCAN_BUDGET:
             raise BudgetExceeded("more than %d series requested; the scan "
                                  "budget is %d" % (SCAN_BUDGET, SCAN_BUDGET))
+    row = functools.partial(_scan_row, field=cfg.field, cutoff=cfg.cutoff,
+                            seed=cfg.seed)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_scan_row, series, chunksize=8))
+            rows = list(pool.map(row, series, chunksize=8))
     else:
-        rows = [_scan_row(s) for s in series]
+        rows = [row(s) for s in series]
     w = csv.writer(out)
     w.writerow(SCAN_COLUMNS)
     violated = False

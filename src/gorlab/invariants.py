@@ -709,8 +709,7 @@ def almost_split_verify(a: BasedAlgebra, seq, indec_pool,
     endo = mr.endo_algebra([M], seed=seed)
     end_mats = endo.block_maps[(0, 0)]
     rad_rows = endo.algebra.jacobson_basis
-    rad_mats = [mr._combine_mats(fl, np.array(end_mats), row)
-                for row in rad_rows]
+    rad_mats = [linalg.combine(fl, row, end_mats) for row in rad_rows]
     raddim = len(rad_mats)
     for N in indec_pool:
         through = [fl.matmul(u.matrix, g_map.matrix)

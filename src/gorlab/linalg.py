@@ -2,13 +2,19 @@
 
 Field elements are represented by integer codes.  For a prime field F_p the
 codes are 0..p-1 with modular arithmetic; for a table field the codes index
-the addition/multiplication tables.  All matrix routines work on 2-D numpy
-arrays of codes and are pure functions.
+the addition/multiplication tables.  All matrix routines take an explicit
+field and 2-D numpy arrays of codes, and are pure functions:
+``row_echelon`` is the one elimination kernel, and ``nullspace``,
+``row_space_basis``, ``solve_raw``, ``rank_raw`` and ``invert`` are built on
+it.  ``combine`` forms a linear combination of a stack of arrays, and
+``search_combinations`` is the bounded search for a coefficient vector whose
+combination passes a test (an isomorphism, a Fitting split, a
+nondegenerate form, a non-nilpotent endomorphism).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import itertools
 
 import numpy as np
 
@@ -17,30 +23,22 @@ __all__ = [
     "PrimeField",
     "SmallTableField",
     "GF4",
-    "Matrix",
     "FieldError",
-    "NoSolution",
-    "kernel_basis",
-    "solve",
-    "rank",
+    "row_echelon",
+    "nullspace",
+    "row_space_basis",
+    "solve_raw",
+    "in_row_space",
+    "is_invertible",
+    "rank_raw",
+    "invert",
+    "combine",
+    "search_combinations",
 ]
 
 
 class FieldError(ValueError):
     """Malformed field data or entries outside the field."""
-
-
-class NoSolution:
-    """Returned by :func:`solve` when the system is inconsistent."""
-
-    def __repr__(self):
-        return "NoSolution"
-
-    def __eq__(self, other):
-        return isinstance(other, NoSolution)
-
-    def __hash__(self):
-        return hash("NoSolution")
 
 
 def _is_prime(n: int) -> bool:
@@ -277,37 +275,6 @@ def GF4() -> SmallTableField:
     return SmallTableField(4, add, mul)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """A rows x cols matrix of field-element codes, row-major."""
-
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: np.ndarray = dc_field(repr=False)
-
-    @staticmethod
-    def make(field: FieldSpec, data) -> "Matrix":
-        arr = field.check(np.asarray(data, dtype=np.int64))
-        if arr.ndim != 2:
-            raise FieldError("matrix data must be 2-dimensional")
-        return Matrix(field, arr.shape[0], arr.shape[1], arr)
-
-    def __post_init__(self):
-        if self.entries.shape != (self.rows, self.cols):
-            raise FieldError("entry count does not match rows x cols")
-        self.field.check(self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, self.entries.T.copy())
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field:
-            raise FieldError("field mismatch")
-        prod = self.field.matmul(self.entries, other.entries)
-        return Matrix(self.field, self.rows, other.cols, prod)
-
-
 def row_echelon(field: FieldSpec, m: np.ndarray):
     """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
     r = np.array(m, dtype=np.int64, copy=True)
@@ -337,67 +304,6 @@ def row_echelon(field: FieldSpec, m: np.ndarray):
         pivots.append(col)
         lead += 1
     return r, pivots
-
-
-def rank(m) -> int:
-    field, arr = _unpack(m)
-    if arr.size == 0:
-        return 0
-    _, pivots = row_echelon(field, arr)
-    return len(pivots)
-
-
-def kernel_basis(m):
-    """Basis of the right null space {v : m v = 0}, as a list of 1-D arrays."""
-    field, arr = _unpack(m)
-    cols = arr.shape[1]
-    if cols == 0:
-        return []
-    if arr.shape[0] == 0:
-        return [_unit_vector(field, cols, j) for j in range(cols)]
-    r, pivots = row_echelon(field, arr)
-    free = [j for j in range(cols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[j] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(r[i, j])
-        basis.append(v)
-    return basis
-
-
-def solve(m, b):
-    """One solution x of m x = b, or NoSolution."""
-    field, arr = _unpack(m)
-    b = field.check(np.asarray(b, dtype=np.int64).ravel())
-    if b.shape[0] != arr.shape[0]:
-        raise FieldError("rhs length %d != rows %d" % (b.shape[0], arr.shape[0]))
-    aug = np.concatenate([arr, b[:, None]], axis=1)
-    r, pivots = row_echelon(field, aug)
-    if arr.shape[1] in pivots:
-        return NoSolution()
-    x = np.zeros(arr.shape[1], dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, -1]
-    return x
-
-
-def _unit_vector(field, n, j):
-    v = np.zeros(n, dtype=np.int64)
-    v[j] = field.one
-    return v
-
-
-def _unpack(m):
-    if isinstance(m, Matrix):
-        return m.field, m.entries
-    raise TypeError("expected a Matrix; raw arrays go through row_echelon directly")
-
-
-# -- internal helpers used by the module-category engine -------------------
-# These accept raw numpy arrays plus an explicit field, avoiding Matrix
-# wrapper overhead in hot loops.
 
 
 def nullspace(field: FieldSpec, arr: np.ndarray):
@@ -458,8 +364,58 @@ def rank_raw(field: FieldSpec, arr: np.ndarray) -> int:
 
 
 def invert(field: FieldSpec, arr: np.ndarray) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.int64)
     n = arr.shape[0]
-    sol = solve_raw(field, np.asarray(arr, dtype=np.int64), field.eye(n))
-    if sol is None or rank_raw(field, arr) < n:
+    if arr.shape != (n, n):
+        raise FieldError("cannot invert a non-square %s matrix" % (arr.shape,))
+    # for a square matrix a solution of arr X = I is already the inverse
+    sol = solve_raw(field, arr, field.eye(n))
+    if sol is None:
         raise FieldError("matrix not invertible")
     return sol
+
+
+def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
+    """sum_t coeffs[t] * stack[t] over the field, for a stack of equally
+    shaped arrays (rows, matrices) indexed by its first axis."""
+    stack = np.asarray(stack)
+    out = np.zeros(stack.shape[1:], dtype=np.int64)
+    for t in np.nonzero(np.asarray(coeffs))[0]:
+        out = field.add(out, field.mul(int(coeffs[t]), stack[t]))
+    return out
+
+
+def search_combinations(field: FieldSpec, k: int, test, seed: int,
+                        random_budget: int, exhaustive_limit: int):
+    """First nonzero c in field^k with ``test(c)`` not None.
+
+    The unit vectors are tried first, then ``random_budget`` draws from
+    ``default_rng(seed)`` (a zero draw is skipped), then every nonzero
+    vector in lexicographic order when ``order**k <= exhaustive_limit``.
+    Returns ``(test(c), True)`` for the first hit, else ``(None,
+    exhausted)``: ``exhausted`` is True when the exhaustive stage ran, so
+    that every nonzero vector was tried.
+    """
+    for t in range(k):
+        c = np.zeros(k, dtype=np.int64)
+        c[t] = field.one
+        hit = test(c)
+        if hit is not None:
+            return hit, True
+    if k and random_budget:
+        # the Generator is made only here: numpy.random is imported lazily
+        rng = np.random.default_rng(seed)
+        for _ in range(random_budget):
+            c = rng.integers(0, field.order, size=k)
+            if c.any():
+                hit = test(c)
+                if hit is not None:
+                    return hit, True
+    if field.order ** k > exhaustive_limit:
+        return None, False
+    for c in itertools.product(range(field.order), repeat=k):
+        if any(c):
+            hit = test(np.array(c, dtype=np.int64))
+            if hit is not None:
+                return hit, True
+    return None, True

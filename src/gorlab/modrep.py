@@ -18,7 +18,6 @@ Hom(g, A) is read off the components of g, with no Hom-space solve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -87,11 +86,7 @@ class RightModule:
 
     def rho(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (coordinates x)."""
-        f = self.algebra.field
-        out = f.zeros(self.dim, self.dim)
-        for j in np.nonzero(np.asarray(x))[0]:
-            out = f.add(out, f.mul(int(x[j]), self.action[j]))
-        return out
+        return linalg.combine(self.algebra.field, x, self.action)
 
     def __repr__(self):
         return "RightModule(dim=%d%s)" % (self.dim,
@@ -187,6 +182,10 @@ def submodule_from_rows(m: RightModule, rows, close: bool = True,
                         label: str = "") -> tuple:
     """(submodule, inclusion map) spanned by the given row vectors."""
     f = m.algebra.field
+    if m.dim == 0:
+        sub = RightModule(m.algebra, 0,
+                          np.zeros((m.algebra.dim, 0, 0), dtype=np.int64), label)
+        return sub, ModuleMap(sub, m, np.zeros((0, 0), dtype=np.int64))
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, m.dim)
     basis = linalg.row_space_basis(f, rows)
     if close:
@@ -617,8 +616,7 @@ class IsoResult:
         return self.isomorphic
 
 
-def iso(m: RightModule, n: RightModule, seed: int = 0,
-        random_budget: int = 2000) -> IsoResult:
+def iso(m: RightModule, n: RightModule, seed: int = 0) -> IsoResult:
     """Isomorphism test with witness; staged search over Hom(m, n)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
@@ -631,41 +629,24 @@ def iso(m: RightModule, n: RightModule, seed: int = 0,
     hb = hom_basis(m, n)
     if len(hb) != len(hom_basis(n, m)):
         return IsoResult(False, True)
-    for h in hb:
-        if linalg.is_invertible(f, h.matrix):
-            return IsoResult(True, True, h)
-    k = len(hb)
-    if k == 0:
-        return IsoResult(False, True)
-    if getattr(m, "indec_certain", False) and getattr(n, "indec_certain", False):
-        # Between indecomposables the non-isomorphisms form the radical, a
-        # proper subspace whenever an isomorphism exists; so any basis of a
-        # hom space containing an iso already contains one.  None was found
-        # above, hence the modules are certainly non-isomorphic.
-        return IsoResult(False, True)
     mats = np.array([h.matrix for h in hb])
-    rng = np.random.default_rng(seed)
-    for _ in range(random_budget):
-        coeffs = rng.integers(0, f.order, size=k)
-        cand = _combine_mats(f, mats, coeffs)
-        if linalg.is_invertible(f, cand):
-            return IsoResult(True, True, ModuleMap(m, n, cand))
-    if f.order ** k <= 1 << 16:
-        for coeffs in itertools.product(range(f.order), repeat=k):
-            if not any(coeffs):
-                continue
-            cand = _combine_mats(f, mats, np.array(coeffs, dtype=np.int64))
-            if linalg.is_invertible(f, cand):
-                return IsoResult(True, True, ModuleMap(m, n, cand))
-        return IsoResult(False, True)
-    return IsoResult(False, False)   # low confidence: search space too large
 
+    def invertible(coeffs):
+        cand = linalg.combine(f, coeffs, mats)
+        return cand if linalg.is_invertible(f, cand) else None
 
-def _combine_mats(f, mats, coeffs):
-    out = f.zeros(mats.shape[1], mats.shape[2])
-    for t in np.nonzero(np.asarray(coeffs))[0]:
-        out = f.add(out, f.mul(int(coeffs[t]), mats[t]))
-    return out
+    # Between indecomposables the non-isomorphisms form the radical, a
+    # proper subspace whenever an isomorphism exists; so any basis of a hom
+    # space containing an iso already contains one, and the basis stage
+    # alone decides.
+    indec = (getattr(m, "indec_certain", False)
+             and getattr(n, "indec_certain", False))
+    budget, limit = (0, 0) if indec else (2000, 1 << 16)
+    cand, exhausted = linalg.search_combinations(f, len(hb), invertible, seed,
+                                                 budget, limit)
+    if cand is not None:
+        return IsoResult(True, True, ModuleMap(m, n, cand))
+    return IsoResult(False, exhausted or indec)
 
 
 def _mat_power(f, mat, e):
@@ -686,12 +667,10 @@ def decompose(m: RightModule, seed: int = 0) -> list:
     if st.top.dim == 1 or st.socle.dim == 1:
         m.indec_certain = True
         return [m]
-    eb = hom_basis(m, m)
-    k = len(eb)
-    mats = np.array([h.matrix for h in eb])
+    mats = np.array([h.matrix for h in hom_basis(m, m)])
 
-    def try_split(cand):
-        p = _mat_power(f, cand, m.dim)
+    def try_split(coeffs):
+        p = _mat_power(f, linalg.combine(f, coeffs, mats), m.dim)
         r = linalg.rank_raw(f, p)
         if 0 < r < m.dim:
             ker_rows = linalg.nullspace(f, p.T)
@@ -703,25 +682,12 @@ def decompose(m: RightModule, seed: int = 0) -> list:
                 return a, b
         return None
 
-    for t in range(k):
-        sp = try_split(mats[t])
-        if sp:
-            return decompose(sp[0], seed) + decompose(sp[1], seed)
-    rng = np.random.default_rng(seed)
-    for _ in range(50):
-        coeffs = rng.integers(0, f.order, size=k)
-        sp = try_split(_combine_mats(f, mats, coeffs))
-        if sp:
-            return decompose(sp[0], seed) + decompose(sp[1], seed)
-    if f.order ** k <= 1 << 16:
-        for coeffs in itertools.product(range(f.order), repeat=k):
-            sp = try_split(_combine_mats(f, np.array(mats),
-                                         np.array(coeffs, dtype=np.int64)))
-            if sp:
-                return decompose(sp[0], seed) + decompose(sp[1], seed)
-        m.indec_certain = True
-        return [m]
-    m.indec_certain = False   # budget exhausted without a certificate
+    sp, exhausted = linalg.search_combinations(
+        f, len(mats), try_split, seed, random_budget=50,
+        exhaustive_limit=1 << 16)
+    if sp:
+        return decompose(sp[0], seed) + decompose(sp[1], seed)
+    m.indec_certain = exhausted   # False: budget spent without a certificate
     return [m]
 
 
@@ -800,7 +766,9 @@ def min_right_approx(addgens, x: RightModule, seed: int = 0) -> ModuleMap:
 
 
 def _check_right_minimal(mp: ModuleMap, seed: int) -> bool:
-    """Every endomorphism h of the source with h∘f = 0 must be nilpotent."""
+    """Certify that every endomorphism h of the source with h∘f = 0 is
+    nilpotent; False when one is not, or when the search ran out of budget
+    before trying every combination."""
     f = mp.source.algebra.field
     s = mp.source
     if s.dim == 0:
@@ -813,27 +781,19 @@ def _check_right_minimal(mp: ModuleMap, seed: int) -> bool:
     if coeff_rows.shape[0] == 0:
         return True
     mats = np.array([h.matrix for h in eb])
-    for row in coeff_rows:
-        v = _combine_mats(f, mats, row)
-        if linalg.rank_raw(f, _mat_power(f, v, s.dim)) != 0:
-            return False
-    rng = np.random.default_rng(seed)
-    k = coeff_rows.shape[0]
-    if f.order ** k <= 1 << 12:
-        cand_iter = itertools.product(range(f.order), repeat=k)
-    else:
-        cand_iter = (tuple(rng.integers(0, f.order, size=k)) for _ in range(200))
-    for coeffs in cand_iter:
-        if not any(coeffs):
-            continue
-        comb = np.zeros(len(eb), dtype=np.int64)
-        for t, ct in enumerate(coeffs):
-            if ct:
-                comb = f.add(comb, f.mul(int(ct), coeff_rows[t]))
-        v = _combine_mats(f, mats, comb)
-        if linalg.rank_raw(f, _mat_power(f, v, s.dim)) != 0:
-            return False
-    return True
+    kernel_mats = np.array([linalg.combine(f, row, mats) for row in coeff_rows])
+
+    def not_nilpotent(coeffs):
+        v = linalg.combine(f, coeffs, kernel_mats)
+        return True if linalg.rank_raw(f, _mat_power(f, v, s.dim)) else None
+
+    k = len(kernel_mats)
+    # random draws only where the exhaustive stage cannot settle the question
+    budget = 0 if f.order ** k <= 1 << 12 else 200
+    hit, exhausted = linalg.search_combinations(
+        f, k, not_nilpotent, seed, random_budget=budget,
+        exhaustive_limit=1 << 12)
+    return hit is None and exhausted
 
 
 def resdim(addgens, x: RightModule, cutoff: int = 24, seed: int = 0) -> HomologicalDim:
@@ -841,23 +801,30 @@ def resdim(addgens, x: RightModule, cutoff: int = 24, seed: int = 0) -> Homologi
 
     Infinite is certified when an earlier approximation kernel recurs as a
     direct summand of a later one (with minimal approximations this forces
-    the chain never to terminate).
+    the chain never to terminate).  If some approximation could not be
+    certified minimal, a recurrence gives only a lower bound.
     """
     kernels = []     # list of lists of indecomposable summands
+    minimal = True   # every approximation so far certified right minimal
     cur = x
     for step in range(cutoff + 1):
         if in_add(addgens, cur, seed):
             return HomologicalDim.finite(step)
         ap = min_right_approx(addgens, cur, seed)
+        minimal = minimal and ap.minimal_certain
         ker, _ = kernel_submodule(ap)
         parts = decompose(ker, seed)
         for back, old in enumerate(kernels):
             hit = _summand_embedding(old, parts, seed)
-            if hit is not None:
-                cert = PeriodicityCertificate("approximation-kernel",
-                                              back + 1, step - back,
-                                              iso=hit)
-                return HomologicalDim.infinite(cert)
+            if hit is None:
+                continue
+            if not minimal:
+                return HomologicalDim.at_least(
+                    step + 1, "approximation kernel recurs at step %d, "
+                    "minimality not certified" % step)
+            cert = PeriodicityCertificate("approximation-kernel",
+                                          back + 1, step - back, iso=hit)
+            return HomologicalDim.infinite(cert)
         kernels.append(parts)
         cur = ker
     return HomologicalDim.at_least(cutoff, "cutoff %d exhausted" % cutoff)

@@ -160,3 +160,21 @@ def test_reports_never_show_uncertified_infinite():
                 for v in node:
                     walk(v)
         walk(json.loads(text))
+
+
+def test_scan_passes_field_cutoff_and_seed(monkeypatch):
+    from gorlab import invariants as inv
+    calls = []
+
+    def record(a, bound, seed):
+        calls.append((a.field, bound, seed))
+        return False
+
+    monkeypatch.setattr(inv, "gendo_symmetric_check", record)
+    code, text = run(["--field", "5", "--cutoff", "3", "--seed", "7",
+                      "scan", "2", "3"])
+    assert code in (0, 3)
+    assert calls and set(calls) == {(la.PrimeField(5), 3, 7)}
+    calls.clear()
+    run(["scan", "2", "3"])
+    assert calls and set(calls) == {(la.PrimeField(2), inv.DEFAULT_BOUND, 0)}

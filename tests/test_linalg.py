@@ -80,26 +80,24 @@ def test_kernel_rank_and_solve(f):
     rng = np.random.default_rng(2)
     for _ in range(10):
         arr = rng.integers(0, f.order, size=(5, 7))
-        m = la.Matrix.make(f, arr)
-        ker = la.kernel_basis(m)
-        assert la.rank(m) + len(ker) == 7
+        ker = la.nullspace(f, arr)
+        assert la.rank_raw(f, arr) + len(ker) == 7
         for v in ker:
             prod = f.matmul(arr, np.asarray(v).reshape(-1, 1))
             assert not prod.any()
         # a solvable system: rhs in the column space by construction
         x = rng.integers(0, f.order, size=(7, 1))
         rhs = f.matmul(arr, x).ravel()
-        sol = la.solve(m, rhs)
-        assert not isinstance(sol, la.NoSolution)
+        sol = la.solve_raw(f, arr, rhs)
+        assert sol is not None
         assert np.array_equal(f.matmul(arr, np.asarray(sol).reshape(-1, 1)
                                        ).ravel(), rhs)
 
 
 def test_solve_reports_inconsistent_system():
     f = la.PrimeField(2)
-    m = la.Matrix.make(f, np.zeros((2, 2), dtype=np.int64))
-    assert isinstance(la.solve(m, np.array([1, 0], dtype=np.int64)),
-                      la.NoSolution)
+    arr = np.zeros((2, 2), dtype=np.int64)
+    assert la.solve_raw(f, arr, np.array([1, 0], dtype=np.int64)) is None
 
 
 def test_gf4_is_characteristic_two_not_z4():
@@ -111,3 +109,88 @@ def test_gf4_is_characteristic_two_not_z4():
     nonzero = {1, 2, 3}
     for a in nonzero:
         assert {f.mul(a, b) for b in nonzero} == nonzero
+
+
+def _recording_search(f, k, seed, budget, limit, hit_at=None):
+    """Run search_combinations with a test that records every vector it is
+    given and hits on the vector equal to ``hit_at``."""
+    seen = []
+
+    def test(c):
+        seen.append(tuple(int(x) for x in c))
+        return "hit" if seen[-1] == hit_at else None
+
+    return la.search_combinations(f, k, test, seed, budget, limit), seen
+
+
+def test_search_stage_order():
+    f = la.PrimeField(3)
+    (hit, exhausted), seen = _recording_search(f, 2, 5, 4, 3 ** 2)
+    assert (hit, exhausted) == (None, True)
+    assert seen[:2] == [(1, 0), (0, 1)]
+    rng = np.random.default_rng(5)
+    draws = [tuple(int(x) for x in rng.integers(0, 3, size=2))
+             for _ in range(4)]
+    n_draws = sum(any(d) for d in draws)
+    assert seen[2:2 + n_draws] == [d for d in draws if any(d)]
+    assert seen[2 + n_draws:] == [(a, b) for a in range(3) for b in range(3)
+                                  if (a, b) != (0, 0)]
+    # the same seed repeats the same draws
+    assert _recording_search(f, 2, 5, 4, 3 ** 2)[1] == seen
+    # the first hit ends the search
+    (hit, exhausted), seen = _recording_search(f, 2, 5, 4, 9, hit_at=(0, 1))
+    assert (hit, exhausted) == ("hit", True) and seen == [(1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=lambda f: "order%d" % f.order)
+def test_search_never_tests_the_zero_vector(f):
+    for k in (1, 2, 3):
+        _, seen = _recording_search(f, k, 0, 40, f.order ** k)
+        assert seen and all(any(c) for c in seen)
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=lambda f: "order%d" % f.order)
+def test_search_exhausted_flag(f):
+    for k in (0, 1, 2, 3):
+        for limit in (0, f.order ** k - 1, f.order ** k, f.order ** k + 1):
+            for budget in (0, 5):
+                (hit, exhausted), _ = _recording_search(f, k, 0, budget, limit)
+                assert hit is None
+                assert exhausted == (f.order ** k <= limit)
+                if k:
+                    (hit, exhausted), _ = _recording_search(
+                        f, k, 0, budget, limit, hit_at=(1,) + (0,) * (k - 1))
+                    assert (hit, exhausted) == ("hit", True)
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=lambda f: "order%d" % f.order)
+def test_combine_matches_naive_sum(f):
+    rng = np.random.default_rng(3)
+    for shape in ((4, 3), (4, 2, 3), (0, 5)):
+        stack = rng.integers(0, f.order, size=shape)
+        coeffs = rng.integers(0, f.order, size=shape[0])
+        want = np.zeros(shape[1:], dtype=np.int64)
+        for c, x in zip(coeffs, stack):
+            want = f.add(want, f.mul(int(c), x))
+        assert np.array_equal(la.combine(f, coeffs, stack), want)
+
+
+def test_search_without_random_stage_makes_no_generator(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    f = la.PrimeField(2)
+    assert _recording_search(f, 3, 0, 0, 1 << 16)[0] == (None, True)
+    assert _recording_search(f, 3, 0, 0, 0)[0] == (None, False)
+    assert _recording_search(f, 0, 0, 10, 0)[0] == (None, False)
+
+
+def test_invert_square_and_rejects_non_square():
+    f = la.PrimeField(5)
+    arr = np.array([[1, 2], [3, 4]])
+    assert np.array_equal(f.matmul(arr, la.invert(f, arr)), f.eye(2))
+    with pytest.raises(la.FieldError):
+        la.invert(f, np.array([[1, 2], [2, 4]]))
+    with pytest.raises(la.FieldError):
+        la.invert(f, np.array([[1, 0, 0], [0, 1, 0]]))

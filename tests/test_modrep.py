@@ -155,6 +155,38 @@ def test_zero_module_edge_cases(a455):
     assert mr.decompose(z, 0) == []
 
 
+def test_translates_of_zero_module(a455):
+    z = mr.zero_module(a455)
+    for fn, over in ((mr.tau, a455), (mr.tau_inv, a455), (mr.nu, a455),
+                     (mr.transpose_tr, mr.opp(a455))):
+        out = fn(z)
+        assert out.dim == 0 and out.algebra is over, fn.__name__
+
+
+def test_right_minimality_needs_exhaustive_search():
+    # the projective cover of the simple module of k[x]/(x^7) over GF(5) is
+    # right minimal, but its 6-dimensional space of endomorphisms killing
+    # the map has 5^6 > 2^12 points, beyond the exhaustive stage
+    b = alg.from_kupisch(nak.validate_kupisch((7,)), la.PrimeField(5))
+    p = mr.projectives(b)[0][0]
+    cover = mr.structure(p).top_projection
+    assert not mr._check_right_minimal(cover, 0)
+    assert not mr.min_right_approx([p], mr.simples(b)[0], 0).minimal_certain
+    # over GF(2) the same space has 2^6 points and is certified
+    b2 = alg.from_kupisch(nak.validate_kupisch((7,)), F2)
+    p2 = mr.projectives(b2)[0][0]
+    assert mr._check_right_minimal(mr.structure(p2).top_projection, 0)
+
+
+def test_resdim_infinite_needs_certified_minimality(a455, monkeypatch):
+    projs, _ = mr.projectives(a455)
+    m = mr.bridge_module(a455, 0, 1)
+    assert mr.resdim(projs, m, cutoff=6).is_infinite
+    monkeypatch.setattr(mr, "_check_right_minimal", lambda mp, seed: False)
+    r = mr.resdim(projs, m, cutoff=6)
+    assert r.kind == "atleast" and r.value >= 1 and r.bound_reason
+
+
 def test_algebra_mismatch_guard(a455, a777):
     m = mr.bridge_module(a455, 0, 1)
     n = mr.bridge_module(a777, 0, 1)
