@@ -85,6 +85,13 @@ class BasedAlgebra:
     """A validated presentation with derived caches.
 
     Not built directly; use :func:`validate` or one of the builders.
+
+    Data built once per algebra is kept in ``cache``, through :meth:`cached`
+    only, under the keys ``"opp"`` (the opposite algebra, stored both ways
+    so that ``modrep.opp(modrep.opp(a)) is a``), ``"projectives"`` (the e_iA,
+    A_A, and each e_iA's echelon basis in A with its pivots), ``"simples"``,
+    ``"injectives"``, ``("symmetric", seed)`` (:func:`is_symmetric`) and
+    ``("dim_engine", seed)`` (the dimension engine of ``invariants``).
     """
 
     def __init__(self, pres: AlgebraPresentation, *, _token=None):
@@ -104,8 +111,14 @@ class BasedAlgebra:
         self.cartan = None           # integer matrix, entry (i,j) = dim e_i A e_j
         self.connected = None
         self.warnings = []
-        self._sym_cache = {}
         self.nak_bridge = None       # set by from_kupisch
+        self.cache = {}
+
+    def cached(self, key, build):
+        """The cache entry under key; build() makes it on first use only."""
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
 
     # -- element arithmetic ------------------------------------------------
 
@@ -551,8 +564,10 @@ def is_symmetric(a: BasedAlgebra, seed: int = 0) -> SymmetryResult:
     basis, then on seeded random combinations, then exhaustively when the
     search space has at most 2^20 points.
     """
-    if seed in a._sym_cache:
-        return a._sym_cache[seed]
+    return a.cached(("symmetric", seed), lambda: _find_symmetric_form(a, seed))
+
+
+def _find_symmetric_form(a: BasedAlgebra, seed: int) -> SymmetryResult:
     f = a.field
     n = a.dim
     rows = []
@@ -572,9 +587,7 @@ def is_symmetric(a: BasedAlgebra, seed: int = 0) -> SymmetryResult:
     lam, certain = linalg.search_combinations(
         f, central.shape[0], nondegenerate, seed,
         random_budget=1000, exhaustive_limit=1 << 20)
-    res = SymmetryResult(lam is not None, certain, lam)
-    a._sym_cache[seed] = res
-    return res
+    return SymmetryResult(lam is not None, certain, lam)
 
 
 @dataclass

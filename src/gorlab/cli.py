@@ -27,6 +27,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg, algebra as alg, nakayama as nak, modrep as mr
 from . import invariants as inv
 from . import fixtures as fx
@@ -423,6 +425,28 @@ def _cyclic_series(n_max: int, c_max: int):
                 yield c
 
 
+def _series_count(n_max: int, c_max: int, limit: int) -> int:
+    """How many series _cyclic_series yields, or some number above limit.
+
+    Series of length n are closed walks of length n on k = c_max - 1 values
+    with steps c -> c' >= c - 1: trace(T_k^n), T_w[a][b] = [b >= a - 1].  A
+    closed walk rises at most n - 1 above its minimum, so for k > n each
+    further value adds the walks with minimum 1 on n values.
+    """
+    def walks(w, n):
+        t = np.array([[int(b >= a - 1) for b in range(w)] for a in range(w)],
+                     dtype=object)
+        return int(np.trace(np.linalg.matrix_power(t, n))) if w else 0
+    k, total = c_max - 1, 0
+    for n in range(1, n_max + 1):   # each n adds at least k >= 1 series
+        total += walks(min(k, n), n)
+        if k > n:
+            total += (k - n) * (walks(n, n) - walks(n - 1, n))
+        if total > limit:
+            break
+    return total
+
+
 SCAN_COLUMNS = ["schema_version", "series", "domdim", "gordim", "fdomdim",
                 "gp_count", "nearly_gorenstein", "gendo_symmetric",
                 "viol_fdomdim_2n_minus_2",
@@ -432,12 +456,10 @@ SCAN_COLUMNS = ["schema_version", "series", "domdim", "gordim", "fdomdim",
 def cmd_scan(args, cfg: RunConfig, out) -> int:
     if args.n_max < 1 or args.c_max < 2:
         raise _CliError("need n_max >= 1 and c_max >= 2")
-    series = []
-    for s in _cyclic_series(args.n_max, args.c_max):
-        series.append(s)
-        if len(series) > SCAN_BUDGET:
-            raise BudgetExceeded("more than %d series requested; the scan "
-                                 "budget is %d" % (SCAN_BUDGET, SCAN_BUDGET))
+    if _series_count(args.n_max, args.c_max, SCAN_BUDGET) > SCAN_BUDGET:
+        raise BudgetExceeded("more than %d series requested; the scan "
+                             "budget is %d" % (SCAN_BUDGET, SCAN_BUDGET))
+    series = list(_cyclic_series(args.n_max, args.c_max))
     row = functools.partial(_scan_row, field=cfg.field, cutoff=cfg.cutoff,
                             seed=cfg.seed)
     if cfg.jobs > 1:

@@ -97,34 +97,36 @@ class HomologicalDim:
 
 
 def dim_max(values) -> HomologicalDim:
-    """Max with Infinite dominating; AtLeast poisons to AtLeast."""
+    """Max with Infinite dominating; an AtLeast makes the max AtLeast the
+    largest value seen, since its true value may be larger."""
     best = HomologicalDim.finite(0)
-    seen = False
+    bound = None
     for v in values:
-        seen = True
         if v.kind == "infinite":
             return v
-        if v.kind == "atleast":
-            if best.kind != "atleast" or v.value > best.value:
-                best = v
-        elif best.kind == "finite" and v.value > best.value:
+        if v.kind == "atleast" and (bound is None or v.value > bound.value):
+            bound = v
+        elif v.kind == "finite" and v.value > best.value:
             best = v
-    if not seen:
-        return HomologicalDim.finite(0)
-    return best
+    if bound is None:
+        return best
+    if bound.value >= best.value:
+        return bound
+    return HomologicalDim.at_least(best.value, bound.bound_reason)
 
 
 def dim_min(values) -> HomologicalDim:
-    """Min with Finite dominating Infinite."""
+    """Min with Finite dominating Infinite; the least Finite value is exact
+    only when no AtLeast lies below it."""
     vals = list(values)
     if not vals:
         raise ValueError("dim_min of empty collection")
-    best = None
+    least = {}
     for v in vals:
-        if best is None:
-            best = v
-        elif v.kind == "finite" and (best.kind != "finite" or v.value < best.value):
-            best = v
-        elif v.kind == "atleast" and best.kind == "infinite":
-            best = v
-    return best
+        if v.kind != "infinite" and (v.kind not in least
+                                     or v.value < least[v.kind].value):
+            least[v.kind] = v
+    fin, low = least.get("finite"), least.get("atleast")
+    if low is not None and (fin is None or low.value < fin.value):
+        return low
+    return fin if fin is not None else vals[0]

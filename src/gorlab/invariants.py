@@ -120,16 +120,15 @@ class _DimEngine:
         self._ext1_memo = {}
         self.gp_memo = {}
 
+    # Modules hash by identity (RightModule is eq=False), so the memos
+    # below key on the module object itself.
     def canon_parts(self, m) -> list:
         if m.dim == 0:
             return []
-        key = id(m)
-        hit = self._parts_memo.get(key)
-        if hit is not None and hit[0] is m:
-            return hit[1]
-        out = [self.table.canon(p) for p in mr.decompose(m, self.seed)]
-        self._parts_memo[key] = (m, out)
-        return out
+        if m not in self._parts_memo:
+            self._parts_memo[m] = [self.table.canon(p)
+                                   for p in mr.decompose(m, self.seed)]
+        return self._parts_memo[m]
 
     def syzygy_parts(self, ci: int) -> list:
         if ci not in self._syz:
@@ -142,13 +141,9 @@ class _DimEngine:
         return self._cos[ci]
 
     def ext1_against(self, ci: int, n) -> int:
-        key = (ci, id(n))
-        hit = self._ext1_memo.get(key)
-        if hit is not None and hit[0] is n:
-            return hit[1]
-        v = mr.ext_dim(self.table.reps[ci], n, 1)
-        self._ext1_memo[key] = (n, v)
-        return v
+        if (ci, n) not in self._ext1_memo:
+            self._ext1_memo[ci, n] = mr.ext_dim(self.table.reps[ci], n, 1)
+        return self._ext1_memo[ci, n]
 
     def first_nonzero_ext(self, m, n, top: int):
         """Least i in 1..top with Ext^i(m, n) != 0, or None.
@@ -252,11 +247,7 @@ class _DimEngine:
 
 
 def _engine(a: BasedAlgebra, seed: int = 0) -> _DimEngine:
-    eng = getattr(a, "_dim_engine", None)
-    if eng is None or eng.seed != seed:
-        eng = _DimEngine(a, seed)
-        a._dim_engine = eng
-    return eng
+    return a.cached(("dim_engine", seed), lambda: _DimEngine(a, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -744,51 +735,50 @@ class CheckResult:
                              " (%s)" % self.detail if self.detail else "")
 
 
-def _pool_classes(fixture, seed):
-    eng = _engine(fixture.algebra, seed)
+def _classes(a, pool, seed):
+    """(engine of a, iso-class ids of the summands of pool, in order)."""
+    eng = _engine(a, seed)
     ids = []
-    for m in fixture.pool:
+    for m in pool:
         for ci in eng.canon_parts(m):
             if ci not in ids:
                 ids.append(ci)
     return eng, ids
 
 
+def _pool_classes(fixture, seed):
+    return _classes(fixture.algebra, fixture.pool, seed)
+
+
 def _sym_target(fixture, seed):
     """(algebra, indec modules) of the symmetric member of the fixture."""
-    if fixture.symmetric:
-        eng, ids = _pool_classes(fixture, seed)
-        return fixture.algebra, [eng.table.reps[c] for c in ids]
     base = fixture.base_algebra
-    if base is not None and is_symmetric(base, seed):
-        eng = _engine(base, seed)
-        ids = []
-        for m in fixture.base_pool:
-            for ci in eng.canon_parts(m):
-                if ci not in ids:
-                    ids.append(ci)
-        return base, [eng.table.reps[c] for c in ids]
-    return None, []
+    if fixture.symmetric:
+        a, pool = fixture.algebra, fixture.pool
+    elif base is not None and is_symmetric(base, seed):
+        a, pool = base, fixture.base_pool
+    else:
+        return None, []
+    eng, ids = _classes(a, pool, seed)
+    return a, [eng.table.reps[c] for c in ids]
 
 
 def theorem_suite(fixture, bound: int = DEFAULT_BOUND, seed: int = 0) -> list:
-    out = []
-    out.append(_check_a(fixture, bound, seed))
-    out.append(_check_b(fixture, bound, seed))
-    out.append(_check_c(fixture, bound, seed))
-    out.append(_check_d(fixture, bound, seed))
-    out.append(_check_e(fixture, bound, seed))
-    out.append(_check_f(fixture, bound, seed))
-    out.append(_check_g(fixture, bound, seed))
-    out.append(_check_h(fixture, bound, seed))
-    out.append(_check_i(fixture, bound, seed))
-    out.append(_check_j(fixture, bound, seed))
-    out.append(_check_k(fixture, bound, seed))
-    return out
+    checks = (_check_a, _check_b, _check_c, _check_d, _check_e, _check_f,
+              _check_g, _check_h, _check_i, _check_j, _check_k)
+    return [check(fixture, bound, seed) for check in checks]
 
 
 def _is_proj_module(m, seed):
     return mr.projective_cover(m).is_iso()
+
+
+def _nonproj_gpis(fixture, bound, seed):
+    """The nonprojective GPI class representatives of the fixture's pool."""
+    eng, ids = _pool_classes(fixture, seed)
+    mods = [eng.table.reps[ci] for ci in ids]
+    return [m for m in mods if not _is_proj_module(m, seed)
+            and gpi_test(fixture.algebra, m, bound, seed).status == "yes"]
 
 
 def _check_a(fixture, bound, seed):
@@ -864,14 +854,7 @@ def _check_d(fixture, bound, seed):
     name = "gpi-closed-under-translates"
     if not fixture.gendo_symmetric:
         return CheckResult(name, "skip", "not gendo-symmetric")
-    eng, ids = _pool_classes(fixture, seed)
-    gpis = []
-    for ci in ids:
-        m = eng.table.reps[ci]
-        if _is_proj_module(m, seed):
-            continue
-        if gpi_test(fixture.algebra, m, bound, seed).status == "yes":
-            gpis.append(m)
+    gpis = _nonproj_gpis(fixture, bound, seed)
     if not gpis:
         return CheckResult(name, "skip", "no nonprojective GPI in pool")
     ops = [("tau", mr.tau), ("tau_inv", mr.tau_inv),
@@ -938,14 +921,7 @@ def _check_g(fixture, bound, seed):
         return CheckResult(name, "skip", "no projective-injective idempotents")
     corner = corner_algebra(a, sel)
     mb = mr.corner_restrict(corner, mr.regular_module(a))
-    eng, ids = _pool_classes(fixture, seed)
-    gpis = []
-    for ci in ids:
-        m = eng.table.reps[ci]
-        if _is_proj_module(m, seed):
-            continue
-        if gpi_test(a, m, bound, seed).status == "yes":
-            gpis.append(m)
+    gpis = _nonproj_gpis(fixture, bound, seed)
     if not gpis:
         return CheckResult(name, "pass", "vacuous: no nonprojective GPI")
     wm, _ = _syzygy_window(mb, bound, seed)

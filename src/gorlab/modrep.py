@@ -140,12 +140,11 @@ def regular_module(a: BasedAlgebra) -> RightModule:
 
 def opp(a: BasedAlgebra) -> BasedAlgebra:
     """Cached opposite algebra; opp(opp(a)) is a itself."""
-    cached = getattr(a, "_opp", None)
-    if cached is None:
-        cached = opposite(a)
-        a._opp = cached
-        cached._opp = a
-    return cached
+    def build():
+        op = opposite(a)
+        op.cache["opp"] = a
+        return op
+    return a.cached("opp", build)
 
 
 def direct_sum(mods) -> tuple:
@@ -323,44 +322,41 @@ def structure(m: RightModule) -> StructureData:
     return StructureData(rad, rad_inc, top, top_proj, soc, soc_inc)
 
 
+def _projective_data(a: BasedAlgebra) -> tuple:
+    """([e_iA], A_A, [(echelon basis of e_iA as rows in A, pivots)])."""
+    def build():
+        reg = regular_module(a)
+        out, bases = [], []
+        for i in range(a.n_idem):
+            sub, inc = submodule_from_rows(reg, a.L(a.idempotents[i]),
+                                           close=False, label="e%dA" % i)
+            out.append(sub)
+            bases.append((inc.matrix, [int(np.flatnonzero(r)[0])
+                                       for r in inc.matrix]))
+        return out, reg, bases
+    return a.cached("projectives", build)
+
+
 def projectives(a: BasedAlgebra) -> tuple:
     """(list of e_iA, regular module)."""
-    cached = getattr(a, "_projectives", None)
-    if cached is not None:
-        return cached
-    reg = regular_module(a)
-    out = []
-    for i in range(a.n_idem):
-        sub, _ = submodule_from_rows(reg, a.L(a.idempotents[i]),
-                                     close=False, label="e%dA" % i)
-        out.append(sub)
-    a._projectives = (out, reg)
-    return out, reg
+    return _projective_data(a)[:2]
+
+
+def _labelled(mods, fmt) -> list:
+    for i, m in enumerate(mods):
+        m.label = fmt % i
+    return mods
 
 
 def simples(a: BasedAlgebra) -> list:
-    cached = getattr(a, "_simples", None)
-    if cached is not None:
-        return cached
-    projs, _ = projectives(a)
-    out = [structure(p).top for p in projs]
-    for i, s in enumerate(out):
-        s.label = "S%d" % i
-    a._simples = out
-    return out
+    return a.cached("simples", lambda: _labelled(
+        [structure(p).top for p in projectives(a)[0]], "S%d"))
 
 
 def injectives(a: BasedAlgebra) -> list:
     """Indecomposable injectives nu(e_iA) = D(Ae_i), socle S_i."""
-    cached = getattr(a, "_injectives", None)
-    if cached is not None:
-        return cached
-    projs, _ = projectives(a)
-    out = [nu(p) for p in projs]
-    for i, m in enumerate(out):
-        m.label = "D(Ae%d)" % i
-    a._injectives = out
-    return out
+    return a.cached("injectives", lambda: _labelled(
+        [nu(p) for p in projectives(a)[0]], "D(Ae%d)"))
 
 
 def projective_cover(m: RightModule) -> ModuleMap:
@@ -450,51 +446,41 @@ def cosyzygy(m: RightModule, steps: int = 1) -> RightModule:
 
 
 def ext_dim(m: RightModule, n: RightModule, i: int) -> int:
-    """dim Ext^i(m, n) from the minimal projective resolution of m."""
+    """dim Ext^i(m, n) = dim Ext^1(X, n) for X = Omega^(i-1) m.
+
+    For the projective cover 0 -> Omega X -> P -> X -> 0 the long exact
+    sequence gives dim Ext^1(X, n) = dim Hom(Omega X, n) - dim Hom(P, n)
+    + dim Hom(X, n), and dim Hom(e_jA, n) = dim n e_j.
+    """
     if i < 0:
         raise ValueError("negative degree")
     if i == 0:
         return hom_dim(m, n)
-    cur = m
-    incl = None
-    for _ in range(i):
-        if cur.dim == 0:
-            return 0
-        cov = projective_cover(cur)
-        cur, incl = kernel_submodule(cov)
-        last_p = cov.source
-    if cur.dim == 0:
+    x = syzygy(m, i - 1)
+    if x.dim == 0:
+        return 0
+    cov = projective_cover(x)
+    k, _ = kernel_submodule(cov)
+    hk = hom_dim(k, n)
+    if hk == 0:
         return 0
     f = m.algebra.field
-    hb = hom_basis(cur, n)
-    if not hb:
-        return 0
-    # maps Omega^i(m) -> n that extend to P_{i-1} are the coboundaries
-    restricted = []
-    for g in hom_basis(last_p, n):
-        restricted.append(f.matmul(incl.matrix, g.matrix).ravel())
-    rk = linalg.rank_raw(f, np.array(restricted).reshape(-1, cur.dim * n.dim)) \
-        if restricted else 0
-    return len(hb) - rk
+    hp = sum(linalg.rank_raw(f, n.rho(m.algebra.idempotents[j]))
+             for j in cov.summand_idems)
+    return hk - hp + hom_dim(x, n)
 
 
 def stable_hom_dim(m: RightModule, n: RightModule) -> int:
-    """dim of Hom(m, n) modulo maps factoring through projectives."""
+    """dim of Hom(m, n) modulo maps factoring through projectives, that is,
+    through the projective cover pi: P(n) -> n."""
     f = m.algebra.field
     hb = hom_basis(m, n)
     if not hb:
         return 0
-    projs, _ = projectives(m.algebra)
-    through = []
-    for p in projs:
-        to_p = hom_basis(m, p)
-        from_p = hom_basis(p, n)
-        for u in to_p:
-            for w in from_p:
-                through.append(f.matmul(u.matrix, w.matrix).ravel())
-    rk = linalg.rank_raw(f, np.array(through).reshape(-1, m.dim * n.dim)) \
-        if through else 0
-    return len(hb) - rk
+    pi = projective_cover(n)
+    through = [f.matmul(u.matrix, pi.matrix).ravel()
+               for u in hom_basis(m, pi.source)]
+    return len(hb) - linalg.rank_raw(f, _flatten_mats(through, m.dim * n.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +507,7 @@ def minimal_presentation(m: RightModule):
 def _idem_basis(a: BasedAlgebra, i: int) -> tuple:
     """Echelon basis of e_iA as rows in A, and its pivot columns: the
     coordinates of x in e_iA (as in projectives(a)[i]) are x[pivots]."""
-    r, pivots = linalg.row_echelon(a.field, a.L(a.idempotents[i]))
-    return r[:len(pivots)], pivots
+    return _projective_data(a)[2][i]
 
 
 def _hom_to_regular(m: RightModule) -> ModuleMap:
@@ -537,8 +522,8 @@ def _hom_to_regular(m: RightModule) -> ModuleMap:
     f = a.field
     op = opp(a)
     g, idems1, idems0 = minimal_presentation(m)
-    ea = {i: _idem_basis(a, i) for i in set(idems0) | set(idems1)}   # e_iA
-    ae = {i: _idem_basis(op, i) for i in ea}                          # Ae_i
+    ea = _projective_data(a)[2]     # e_iA
+    ae = _projective_data(op)[2]    # Ae_i
 
     def offsets(basis, idems):
         return np.cumsum([0] + [len(basis[i][1]) for i in idems])
@@ -639,8 +624,7 @@ def iso(m: RightModule, n: RightModule, seed: int = 0) -> IsoResult:
     # proper subspace whenever an isomorphism exists; so any basis of a hom
     # space containing an iso already contains one, and the basis stage
     # alone decides.
-    indec = (getattr(m, "indec_certain", False)
-             and getattr(n, "indec_certain", False))
+    indec = m.indec_certain and n.indec_certain
     budget, limit = (0, 0) if indec else (2000, 1 << 16)
     cand, exhausted = linalg.search_combinations(f, len(hb), invertible, seed,
                                                  budget, limit)
@@ -1004,7 +988,7 @@ def corner_restrict(corner, x: RightModule) -> RightModule:
 
 def bridge_module(a: BasedAlgebra, i: int, k: int) -> RightModule:
     """Realise the Nakayama module e_iA/e_iJ^k over a from_kupisch algebra."""
-    bridge = getattr(a, "nak_bridge", None)
+    bridge = a.nak_bridge
     if bridge is None:
         raise ValueError("algebra was not built by from_kupisch")
     series = bridge["series"]

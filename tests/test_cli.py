@@ -126,9 +126,24 @@ def test_scan_csv_schema_and_clean_exit():
     assert "4-5-5" not in series and "2-2" in series
 
 
-def test_scan_rejects_oversized_request():
+def test_scan_rejects_oversized_request(monkeypatch):
     code, _ = run(["scan", "9", "9"])
     assert code == 1
+    assert cli._series_count(9, 9, 10 ** 9) == 156218
+
+    # the request is rejected from the series count, before enumeration
+    def enumerate_series(n_max, c_max):
+        raise AssertionError("series enumerated")
+
+    monkeypatch.setattr(cli, "_cyclic_series", enumerate_series)
+    assert run(["scan", "9", "9"])[0] == 1
+
+
+@pytest.mark.parametrize("n_max,c_max", [(3, 7), (4, 5), (5, 6), (2, 9),
+                                         (1, 2), (6, 3)])
+def test_scan_series_count_matches_enumeration(n_max, c_max):
+    want = sum(1 for _ in cli._cyclic_series(n_max, c_max))
+    assert cli._series_count(n_max, c_max, 10 ** 9) == want
 
 
 def test_suite_exit_zero_on_clean_fixtures():

@@ -14,6 +14,42 @@ def a455():
     return alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), F2)
 
 
+def test_per_algebra_data_lives_in_the_declared_cache():
+    a = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), F2)
+    op = mr.opp(a)
+    assert mr.opp(op) is a
+    before = set(vars(a)), set(vars(op))
+    m = mr.bridge_module(a, 2, 1)
+    inv.gp_test(a, m)
+    inv.gi_test(a, m)
+    inv.module_domdim(m)
+    mr.injectives(a)
+    mr.simples(a)
+    alg.is_symmetric(a)
+    assert (set(vars(a)), set(vars(op))) == before
+    documented = {"opp", "projectives", "simples", "injectives"}
+    for key in list(a.cache) + list(op.cache):
+        assert key in documented or (
+            isinstance(key, tuple) and key[0] in ("symmetric", "dim_engine"))
+    eng = inv._engine(a, 0)
+    assert inv._engine(a, 1) is not eng
+    assert inv._engine(a, 0) is eng
+
+
+def test_domdim_of_sum_sound_after_warm_engine():
+    # warming the engine at a large bound must not turn a lower bound
+    # reached at a small bound into an exact value
+    a = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), F2)
+    want = min(nak.dims_nak(a.nak_bridge["series"], x)["domdim"].value
+               for x in nak.indecomposables(a.nak_bridge["series"])
+               if (x.i, x.k) in ((0, 3), (0, 1)))
+    inv.module_domdim(mr.bridge_module(a, 0, 3), bound=24)
+    s = mr.direct_sum([mr.bridge_module(a, 0, 3), mr.bridge_module(a, 0, 1)])[0]
+    d = inv.module_domdim(s, bound=1)
+    assert not d.is_finite
+    assert d.kind == "atleast" and d.value <= want
+
+
 def test_algebra_domdim_455(a455):
     assert inv.algebra_domdim(a455) == 2
 

@@ -170,9 +170,16 @@ def test_two_periodic_ext_is_two_periodic():
 # dimension-arithmetic sanity used throughout reporting
 
 
+_DRAWN_DIM = st.one_of(st.tuples(st.just("finite"), st.integers(0, 6)),
+                      st.tuples(st.just("atleast"), st.integers(0, 6)),
+                      st.just(("infinite", None)))
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(v=st.integers(0, 100), w=st.integers(0, 100))
-def test_homological_dim_order(v, w):
+@given(v=st.integers(0, 100), w=st.integers(0, 100),
+       drawn=st.lists(_DRAWN_DIM, min_size=1, max_size=4))
+def test_homological_dim_order(v, w, drawn):
+    import itertools
     from gorlab.dims import HomologicalDim, dim_max, dim_min
     a, b = HomologicalDim.finite(v), HomologicalDim.finite(w)
     assert dim_max([a, b]) == max(v, w)
@@ -181,3 +188,33 @@ def test_homological_dim_order(v, w):
     assert dim_max([a, inf]).is_infinite
     assert dim_min([a, inf]) == v
     assert a.ge(v) and not a.ge(v + 1)
+    # AtLeast(n) stands for any of n, n+1, ..., inf: a Finite answer must be
+    # the value of every completion, Infinite that of all, and AtLeast(n)
+    # the least value over all completions.
+    vals = [HomologicalDim.finite(n) if kind == "finite"
+            else HomologicalDim.at_least(n, "drawn") if kind == "atleast"
+            else inf for kind, n in drawn]
+    top = float("inf")
+    choices = [[n] if kind == "finite" else list(range(n, 8)) + [top]
+               if kind == "atleast" else [top] for kind, n in drawn]
+    for agg, got in ((min, dim_min(vals)), (max, dim_max(vals))):
+        outcomes = {agg(c) for c in itertools.product(*choices)}
+        if got.kind == "finite":
+            assert outcomes == {got.value}, (drawn, agg, got)
+        elif got.kind == "infinite":
+            assert outcomes == {top}, (drawn, agg, got)
+        else:
+            assert min(outcomes) == got.value, (drawn, agg, got)
+
+
+def test_dim_min_max_with_lower_bounds():
+    from gorlab.dims import HomologicalDim, dim_max, dim_min
+    fin = HomologicalDim.finite
+
+    def low(n):
+        return HomologicalDim.at_least(n, "budget")
+
+    assert str(dim_min([fin(5), low(2)])) == ">=2"
+    assert str(dim_min([low(2), low(1)])) == ">=1"
+    assert str(dim_max([fin(5), low(1)])) == ">=5"
+    assert str(dim_min([low(7), fin(5)])) == "5"

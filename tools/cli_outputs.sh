@@ -1,0 +1,44 @@
+#!/bin/sh
+# Record the stdout and exit code of a fixed set of gorlab CLI calls.
+#
+# Usage: tools/cli_outputs.sh SRC OUT
+#
+# SRC is a gorlab source tree (a checkout or a `git archive` of one); its
+# src/ directory is put on PYTHONPATH.  One file per call is written to OUT:
+# the call's stdout followed by a line "exit: <code>".  Two trees give the
+# same CLI output when `diff -r OUT1 OUT2` is empty.
+set -eu
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)/src
+out=$2
+mkdir -p "$out"
+
+call() {   # call NAME ARGS...: run one CLI call, record stdout and exit code
+    name=$1
+    shift
+    set +e
+    PYTHONPATH="$src" python3 -m gorlab.cli "$@" > "$out/$name" 2>/dev/null
+    code=$?
+    set -e
+    echo "exit: $code" >> "$out/$name"
+}
+
+fixtures=$(PYTHONPATH="$src" python3 -c \
+    'from gorlab import fixtures; print(" ".join(fixtures.FIXTURE_NAMES))')
+for fx in $fixtures; do
+    for fmt in json text; do
+        call "endo-$fx.$fmt" --format "$fmt" endo --fixture "$fx"
+    done
+done
+for fx in gf4-local-gendo penny-farthing-gendo auslander-22; do
+    call "endo-seed7-$fx.text" --seed 7 endo --fixture "$fx"
+done
+call suite.json --format json suite
+call suite-seed7.text --seed 7 suite
+call scan-3-7.csv scan 3 7
+call module-1-3-kupisch-455.json --format json module '[1,3]' --fixture kupisch-455
+call module-0-2-kupisch-56.json --format json module '[0,2]' --fixture kupisch-56
+call module-2-4-kupisch-455.text module '[2,4]' --fixture kupisch-455
