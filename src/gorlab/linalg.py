@@ -9,7 +9,7 @@ field and 2-D numpy arrays of codes, and are pure functions:
 it.  ``combine`` forms a linear combination of a stack of arrays, and
 ``search_combinations`` is the bounded search for a coefficient vector whose
 combination passes a test (an isomorphism, a Fitting split, a
-nondegenerate form, a non-nilpotent endomorphism).
+nondegenerate form).
 """
 
 from __future__ import annotations
@@ -386,17 +386,19 @@ def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
 
 
 def search_combinations(field: FieldSpec, k: int, test, seed: int,
-                        random_budget: int, exhaustive_limit: int):
+                        random_budget: int, exhaustive_limit: int,
+                        units: bool = True):
     """First nonzero c in field^k with ``test(c)`` not None.
 
-    The unit vectors are tried first, then ``random_budget`` draws from
+    The unit vectors are tried first (unless ``units`` is False, for a
+    caller that has already tried them), then ``random_budget`` draws from
     ``default_rng(seed)`` (a zero draw is skipped), then every nonzero
     vector in lexicographic order when ``order**k <= exhaustive_limit``.
     Returns ``(test(c), True)`` for the first hit, else ``(None,
     exhausted)``: ``exhausted`` is True when the exhaustive stage ran, so
     that every nonzero vector was tried.
     """
-    for t in range(k):
+    for t in range(k if units else 0):
         c = np.zeros(k, dtype=np.int64)
         c[t] = field.one
         hit = test(c)

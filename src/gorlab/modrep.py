@@ -633,15 +633,56 @@ def iso(m: RightModule, n: RightModule, seed: int = 0) -> IsoResult:
     return IsoResult(False, exhausted or indec)
 
 
-def _mat_power(f, mat, e):
-    out = f.eye(mat.shape[0])
-    for _ in range(e):
-        out = f.matmul(out, mat)
-    return out
+def _fitting_power(f, x):
+    """x^(2^e) for the least 2^e >= dim: every power x^n with n >= dim has
+    the same kernel and image (Fitting's lemma)."""
+    for _ in range((x.shape[0] - 1).bit_length()):
+        x = f.matmul(x, x)
+    return x
+
+
+def _nilpotent_part(f, F):
+    """F - lambda*id for the scalar lambda that makes it nilpotent, or None
+    when there is none (F has no single eigenvalue in f)."""
+    for lam in range(f.order):
+        nil = f.sub(F, f.mul(lam, f.eye(len(F))))
+        if not np.any(_fitting_power(f, nil)):
+            return nil
+    return None
+
+
+def _nilpotent_span(f, span, d) -> bool:
+    """Whether N^j = 0 for the span N of the rows (flattened d x d matrices),
+    by the loop of algebra._is_nilpotent_ideal; exact when N*N lies in N."""
+    gens = span.reshape(-1, d, d)
+    power = span
+    while len(power):
+        stacked = power.reshape(-1, d)      # the matrices of power, stacked
+        nxt = linalg.row_space_basis(f, np.concatenate(
+            [f.matmul(stacked, g).reshape(-1, d * d) for g in gens]))
+        if len(nxt) >= len(power):
+            return False
+        power = nxt
+    return True
+
+
+def _is_local(f, mats) -> bool:
+    """Certify E = span(mats) = End(M) local: the nilpotent parts of the
+    basis span an N of codimension 1 with N^j = 0, so E/N = f (Lux-Szoke,
+    Exp. Math. 16(1), 2007).  Then N*N lies in N: the algebra N generates
+    is nilpotent, so it misses 1 and cannot be bigger than N."""
+    nils = [_nilpotent_part(f, F) for F in mats]
+    if any(n is None for n in nils):
+        return False
+    d = mats.shape[1]
+    span = linalg.row_space_basis(f, np.reshape(nils, (len(nils), d * d)))
+    return len(span) == len(mats) - 1 and _nilpotent_span(f, span, d)
 
 
 def decompose(m: RightModule, seed: int = 0) -> list:
-    """Indecomposable summands via Fitting splits on random endomorphisms."""
+    """Indecomposable summands, by Fitting splits M = Ker x^n + Im x^n:
+    on the basis of End(m), then (unless _is_local certifies End(m) local)
+    on seeded random and on all combinations, within a budget."""
     if m.dim == 0:
         return []
     f = m.algebra.field
@@ -654,7 +695,7 @@ def decompose(m: RightModule, seed: int = 0) -> list:
     mats = np.array([h.matrix for h in hom_basis(m, m)])
 
     def try_split(coeffs):
-        p = _mat_power(f, linalg.combine(f, coeffs, mats), m.dim)
+        p = _fitting_power(f, linalg.combine(f, coeffs, mats))
         r = linalg.rank_raw(f, p)
         if 0 < r < m.dim:
             ker_rows = linalg.nullspace(f, p.T)
@@ -667,8 +708,13 @@ def decompose(m: RightModule, seed: int = 0) -> list:
         return None
 
     sp, exhausted = linalg.search_combinations(
-        f, len(mats), try_split, seed, random_budget=50,
-        exhaustive_limit=1 << 16)
+        f, len(mats), try_split, seed, random_budget=0, exhaustive_limit=0)
+    if sp is None and _is_local(f, mats):
+        exhausted = True            # End(m) is local: no split exists
+    elif sp is None:
+        sp, exhausted = linalg.search_combinations(
+            f, len(mats), try_split, seed, random_budget=50,
+            exhaustive_limit=1 << 16, units=False)
     if sp:
         return decompose(sp[0], seed) + decompose(sp[1], seed)
     m.indec_certain = exhausted   # False: budget spent without a certificate
@@ -750,9 +796,11 @@ def min_right_approx(addgens, x: RightModule, seed: int = 0) -> ModuleMap:
 
 
 def _check_right_minimal(mp: ModuleMap, seed: int) -> bool:
-    """Certify that every endomorphism h of the source with h∘f = 0 is
-    nilpotent; False when one is not, or when the search ran out of budget
-    before trying every combination."""
+    """Whether every endomorphism h of the source with h∘f = 0 is nilpotent.
+
+    These h form K, closed under precomposition, so they are all nilpotent
+    iff the spans of the products K^j reach 0: an exact check, whatever
+    ``seed``."""
     f = mp.source.algebra.field
     s = mp.source
     if s.dim == 0:
@@ -762,22 +810,8 @@ def _check_right_minimal(mp: ModuleMap, seed: int) -> bool:
     cons = _flatten_mats([f.matmul(h.matrix, mp.matrix) for h in eb],
                          s.dim * mp.target.dim)
     coeff_rows = linalg.nullspace(f, cons.T)
-    if coeff_rows.shape[0] == 0:
-        return True
-    mats = np.array([h.matrix for h in eb])
-    kernel_mats = np.array([linalg.combine(f, row, mats) for row in coeff_rows])
-
-    def not_nilpotent(coeffs):
-        v = linalg.combine(f, coeffs, kernel_mats)
-        return True if linalg.rank_raw(f, _mat_power(f, v, s.dim)) else None
-
-    k = len(kernel_mats)
-    # random draws only where the exhaustive stage cannot settle the question
-    budget = 0 if f.order ** k <= 1 << 12 else 200
-    hit, exhausted = linalg.search_combinations(
-        f, k, not_nilpotent, seed, random_budget=budget,
-        exhaustive_limit=1 << 12)
-    return hit is None and exhausted
+    mats = np.array([h.matrix for h in eb]).reshape(len(eb), -1)
+    return _nilpotent_span(f, f.matmul(coeff_rows, mats), s.dim)
 
 
 def resdim(addgens, x: RightModule, cutoff: int = 24, seed: int = 0) -> HomologicalDim:
@@ -904,8 +938,9 @@ def endo_algebra(summands, seed: int = 0) -> EndoData:
                 radgens.append(v)
         else:
             for pos, F in zip(positions, block_maps[(i, j)]):
-                lam = _local_scalar(f, F, mods[i].dim)
-                nil = f.sub(np.asarray(F), f.mul(lam, f.eye(mods[i].dim)))
+                nil = _nilpotent_part(f, F)
+                if nil is None:
+                    raise DecompositionInconclusive("endomorphism ring not local")
                 if np.any(nil):
                     coords = linalg.solve_raw(f, flat_cache[(i, i)].T, nil.ravel())
                     v = np.zeros(n, dtype=np.int64)
@@ -918,15 +953,6 @@ def endo_algebra(summands, seed: int = 0) -> EndoData:
                                np.array(radgens).reshape(len(radgens), n))
     B = validate(pres)
     return EndoData(B, mods, block_index, block_maps, idem)
-
-
-def _local_scalar(f, F, d):
-    """The scalar lambda with F - lambda*id nilpotent (End local)."""
-    for lam in range(f.order):
-        nil = f.sub(np.asarray(F), f.mul(lam, f.eye(d)))
-        if linalg.rank_raw(f, _mat_power(f, nil, d)) == 0:
-            return lam
-    raise DecompositionInconclusive("endomorphism ring not local")
 
 
 def hom_functor(endo: EndoData, n: RightModule) -> RightModule:

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from gorlab import algebra as alg
@@ -165,3 +168,77 @@ def test_almost_split_rejects_split_sequence(a455):
             for i in range(3) for k in range(1, (4, 5, 5)[i] + 1)]
     assert not inv.almost_split_verify(a455, (injections[0], projections[1]),
                                        pool)
+
+
+def _summary(r):
+    if isinstance(r, inv.GpVerdict):
+        return r.status, r.witness_degree, r.window
+    return r.kind, r.value
+
+
+def _sound(r, exact):
+    """Whether a report made at a small bound agrees with the exact one."""
+    if isinstance(r, inv.GpVerdict):
+        return r.status in ("unknown", exact.status)
+    if r.kind == "atleast":
+        return exact.kind == "infinite" or exact.value >= r.value
+    return _summary(r) == _summary(exact)
+
+
+def test_reports_do_not_depend_on_query_order():
+    # every query on a fresh engine, then all of them in shuffled orders on
+    # one warm engine: at the default bound (where everything over this
+    # algebra is decided) the reports must be identical, and at bound 2 the
+    # memo tables may settle more but must never report anything unsound
+    series = nak.validate_kupisch((4, 5, 5))
+    spots = [(x.i, x.k) for x in nak.indecomposables(series)]
+    spots += [((0, 3), (0, 1)), ((1, 2), (2, 4))]
+    calls = [inv.module_projdim, inv.module_injdim, inv.module_domdim,
+             inv.module_codomdim,
+             lambda m, bound: inv.gp_test(m.algebra, m, bound),
+             lambda m, bound: inv.gi_test(m.algebra, m, bound)]
+    queries = [(c, s) for c in range(len(calls)) for s in spots]
+
+    def module(a, spot):
+        if isinstance(spot[0], tuple):
+            return mr.direct_sum([mr.bridge_module(a, *x) for x in spot])[0]
+        return mr.bridge_module(a, *spot)
+
+    def run(order, bound, a=None):
+        out = {}
+        for c, s in order:
+            b = a or alg.from_kupisch(series, F2)
+            out[c, s] = calls[c](module(b, s), bound=bound)
+        return out
+
+    exact = run(queries, inv.DEFAULT_BOUND)
+    assert all(_summary(r)[0] in ("finite", "infinite", "yes", "no")
+               for r in exact.values())
+    order = random.Random(1).sample(queries, len(queries))
+    warm = run(order, inv.DEFAULT_BOUND, alg.from_kupisch(series, F2))
+    assert {q: _summary(r) for q, r in warm.items()} == \
+        {q: _summary(r) for q, r in exact.items()}
+    order = random.Random(2).sample(queries, len(queries))
+    small = run(order, 2, alg.from_kupisch(series, F2))
+    assert all(_sound(small[q], exact[q]) for q in queries)
+
+
+def test_almost_split_accepts_ar_sequences(a455):
+    # over a Nakayama algebra the almost split sequence ending in
+    # M = P/rad^k P (not projective) is
+    # 0 -> rad P/rad^(k+1) P -> P/rad^(k+1) P + rad M -> M -> 0
+    pool = [mr.bridge_module(a455, i, k)
+            for i in range(3) for k in range(1, (4, 5, 5)[i] + 1)]
+    f = a455.field
+    for i, k in ((0, 1), (1, 2), (2, 3)):
+        m = mr.bridge_module(a455, i, k)
+        x = mr.bridge_module(a455, i, k + 1)
+        onto = next(h.matrix for h in mr.hom_basis(x, m)
+                    if la.rank_raw(f, h.matrix) == m.dim)
+        st = mr.structure(m)
+        mid, rows = (x, onto) if k == 1 else (
+            mr.direct_sum([x, st.radical])[0],
+            np.concatenate([onto, st.radical_inclusion.matrix]))
+        g = mr.ModuleMap(mid, m, rows)
+        _, incl = mr.kernel_submodule(g)
+        assert inv.almost_split_verify(a455, (incl, g), pool)

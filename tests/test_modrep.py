@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gorlab import algebra as alg
@@ -5,6 +6,7 @@ from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import nakayama as nak
 from gorlab import invariants as inv
+from gorlab import fixtures
 
 from conftest import assert_iso, assert_not_iso
 
@@ -163,19 +165,24 @@ def test_translates_of_zero_module(a455):
         assert out.dim == 0 and out.algebra is over, fn.__name__
 
 
-def test_right_minimality_needs_exhaustive_search():
-    # the projective cover of the simple module of k[x]/(x^7) over GF(5) is
-    # right minimal, but its 6-dimensional space of endomorphisms killing
-    # the map has 5^6 > 2^12 points, beyond the exhaustive stage
-    b = alg.from_kupisch(nak.validate_kupisch((7,)), la.PrimeField(5))
-    p = mr.projectives(b)[0][0]
-    cover = mr.structure(p).top_projection
-    assert not mr._check_right_minimal(cover, 0)
-    assert not mr.min_right_approx([p], mr.simples(b)[0], 0).minimal_certain
-    # over GF(2) the same space has 2^6 points and is certified
-    b2 = alg.from_kupisch(nak.validate_kupisch((7,)), F2)
-    p2 = mr.projectives(b2)[0][0]
-    assert mr._check_right_minimal(mr.structure(p2).top_projection, 0)
+def test_right_minimality_is_exact():
+    # the projective cover of the simple module of k[x]/(x^7) is right
+    # minimal; over GF(5) its 6-dimensional space of endomorphisms killing
+    # the map has 5^6 > 2^12 points, more than a search would try
+    for fld in (la.PrimeField(5), F2):
+        b = alg.from_kupisch(nak.validate_kupisch((7,)), fld)
+        p = mr.projectives(b)[0][0]
+        cover = mr.structure(p).top_projection
+        assert mr._check_right_minimal(cover, 0)
+        assert mr.min_right_approx([p], mr.simples(b)[0], 0).minimal_certain
+        # (cover, 0) and (cover, cover) from P + P are approximations with a
+        # redundant copy of P: the projection onto it kills the map
+        two = mr.direct_sum([p, p])[0]
+        zero = np.zeros_like(cover.matrix)
+        for second in (zero, cover.matrix):
+            redundant = mr.ModuleMap(two, cover.target, np.concatenate(
+                [cover.matrix, second]))
+            assert not mr._check_right_minimal(redundant, 0)
 
 
 def test_resdim_infinite_needs_certified_minimality(a455, monkeypatch):
@@ -215,3 +222,103 @@ def test_in_add(a455):
     projs, reg = mr.projectives(a455)
     assert mr.in_add(projs, reg, 0)
     assert not mr.in_add(projs, mr.bridge_module(a455, 0, 3), 0)
+
+
+def _gf4_eight_dim_modules(fx):
+    """The three 8-dimensional modules of gf4-local-gendo with End(M) of
+    dimension 7 (4^7 points) and top and socle not simple, reached by the
+    theorem suite: Omega^2 and Omega^3 of D Hom(X, S0), and Sigma^2 Hom(X, S0)."""
+    s = next(m for m in fx.pool if m.label == "Hom(X,S0)")
+    ds = mr.dual(s)
+    return [mr.syzygy(ds, 2), mr.syzygy(ds, 3), mr.cosyzygy(s, 2)]
+
+
+def test_local_certificate_settles_before_random_search(fix, monkeypatch):
+    mods = _gf4_eight_dim_modules(fix("gf4-local-gendo"))
+    stages = []
+    real = la.search_combinations
+
+    def spy(field, k, test, seed, random_budget, exhaustive_limit, units=True):
+        stages.append((random_budget, exhaustive_limit, units))
+        return real(field, k, test, seed, random_budget, exhaustive_limit, units)
+
+    monkeypatch.setattr(la, "search_combinations", spy)
+    for m in mods:
+        st = mr.structure(m)
+        assert (m.dim, len(mr.hom_basis(m, m))) == (8, 7)
+        assert st.top.dim > 1 and st.socle.dim > 1
+        stages.clear()
+        assert mr.decompose(m) == [m] and m.indec_certain
+        assert stages == [(0, 0, True)]     # the unit stage only
+
+
+def test_direct_sums_fail_the_certificate_and_split(fix, a455):
+    gf4 = _gf4_eight_dim_modules(fix("gf4-local-gendo"))[2]
+    rad = next(m for m in fix("gf4-local-gendo").pool
+               if m.label == "Hom(X,rad)")
+    m03, m12 = mr.bridge_module(a455, 0, 3), mr.bridge_module(a455, 1, 2)
+    for x, y in ((gf4, gf4), (gf4, rad), (m03, m03), (m03, m12)):
+        s = mr.direct_sum([x, y])[0]
+        f = s.algebra.field
+        assert mr._is_local(f, np.array([h.matrix for h in mr.hom_basis(x, x)]))
+        assert not mr._is_local(f, np.array([h.matrix
+                                              for h in mr.hom_basis(s, s)]))
+        parts = mr.decompose(s)
+        assert len(parts) == 2 and all(p.indec_certain for p in parts)
+        assert sorted(p.dim for p in parts) == sorted((x.dim, y.dim))
+        for p in parts:
+            assert any(mr.iso(p, z).isomorphic for z in (x, y))
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_decompose_matches_exhaustive_search_on_pools(fix, name, monkeypatch):
+    # pool modules alone never get past the unit stage; their first two
+    # syzygies and cosyzygies include eight that reach the certificate
+    fx = fix(name)
+    f = fx.algebra.field
+    mods = []
+    for m in fx.pool + fx.base_pool:
+        mods.append(m)
+        for op in (mr.syzygy, mr.cosyzygy):
+            mods += [x for x in (op(m), op(m, 2)) if x.dim]
+    for m in mods:
+        if f.order ** len(mr.hom_basis(m, m)) > 1 << 16:
+            continue
+        parts = mr.decompose(m)
+        with monkeypatch.context() as mp:
+            # without the certificate decompose is the exhaustive search
+            mp.setattr(mr, "_is_local", lambda field, mats: False)
+            ref = mr.decompose(m)
+        assert [p.dim for p in parts] == [r.dim for r in ref]
+        assert all(p.indec_certain for p in parts + ref)
+        for p, r in zip(parts, ref):
+            assert_iso(p, r)
+
+
+def test_sum_without_a_splitting_basis_element_still_splits(monkeypatch):
+    # over GF(3) the 2 x 2 matrices have a basis of elements with a single
+    # eigenvalue (I, E12, E21 and the nilpotent [[1, 1], [-1, -1]]); built
+    # into a basis of End(M + M) it leaves the unit stage without a split,
+    # and the nilpotent parts span a subspace of codimension 1 that is not
+    # closed under products, so only the certificate stands between that
+    # module and a wrong "indecomposable"
+    b = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), la.PrimeField(3))
+    m = mr.bridge_module(b, 0, 3)
+    s = mr.direct_sum([m, m])[0]
+    m2 = [np.eye(2, dtype=np.int64), np.array([[0, 1], [0, 0]]),
+          np.array([[0, 0], [1, 0]]), np.array([[1, 1], [2, 2]])]
+    basis = [np.kron(u, h.matrix) % 3 for u in m2
+             for h in mr.hom_basis(m, m)]
+    f = b.field
+    assert la.rank_raw(f, np.array([x.ravel() for x in basis])) == len(basis)
+    assert len(basis) == len(mr.hom_basis(s, s))
+    real = mr.hom_basis
+    monkeypatch.setattr(mr, "hom_basis", lambda x, y: [
+        mr.ModuleMap(s, s, z) for z in basis] if x is y is s else real(x, y))
+    for z in basis:     # no basis element is a Fitting splitter
+        assert la.rank_raw(f, mr._fitting_power(f, z)) in (0, s.dim)
+    assert not mr._is_local(f, np.array(basis))
+    parts = mr.decompose(s)
+    assert [p.dim for p in parts] == [3, 3]
+    assert all(p.indec_certain for p in parts)
+    assert all(mr.iso(p, m).isomorphic for p in parts)
