@@ -247,16 +247,8 @@ def _ideal_closure(alg, rows) -> np.ndarray:
 
 def _is_nilpotent_ideal(alg, jac) -> bool:
     f = alg.field
-    power = jac
-    for _ in range(alg.dim + 1):
-        if power.shape[0] == 0:
-            return True
-        prods = [f.matmul(power, alg.L(jac[t])) for t in range(jac.shape[0])]
-        nxt = linalg.row_space_basis(f, np.concatenate(prods, axis=0)) if prods else power[:0]
-        if nxt.shape[0] >= power.shape[0]:
-            return False
-        power = nxt
-    return power.shape[0] == 0
+    return linalg.powers_vanish(f, jac, lambda power: np.concatenate(
+        [f.matmul(power, alg.L(g)) for g in jac]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ field and 2-D numpy arrays of codes, and are pure functions:
 it.  ``combine`` forms a linear combination of a stack of arrays, and
 ``search_combinations`` is the bounded search for a coefficient vector whose
 combination passes a test (an isomorphism, a Fitting split, a
-nondegenerate form).
+nondegenerate form).  ``powers_vanish`` decides whether a span of algebra
+elements (rows) generates a nilpotent algebra.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "invert",
     "combine",
     "search_combinations",
+    "powers_vanish",
 ]
 
 
@@ -386,19 +388,17 @@ def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
 
 
 def search_combinations(field: FieldSpec, k: int, test, seed: int,
-                        random_budget: int, exhaustive_limit: int,
-                        units: bool = True):
+                        random_budget: int, exhaustive_limit: int):
     """First nonzero c in field^k with ``test(c)`` not None.
 
-    The unit vectors are tried first (unless ``units`` is False, for a
-    caller that has already tried them), then ``random_budget`` draws from
+    The unit vectors are tried first, then ``random_budget`` draws from
     ``default_rng(seed)`` (a zero draw is skipped), then every nonzero
     vector in lexicographic order when ``order**k <= exhaustive_limit``.
     Returns ``(test(c), True)`` for the first hit, else ``(None,
     exhausted)``: ``exhausted`` is True when the exhaustive stage ran, so
     that every nonzero vector was tried.
     """
-    for t in range(k if units else 0):
+    for t in range(k):
         c = np.zeros(k, dtype=np.int64)
         c[t] = field.one
         hit = test(c)
@@ -421,3 +421,18 @@ def search_combinations(field: FieldSpec, k: int, test, seed: int,
             if hit is not None:
                 return hit, True
     return None, True
+
+
+def powers_vanish(field: FieldSpec, span: np.ndarray, times) -> bool:
+    """Whether P_0 = span, P_(j+1) = span(times(P_j)) reaches 0 with the
+    rank falling at every step.  ``times(P)`` stacks the rows of P
+    multiplied by each generator, so True means every product of enough
+    elements of the span is 0; False is exact when the span is closed under
+    products."""
+    power = span
+    while len(power):
+        nxt = row_space_basis(field, times(power))
+        if len(nxt) >= len(power):
+            return False
+        power = nxt
+    return True

@@ -652,18 +652,11 @@ def _nilpotent_part(f, F):
 
 
 def _nilpotent_span(f, span, d) -> bool:
-    """Whether N^j = 0 for the span N of the rows (flattened d x d matrices),
-    by the loop of algebra._is_nilpotent_ideal; exact when N*N lies in N."""
+    """Whether the span N of the rows (flattened d x d matrices) has N^j = 0;
+    exact when N*N lies in N."""
     gens = span.reshape(-1, d, d)
-    power = span
-    while len(power):
-        stacked = power.reshape(-1, d)      # the matrices of power, stacked
-        nxt = linalg.row_space_basis(f, np.concatenate(
-            [f.matmul(stacked, g).reshape(-1, d * d) for g in gens]))
-        if len(nxt) >= len(power):
-            return False
-        power = nxt
-    return True
+    return linalg.powers_vanish(f, span, lambda power: np.concatenate(
+        [f.matmul(power.reshape(-1, d), g).reshape(-1, d * d) for g in gens]))
 
 
 def _is_local(f, mats) -> bool:
@@ -714,7 +707,7 @@ def decompose(m: RightModule, seed: int = 0) -> list:
     elif sp is None:
         sp, exhausted = linalg.search_combinations(
             f, len(mats), try_split, seed, random_budget=50,
-            exhaustive_limit=1 << 16, units=False)
+            exhaustive_limit=1 << 16)
     if sp:
         return decompose(sp[0], seed) + decompose(sp[1], seed)
     m.indec_certain = exhausted   # False: budget spent without a certificate

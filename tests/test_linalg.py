@@ -194,3 +194,26 @@ def test_invert_square_and_rejects_non_square():
         la.invert(f, np.array([[1, 2], [2, 4]]))
     with pytest.raises(la.FieldError):
         la.invert(f, np.array([[1, 0, 0], [0, 1, 0]]))
+
+
+@pytest.mark.parametrize("f", SMALL_FIELDS, ids=lambda f: "order%d" % f.order)
+def test_powers_vanish_on_matrix_spans(f):
+    def unit(i, j):
+        e = np.zeros((3, 3), dtype=np.int64)
+        e[i, j] = f.one
+        return e.ravel()
+
+    def times(span):
+        return lambda power: np.concatenate(
+            [f.matmul(power.reshape(-1, 3), g.reshape(3, 3)).reshape(-1, 9)
+             for g in span])
+
+    def vanish(*mats):
+        span = np.array(mats, dtype=np.int64).reshape(-1, 9)
+        return la.powers_vanish(f, span, times(span))
+
+    assert vanish()                                      # the zero span
+    assert vanish(unit(0, 1), unit(1, 2), unit(0, 2))   # strictly upper
+    assert vanish(unit(0, 1), unit(1, 2))               # generates it
+    assert not vanish(unit(0, 1), unit(1, 0))           # E01 E10 = E00
+    assert not vanish(unit(0, 0))                       # an idempotent

@@ -238,9 +238,9 @@ def test_local_certificate_settles_before_random_search(fix, monkeypatch):
     stages = []
     real = la.search_combinations
 
-    def spy(field, k, test, seed, random_budget, exhaustive_limit, units=True):
-        stages.append((random_budget, exhaustive_limit, units))
-        return real(field, k, test, seed, random_budget, exhaustive_limit, units)
+    def spy(field, k, test, seed, random_budget, exhaustive_limit):
+        stages.append((random_budget, exhaustive_limit))
+        return real(field, k, test, seed, random_budget, exhaustive_limit)
 
     monkeypatch.setattr(la, "search_combinations", spy)
     for m in mods:
@@ -249,7 +249,7 @@ def test_local_certificate_settles_before_random_search(fix, monkeypatch):
         assert st.top.dim > 1 and st.socle.dim > 1
         stages.clear()
         assert mr.decompose(m) == [m] and m.indec_certain
-        assert stages == [(0, 0, True)]     # the unit stage only
+        assert stages == [(0, 0)]     # the unit stage only
 
 
 def test_direct_sums_fail_the_certificate_and_split(fix, a455):
