@@ -36,7 +36,6 @@ __all__ = [
     "opposite",
     "cartan_matrix",
     "is_symmetric",
-    "SymmetryResult",
     "corner_algebra",
     "CornerData",
 ]
@@ -90,8 +89,8 @@ class BasedAlgebra:
     only, under the keys ``"opp"`` (the opposite algebra, stored both ways
     so that ``modrep.opp(modrep.opp(a)) is a``), ``"projectives"`` (the e_iA,
     A_A, and each e_iA's echelon basis in A with its pivots), ``"simples"``,
-    ``"injectives"``, ``("symmetric", seed)`` (:func:`is_symmetric`) and
-    ``("dim_engine", seed)`` (the dimension engine of ``invariants``).
+    ``"injectives"``, ``"symmetric"`` (:func:`is_symmetric`) and
+    ``"dim_engine"`` (the dimension engine of ``invariants``).
     """
 
     def __init__(self, pres: AlgebraPresentation, *, _token=None):
@@ -539,47 +538,43 @@ def cartan_matrix(a: BasedAlgebra) -> np.ndarray:
     return a.cartan.copy()
 
 
-@dataclass
-class SymmetryResult:
-    symmetric: bool
-    certain: bool          # False only for a non-exhaustive negative
-    form: np.ndarray | None
+def is_symmetric(a: BasedAlgebra) -> bool:
+    """Whether a has a nondegenerate central linear form.
 
-    def __bool__(self):
-        return self.symmetric
-
-
-def is_symmetric(a: BasedAlgebra, seed: int = 0) -> SymmetryResult:
-    """Search for a nondegenerate central linear form.
-
-    The space of central forms is exact; nondegeneracy is tested on the
-    basis, then on seeded random combinations, then exhaustively when the
-    search space has at most 2^20 points.
+    A central form is nondegenerate iff its kernel contains no minimal right
+    ideal (Skowronski-Yamagata, Frobenius Algebras I, EMS 2011, IV.2).  As a
+    is elementary, some central form is nondegenerate iff every
+    soc(e_iA) = {x in e_iA : xJ = 0} is spanned by one s_i and some central
+    form is nonzero on every s_i.  A central form vanishes on e_iAe_j for
+    i != j, so the second condition also forces the Nakayama permutation to
+    be the identity.  The value vectors (lambda(s_i))_i form a space of
+    dimension at most ``n_idem``, which is searched exhaustively.
     """
-    return a.cached(("symmetric", seed), lambda: _find_symmetric_form(a, seed))
+    return a.cached("symmetric", lambda: _socle_test(a))
 
 
-def _find_symmetric_form(a: BasedAlgebra, seed: int) -> SymmetryResult:
+def _socle_test(a: BasedAlgebra) -> bool:
     f = a.field
     n = a.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append(f.sub(a.mult[i, j], a.mult[j, i]))
-    central = linalg.nullspace(f, np.array(rows).reshape(-1, n)) if rows else f.eye(n)
-    # Gram matrix of each central form: (i, j) -> lambda(b_i b_j)
-    grams = np.array([linalg.combine(f, lam, a.mult.transpose(2, 0, 1))
-                      for lam in central])
-
-    def nondegenerate(coeffs):
-        if linalg.rank_raw(f, linalg.combine(f, coeffs, grams)) == n:
-            return linalg.combine(f, coeffs, central)
-        return None
-
-    lam, certain = linalg.search_combinations(
-        f, central.shape[0], nondegenerate, seed,
-        random_budget=1000, exhaustive_limit=1 << 20)
-    return SymmetryResult(lam is not None, certain, lam)
+    jac = a.jacobson_basis
+    # soc(A_A) = {x : xJ = 0} is a two-sided ideal, so soc(e_iA) = e_i soc(A_A)
+    soc = (linalg.nullspace(f, np.concatenate([a.R(j) for j in jac], axis=1).T)
+           if jac.shape[0] else f.eye(n))
+    socles = []
+    for e in a.idempotents:
+        s = linalg.row_space_basis(f, f.matmul(soc, a.L(e)))
+        if len(s) != 1:
+            return False
+        socles.append(s[0])
+    commutators = [f.sub(a.mult[i, j], a.mult[j, i])
+                   for i in range(n) for j in range(i + 1, n)]
+    central = linalg.nullspace(f, np.array(commutators).reshape(-1, n))
+    values = linalg.row_space_basis(f, f.matmul(central, np.array(socles).T))
+    hit, _ = linalg.search_combinations(
+        f, len(values),
+        lambda c: c if linalg.combine(f, c, values).all() else None,
+        random_budget=0, exhaustive_limit=f.order ** len(values))
+    return hit is not None
 
 
 @dataclass

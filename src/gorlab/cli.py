@@ -213,17 +213,16 @@ def _print_dims_csv(rep: dict, out):
 def cmd_endo(args, cfg: RunConfig, out) -> int:
     f = _resolve_fixture(args.fixture, cfg)
     a = f.algebra
-    dd = inv.algebra_domdim(a, cfg.cutoff, cfg.seed)
-    left, right = inv.gorenstein_dims(a, cfg.cutoff, cfg.seed)
-    gendo = inv.gendo_symmetric_check(a, cfg.cutoff, cfg.seed)
+    dd = inv.algebra_domdim(a, cfg.cutoff)
+    left, right = inv.gorenstein_dims(a, cfg.cutoff)
+    gendo = inv.gendo_symmetric_check(a, cfg.cutoff)
     mueller = chen = None
     if f.endo is not None and f.base_algebra is not None:
         gen = mr.direct_sum(list(f.endo.summands))[0]
         try:
-            mueller = inv.mueller_domdim(f.base_algebra, gen, cfg.cutoff,
-                                         cfg.seed)
+            mueller = inv.mueller_domdim(f.base_algebra, gen, cfg.cutoff)
             chen = inv.chen_koenig_injdim(f.base_algebra, gen, cfg.cutoff,
-                                          cfg.seed, dd=mueller)
+                                          dd=mueller)
         except (inv.NotSymmetric, inv.NotGenerator) as e:
             mueller = None
             chen = {"note": "not applicable: %s" % e}
@@ -232,9 +231,9 @@ def cmd_endo(args, cfg: RunConfig, out) -> int:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", inv.PoolIncomplete)
-            fdom = inv.fdomdim_pool(f.pool, cfg.cutoff, cfg.seed,
+            fdom = inv.fdomdim_pool(f.pool, cfg.cutoff,
                                     certified=f.pool_certified)
-    checks = inv.theorem_suite(f, cfg.cutoff, cfg.seed)
+    checks = inv.theorem_suite(f, cfg.cutoff)
     rep = {
         "schema_version": ser.SCHEMA_VERSION,
         "seed": cfg.seed,
@@ -302,7 +301,7 @@ def _resolve_fixture(name, cfg: RunConfig):
         raise _CliError("fixture gf4-local-gendo is defined over GF(4) only; "
                         "drop --field")
     try:
-        return fx.build_fixture(name, cfg.field, cfg.seed)
+        return fx.build_fixture(name, cfg.field)
     except KeyError as e:
         raise _CliError(str(e))
 
@@ -345,15 +344,15 @@ def cmd_module(args, cfg: RunConfig, out) -> int:
     m = _resolve_module(args.spec, f, cfg)
     a = m.algebra
     dims = {
-        "projdim": inv.module_projdim(m, cfg.cutoff, cfg.seed),
-        "injdim": inv.module_injdim(m, cfg.cutoff, cfg.seed),
-        "domdim": inv.module_domdim(m, cfg.cutoff, cfg.seed),
-        "codomdim": inv.module_codomdim(m, cfg.cutoff, cfg.seed),
+        "projdim": inv.module_projdim(m, cfg.cutoff),
+        "injdim": inv.module_injdim(m, cfg.cutoff),
+        "domdim": inv.module_domdim(m, cfg.cutoff),
+        "codomdim": inv.module_codomdim(m, cfg.cutoff),
     }
     verdicts = {
-        "gp": inv.gp_test(a, m, cfg.cutoff, cfg.seed),
-        "gi": inv.gi_test(a, m, cfg.cutoff, cfg.seed),
-        "gpi": inv.gpi_test(a, m, cfg.cutoff, cfg.seed),
+        "gp": inv.gp_test(a, m, cfg.cutoff),
+        "gi": inv.gi_test(a, m, cfg.cutoff),
+        "gpi": inv.gpi_test(a, m, cfg.cutoff),
     }
     rep = {
         "schema_version": ser.SCHEMA_VERSION,
@@ -386,7 +385,7 @@ def cmd_module(args, cfg: RunConfig, out) -> int:
 # scan
 
 
-def _scan_row(series, field=None, cutoff=inv.DEFAULT_BOUND, seed=0) -> dict:
+def _scan_row(series, field=None, cutoff=inv.DEFAULT_BOUND) -> dict:
     a = nak.validate_kupisch(series)
     core = nak.algebra_invariants_nak(a)
     n = a.n
@@ -398,7 +397,7 @@ def _scan_row(series, field=None, cutoff=inv.DEFAULT_BOUND, seed=0) -> dict:
     gendo = False
     if core["domdim"].ge(2) and gl.kind == "finite":
         ba = alg.from_kupisch(a, field or linalg.PrimeField(2))
-        gendo = inv.gendo_symmetric_check(ba, cutoff, seed)
+        gendo = inv.gendo_symmetric_check(ba, cutoff)
     viol_gplus1 = bool(gendo and gl.kind == "finite" and fd.kind == "finite"
                        and fd.value > gl.value + 1)
     viol_gd = not bool(core["is_gorenstein_dominant"])
@@ -460,8 +459,7 @@ def cmd_scan(args, cfg: RunConfig, out) -> int:
         raise BudgetExceeded("more than %d series requested; the scan "
                              "budget is %d" % (SCAN_BUDGET, SCAN_BUDGET))
     series = list(_cyclic_series(args.n_max, args.c_max))
-    row = functools.partial(_scan_row, field=cfg.field, cutoff=cfg.cutoff,
-                            seed=cfg.seed)
+    row = functools.partial(_scan_row, field=cfg.field, cutoff=cfg.cutoff)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(row, series, chunksize=8))
@@ -488,7 +486,7 @@ def cmd_suite(args, cfg: RunConfig, out) -> int:
     failed = False
     for name in names:
         f = _resolve_fixture(name, cfg)
-        checks = inv.theorem_suite(f, cfg.cutoff, cfg.seed)
+        checks = inv.theorem_suite(f, cfg.cutoff)
         for c in checks:
             print("%-22s %-44s %-4s %s" % (name, c.name, c.status, c.detail),
                   file=out)
@@ -517,7 +515,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cutoff", type=int, default=inv.DEFAULT_BOUND,
                    help="Ext/resolution certification bound (default %d)"
                         % inv.DEFAULT_BOUND)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the output; does not change results")
     p.add_argument("--format", dest="fmt", default="text",
                    choices=["text", "json", "csv"])
     p.add_argument("--jobs", type=int, default=1)

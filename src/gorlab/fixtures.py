@@ -1,6 +1,6 @@
 """Named example algebras used by the test-suites and the CLI.
 
-Each fixture resolves deterministically (given field and seed) to a
+Each fixture resolves deterministically (given the field) to a
 validated algebra together with the side data the theorem checks need:
 the underlying Nakayama series where applicable, the base algebra and
 generator for endomorphism-algebra fixtures, and a pool of modules with a
@@ -51,9 +51,8 @@ class Fixture:
 _CACHE: dict = {}
 
 
-def build_fixture(name: str, field: linalg.FieldSpec | None = None,
-                  seed: int = 0) -> Fixture:
-    key = (name, field, seed)
+def build_fixture(name: str, field: linalg.FieldSpec | None = None) -> Fixture:
+    key = (name, field)
     if key in _CACHE:
         return _CACHE[key]
     if name == "kupisch-455":
@@ -61,17 +60,17 @@ def build_fixture(name: str, field: linalg.FieldSpec | None = None,
     elif name == "kupisch-56":
         fx = _kupisch_fixture((5, 6), field or linalg.PrimeField(2))
     elif name == "sym-777-gendo":
-        fx = _sym_777_gendo(field or linalg.PrimeField(2), seed)
+        fx = _sym_777_gendo(field or linalg.PrimeField(2))
     elif name == "penny-farthing-gendo":
-        fx = _penny_farthing_gendo(field or linalg.PrimeField(2), seed)
+        fx = _penny_farthing_gendo(field or linalg.PrimeField(2))
     elif name == "gf4-local-gendo":
-        fx = _gf4_gendo(seed)
+        fx = _gf4_gendo()
     elif name == "a2-line":
         fx = _kupisch_fixture((2, 1), field or linalg.PrimeField(2), cyclic=False)
     elif name == "auslander-22":
-        fx = _auslander_22(field or linalg.PrimeField(2), seed)
+        fx = _auslander_22(field or linalg.PrimeField(2))
     elif name == "two-periodic-demo":
-        fx = _two_periodic_demo(field or linalg.PrimeField(2), seed)
+        fx = _two_periodic_demo(field or linalg.PrimeField(2))
     else:
         raise KeyError("unknown fixture %r (known: %s)"
                        % (name, ", ".join(FIXTURE_NAMES)))
@@ -100,11 +99,11 @@ def _kupisch_fixture(c, field, cyclic=True, name=None) -> Fixture:
     )
 
 
-def _endo_fixture(name, base, summand_specs, field, seed,
+def _endo_fixture(name, base, summand_specs, field,
                   base_pool, pool_certified=False, cm_finite=None,
                   extras=None) -> Fixture:
     _, reg = mr.projectives(base)
-    endo = mr.endo_algebra([reg] + list(summand_specs), seed=seed)
+    endo = mr.endo_algebra([reg] + list(summand_specs))
     pool = []
     for x in base_pool:
         hx = mr.hom_functor(endo, x)
@@ -120,12 +119,12 @@ def _endo_fixture(name, base, summand_specs, field, seed,
     )
 
 
-def _sym_777_gendo(field, seed) -> Fixture:
+def _sym_777_gendo(field) -> Fixture:
     series = nak.validate_kupisch((7, 7, 7))
     a = alg.from_kupisch(series, field)
     m = mr.bridge_module(a, 2, 5)       # e_0 J^2
     base_pool = [mr.bridge_module(a, x.i, x.k) for x in nak.indecomposables(series)]
-    fx = _endo_fixture("sym-777-gendo", a, [m], field, seed, base_pool,
+    fx = _endo_fixture("sym-777-gendo", a, [m], field, base_pool,
                        extras={"base_series": series, "generator_extra": m})
     fx.extras["base_pool_certified"] = True
     return fx
@@ -145,14 +144,14 @@ def penny_farthing_algebra(field) -> alg.BasedAlgebra:
     return alg.validate(alg.from_quiver(q, field))
 
 
-def _dedup_pool(mods, seed, max_dim=None):
+def _dedup_pool(mods, max_dim=None):
     """Decompose the given modules and keep one copy per iso class."""
     pool = []
     for m in mods:
         if m.dim == 0 or (max_dim and m.dim > max_dim):
             continue
-        for part in mr.decompose(m, seed):
-            if not any(p.dim == part.dim and mr.iso(part, p, seed) for p in pool):
+        for part in mr.decompose(m):
+            if not any(p.dim == part.dim and mr.iso(part, p) for p in pool):
                 pool.append(part)
     return pool
 
@@ -167,7 +166,7 @@ def _orbit(m, op, steps):
     return out
 
 
-def _penny_farthing_gendo(field, seed) -> Fixture:
+def _penny_farthing_gendo(field) -> Fixture:
     a = penny_farthing_algebra(field)
     projs, reg = mr.projectives(a)
     s = mr.simples(a)
@@ -177,8 +176,8 @@ def _penny_farthing_gendo(field, seed) -> Fixture:
     raw = projs + s + [e2j2]
     raw += _orbit(s[1], mr.syzygy, 3) + _orbit(s[1], mr.cosyzygy, 3)
     raw += _orbit(e2j2, mr.syzygy, 3) + _orbit(e2j2, mr.cosyzygy, 3)
-    base_pool = _dedup_pool(raw, seed, max_dim=12)
-    fx = _endo_fixture("penny-farthing-gendo", a, [s[1]], field, seed,
+    base_pool = _dedup_pool(raw, max_dim=12)
+    fx = _endo_fixture("penny-farthing-gendo", a, [s[1]], field,
                        base_pool, cm_finite=True,
                        extras={"s2": s[1], "e2j2": e2j2})
     fx.extras["domdim4_module"] = mr.hom_functor(fx.endo, e2j2)
@@ -214,7 +213,7 @@ def m_ab(a: alg.BasedAlgebra, ca: int, cb: int) -> mr.RightModule:
     return quo
 
 
-def _gf4_gendo(seed) -> Fixture:
+def _gf4_gendo() -> Fixture:
     f = linalg.GF4()
     a = gf4_local_algebra()
     m11 = m_ab(a, 1, 1)
@@ -224,20 +223,20 @@ def _gf4_gendo(seed) -> Fixture:
     reg = mr.regular_module(a)
     raw = [reg, m11, m1w, m1w2, m_ab(a, 1, 0), m_ab(a, 0, 1), s,
            mr.structure(reg).radical]
-    base_pool = _dedup_pool(raw, seed, max_dim=8)
-    fx = _endo_fixture("gf4-local-gendo", a, [m11], f, seed, base_pool,
+    base_pool = _dedup_pool(raw, max_dim=8)
+    fx = _endo_fixture("gf4-local-gendo", a, [m11], f, base_pool,
                        cm_finite=False,
                        extras={"m11": m11, "m1w": m1w, "m1w2": m1w2})
     fx.extras["gpi_candidate"] = mr.hom_functor(fx.endo, m1w)
     return fx
 
 
-def _auslander_22(field, seed) -> Fixture:
+def _auslander_22(field) -> Fixture:
     series = nak.validate_kupisch((2, 2))
     a = alg.from_kupisch(series, field)
     indecs = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
     _, reg = mr.projectives(a)
-    endo = mr.endo_algebra(indecs, seed=seed)
+    endo = mr.endo_algebra(indecs)
     pool = [mr.hom_functor(endo, x) for x in indecs]
     return Fixture(
         name="auslander-22", algebra=endo.algebra, field=field,
@@ -248,12 +247,12 @@ def _auslander_22(field, seed) -> Fixture:
     )
 
 
-def _two_periodic_demo(field, seed) -> Fixture:
+def _two_periodic_demo(field) -> Fixture:
     series = nak.validate_kupisch((3,))
     a = alg.from_kupisch(series, field)
     w = mr.bridge_module(a, 0, 1)      # the simple module, 2-periodic
     base_pool = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
-    fx = _endo_fixture("two-periodic-demo", a, [w], field, seed, base_pool,
+    fx = _endo_fixture("two-periodic-demo", a, [w], field, base_pool,
                        extras={"w": w, "base_series": series})
     fx.extras["base_pool_certified"] = True
     return fx

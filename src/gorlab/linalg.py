@@ -8,9 +8,10 @@ field and 2-D numpy arrays of codes, and are pure functions:
 ``row_space_basis``, ``solve_raw``, ``rank_raw`` and ``invert`` are built on
 it.  ``combine`` forms a linear combination of a stack of arrays, and
 ``search_combinations`` is the bounded search for a coefficient vector whose
-combination passes a test (an isomorphism, a Fitting split, a
-nondegenerate form).  ``powers_vanish`` decides whether a span of algebra
-elements (rows) generates a nilpotent algebra.
+combination passes a test (an isomorphism, a Fitting split, a central
+form that is nonzero on every socle); its random stage draws from a fixed
+generator, so every result is reproducible.  ``powers_vanish`` decides
+whether a span of algebra elements (rows) generates a nilpotent algebra.
 """
 
 from __future__ import annotations
@@ -387,13 +388,13 @@ def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def search_combinations(field: FieldSpec, k: int, test, seed: int,
+def search_combinations(field: FieldSpec, k: int, test,
                         random_budget: int, exhaustive_limit: int):
     """First nonzero c in field^k with ``test(c)`` not None.
 
-    The unit vectors are tried first, then ``random_budget`` draws from
-    ``default_rng(seed)`` (a zero draw is skipped), then every nonzero
-    vector in lexicographic order when ``order**k <= exhaustive_limit``.
+    The unit vectors are tried first, then ``random_budget`` draws from the
+    fixed generator ``default_rng(0)`` (a zero draw is skipped), then every
+    nonzero vector in lexicographic order when ``order**k <= exhaustive_limit``.
     Returns ``(test(c), True)`` for the first hit, else ``(None,
     exhausted)``: ``exhausted`` is True when the exhaustive stage ran, so
     that every nonzero vector was tried.
@@ -406,7 +407,7 @@ def search_combinations(field: FieldSpec, k: int, test, seed: int,
             return hit, True
     if k and random_budget:
         # the Generator is made only here: numpy.random is imported lazily
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         for _ in range(random_budget):
             c = rng.integers(0, field.order, size=k)
             if c.any():

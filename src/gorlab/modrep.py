@@ -30,7 +30,6 @@ __all__ = [
     "RightModule",
     "ModuleMap",
     "AlgebraMismatch",
-    "DecompositionInconclusive",
     "make_module",
     "zero_module",
     "regular_module",
@@ -69,10 +68,6 @@ __all__ = [
 
 
 class AlgebraMismatch(ValueError):
-    pass
-
-
-class DecompositionInconclusive(RuntimeError):
     pass
 
 
@@ -601,7 +596,7 @@ class IsoResult:
         return self.isomorphic
 
 
-def iso(m: RightModule, n: RightModule, seed: int = 0) -> IsoResult:
+def iso(m: RightModule, n: RightModule) -> IsoResult:
     """Isomorphism test with witness; staged search over Hom(m, n)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
@@ -626,7 +621,7 @@ def iso(m: RightModule, n: RightModule, seed: int = 0) -> IsoResult:
     # alone decides.
     indec = m.indec_certain and n.indec_certain
     budget, limit = (0, 0) if indec else (2000, 1 << 16)
-    cand, exhausted = linalg.search_combinations(f, len(hb), invertible, seed,
+    cand, exhausted = linalg.search_combinations(f, len(hb), invertible,
                                                  budget, limit)
     if cand is not None:
         return IsoResult(True, True, ModuleMap(m, n, cand))
@@ -672,10 +667,10 @@ def _is_local(f, mats) -> bool:
     return len(span) == len(mats) - 1 and _nilpotent_span(f, span, d)
 
 
-def decompose(m: RightModule, seed: int = 0) -> list:
+def decompose(m: RightModule) -> list:
     """Indecomposable summands, by Fitting splits M = Ker x^n + Im x^n:
     on the basis of End(m), then (unless _is_local certifies End(m) local)
-    on seeded random and on all combinations, within a budget."""
+    on random and on all combinations, within a budget."""
     if m.dim == 0:
         return []
     f = m.algebra.field
@@ -701,28 +696,28 @@ def decompose(m: RightModule, seed: int = 0) -> list:
         return None
 
     sp, exhausted = linalg.search_combinations(
-        f, len(mats), try_split, seed, random_budget=0, exhaustive_limit=0)
+        f, len(mats), try_split, random_budget=0, exhaustive_limit=0)
     if sp is None and _is_local(f, mats):
         exhausted = True            # End(m) is local: no split exists
     elif sp is None:
         sp, exhausted = linalg.search_combinations(
-            f, len(mats), try_split, seed, random_budget=50,
+            f, len(mats), try_split, random_budget=50,
             exhaustive_limit=1 << 16)
     if sp:
-        return decompose(sp[0], seed) + decompose(sp[1], seed)
+        return decompose(sp[0]) + decompose(sp[1])
     m.indec_certain = exhausted   # False: budget spent without a certificate
     return [m]
 
 
-def in_add(gens, x: RightModule, seed: int = 0) -> bool:
+def in_add(gens, x: RightModule) -> bool:
     """Is x a direct sum of copies of summands of the given generators?"""
     if x.dim == 0:
         return True
     gen_summands = []
     for g in gens:
-        gen_summands.extend(decompose(g, seed))
-    for part in decompose(x, seed):
-        if not any(iso(part, gs, seed) for gs in gen_summands):
+        gen_summands.extend(decompose(g))
+    for part in decompose(x):
+        if not any(iso(part, gs) for gs in gen_summands):
             return False
     return True
 
@@ -731,7 +726,7 @@ def in_add(gens, x: RightModule, seed: int = 0) -> bool:
 # Approximations and relative dimensions
 
 
-def min_right_approx(addgens, x: RightModule, seed: int = 0) -> ModuleMap:
+def min_right_approx(addgens, x: RightModule) -> ModuleMap:
     """Minimal right add(⊕addgens)-approximation of x.
 
     Built from the universal map and pruned summand by summand; the
@@ -784,16 +779,15 @@ def min_right_approx(addgens, x: RightModule, seed: int = 0) -> ModuleMap:
         F = np.zeros((0, x.dim), dtype=np.int64)
     out = ModuleMap(src, x, F)
     out.summand_gens = [copies[c][0] for c in subset]
-    out.minimal_certain = _check_right_minimal(out, seed)
+    out.minimal_certain = _check_right_minimal(out)
     return out
 
 
-def _check_right_minimal(mp: ModuleMap, seed: int) -> bool:
+def _check_right_minimal(mp: ModuleMap) -> bool:
     """Whether every endomorphism h of the source with h∘f = 0 is nilpotent.
 
     These h form K, closed under precomposition, so they are all nilpotent
-    iff the spans of the products K^j reach 0: an exact check, whatever
-    ``seed``."""
+    iff the spans of the products K^j reach 0: an exact check."""
     f = mp.source.algebra.field
     s = mp.source
     if s.dim == 0:
@@ -807,7 +801,7 @@ def _check_right_minimal(mp: ModuleMap, seed: int) -> bool:
     return _nilpotent_span(f, f.matmul(coeff_rows, mats), s.dim)
 
 
-def resdim(addgens, x: RightModule, cutoff: int = 24, seed: int = 0) -> HomologicalDim:
+def resdim(addgens, x: RightModule, cutoff: int = 24) -> HomologicalDim:
     """add(M)-resolution dimension with iso-certified infinity detection.
 
     Infinite is certified when an earlier approximation kernel recurs as a
@@ -819,14 +813,14 @@ def resdim(addgens, x: RightModule, cutoff: int = 24, seed: int = 0) -> Homologi
     minimal = True   # every approximation so far certified right minimal
     cur = x
     for step in range(cutoff + 1):
-        if in_add(addgens, cur, seed):
+        if in_add(addgens, cur):
             return HomologicalDim.finite(step)
-        ap = min_right_approx(addgens, cur, seed)
+        ap = min_right_approx(addgens, cur)
         minimal = minimal and ap.minimal_certain
         ker, _ = kernel_submodule(ap)
-        parts = decompose(ker, seed)
+        parts = decompose(ker)
         for back, old in enumerate(kernels):
-            hit = _summand_embedding(old, parts, seed)
+            hit = _summand_embedding(old, parts)
             if hit is None:
                 continue
             if not minimal:
@@ -841,7 +835,7 @@ def resdim(addgens, x: RightModule, cutoff: int = 24, seed: int = 0) -> Homologi
     return HomologicalDim.at_least(cutoff, "cutoff %d exhausted" % cutoff)
 
 
-def _summand_embedding(old_parts, new_parts, seed):
+def _summand_embedding(old_parts, new_parts):
     """Match every old summand to a distinct iso-copy among new summands."""
     used = set()
     witness = None
@@ -850,7 +844,7 @@ def _summand_embedding(old_parts, new_parts, seed):
         for idx, np_ in enumerate(new_parts):
             if idx in used:
                 continue
-            r = iso(op_, np_, seed)
+            r = iso(op_, np_)
             if r:
                 found = idx
                 witness = r.witness
@@ -874,12 +868,12 @@ class EndoData:
     idem_positions: list           # basis position of id_{X_i}
 
 
-def endo_algebra(summands, seed: int = 0) -> EndoData:
+def endo_algebra(summands) -> EndoData:
     """End(⊕X_i) as a based algebra; multiplication f*g = "g then f"."""
     mods = []
     for s in summands:
-        for part in decompose(s, seed):
-            if not any(iso(part, m, seed) for m in mods):
+        for part in decompose(s):
+            if not any(iso(part, m) for m in mods):
                 mods.append(part)
     a = mods[0].algebra
     f = a.field
@@ -907,7 +901,7 @@ def endo_algebra(summands, seed: int = 0) -> EndoData:
             prod = f.matmul(G, F).ravel()
             if not block_index[(k, j)]:
                 if np.any(prod):
-                    raise DecompositionInconclusive("hom block closure failed")
+                    raise RuntimeError("hom block closure failed")
                 continue
             coords = linalg.solve_raw(f, flat_cache[(k, j)].T, prod)
             for t, pos in enumerate(block_index[(k, j)]):
@@ -933,7 +927,7 @@ def endo_algebra(summands, seed: int = 0) -> EndoData:
             for pos, F in zip(positions, block_maps[(i, j)]):
                 nil = _nilpotent_part(f, F)
                 if nil is None:
-                    raise DecompositionInconclusive("endomorphism ring not local")
+                    raise RuntimeError("endomorphism ring not local")
                 if np.any(nil):
                     coords = linalg.solve_raw(f, flat_cache[(i, i)].T, nil.ravel())
                     v = np.zeros(n, dtype=np.int64)
@@ -976,7 +970,7 @@ def hom_functor(endo: EndoData, n: RightModule) -> RightModule:
             img = f.matmul(Phi, pieces[t][1]).ravel()
             if not idxs_i:
                 if np.any(img):
-                    raise DecompositionInconclusive("hom functor closure failed")
+                    raise RuntimeError("hom functor closure failed")
                 continue
             coords = linalg.solve_raw(f, flats_i.T, img)
             for s, t2 in enumerate(idxs_i):

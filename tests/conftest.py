@@ -12,13 +12,13 @@ def fix():
     return get
 
 
-def assert_iso(m, n, seed: int = 0):
-    r = mr.iso(m, n, seed)
+def assert_iso(m, n):
+    r = mr.iso(m, n)
     assert r.certain, "isomorphism test inconclusive for %s vs %s" % (m, n)
     assert r.isomorphic, "%s and %s are not isomorphic" % (m, n)
 
 
-def assert_not_iso(m, n, seed: int = 0):
-    r = mr.iso(m, n, seed)
+def assert_not_iso(m, n):
+    r = mr.iso(m, n)
     assert r.certain, "isomorphism test inconclusive for %s vs %s" % (m, n)
     assert not r.isomorphic, "%s and %s are isomorphic" % (m, n)

@@ -140,8 +140,8 @@ def test_criterion_3_recurring_kernels_displayed():
     b = f.base_algebra
     gen = mr.direct_sum(list(f.endo.summands))[0]
     z = inv.mueller_domdim(b, gen).as_int() - 2
-    parts = mr.decompose(gen, 0)
-    eng = inv._engine(b, 0)
+    parts = mr.decompose(gen)
+    eng = inv._engine(b)
     targets = []
     for p in parts:
         if eng.table.canon(p) in eng.proj_ids:
@@ -157,9 +157,9 @@ def test_criterion_3_recurring_kernels_displayed():
     e1j = mr.bridge_module(b, 2, 6)       # e_1 J  is uniserial (2, 6)
     kernel_parts = []
     for _ in range(2):
-        ap = mr.min_right_approx(parts, cur, 0)
+        ap = mr.min_right_approx(parts, cur)
         cur, _ = mr.kernel_submodule(ap)
-        kernel_parts.append(mr.decompose(cur, 0))
+        kernel_parts.append(mr.decompose(cur))
     k1, k2 = kernel_parts
     assert len(k1) == 1
     assert_iso(k1[0], e0j4)
@@ -315,7 +315,7 @@ def test_criterion_9_representatives():
     f = fx.build_fixture("penny-farthing-gendo")
     b = f.base_algebra
     assert alg.is_symmetric(b)
-    eng = inv._engine(b, 0)
+    eng = inv._engine(b)
     nonproj = [m for m in f.base_pool
                if eng.table.canon(m) not in eng.proj_ids]
     for m in nonproj:

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gorlab import algebra as alg
+from gorlab import cli
 from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import nakayama as nak
@@ -65,6 +68,69 @@ def test_kupisch_455_not_symmetric():
 def test_sym_777_base_is_symmetric():
     a = alg.from_kupisch(nak.validate_kupisch((7, 7, 7)), F2)
     assert alg.is_symmetric(a)
+
+
+def _symmetric_by_gram(a):
+    """Reference for is_symmetric: whether some central form lambda has an
+    invertible Gram matrix (lambda(b_i b_j))_ij, trying every central form.
+    Returns None when there are more than 2^12 central forms."""
+    f, n = a.field, a.dim
+    commutators = [f.sub(a.mult[i, j], a.mult[j, i])
+                   for i in range(n) for j in range(n)]
+    central = la.nullspace(f, np.array(commutators).reshape(-1, n))
+    if f.order ** len(central) > 1 << 12:
+        return None
+    grams = np.array([la.combine(f, lam, a.mult.transpose(2, 0, 1))
+                      for lam in central]).reshape(-1, n, n)
+    return any(la.rank_raw(f, la.combine(f, c, grams)) == n
+               for c in itertools.product(range(f.order), repeat=len(central)))
+
+
+def _agrees_with_reference(a):
+    """Whether is_symmetric was compared with the reference on a."""
+    want = _symmetric_by_gram(a)
+    if want is not None:
+        assert alg.is_symmetric(a) is want
+    return want is not None
+
+
+@pytest.mark.parametrize("name", fx.FIXTURE_NAMES)
+def test_is_symmetric_matches_gram_reference_on_fixtures(name):
+    f = fx.build_fixture(name)
+    algebras = [a for a in (f.algebra, f.base_algebra) if a is not None]
+    compared = [_agrees_with_reference(b)
+                for a in algebras for b in (a, mr.opp(a))]
+    assert any(compared)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_is_symmetric_matches_gram_reference_on_cyclic_series(p):
+    # the opposite of a cyclic Nakayama algebra is again in the enumeration
+    algebras = [alg.from_kupisch(nak.validate_kupisch(s), la.PrimeField(p))
+                for s in cli._cyclic_series(3, 7)]
+    compared = [a for a in algebras if _agrees_with_reference(a)]
+    assert len(compared) > 40
+    assert sum(bool(alg.is_symmetric(a)) for a in compared) > 5
+
+
+def test_socle_of_dimension_two_is_not_symmetric():
+    # k[x, y]/(x^2, y^2, xy, yx): the local algebra with soc(A) = span(x, y)
+    q = alg.QuiverPresentation(
+        vertices=["*"], arrows=[(0, 0, "x"), (0, 0, "y")],
+        relations=[[(1, p)] for p in ((0, 0), (1, 1), (0, 1), (1, 0))])
+    a = alg.validate(alg.from_quiver(q, F2))
+    assert a.dim == 3
+    assert _symmetric_by_gram(a) is False
+    assert alg.is_symmetric(a) is False
+
+
+@pytest.mark.parametrize("series, cyclic", [((2, 1), False), ((2, 2), True)])
+def test_nakayama_permutation_must_be_the_identity(series, cyclic):
+    # every soc(e_iA) is simple, but soc(e_0A) lies in e_0Ae_1, where every
+    # central form vanishes: the linear A2 and the selfinjective (2, 2)
+    a = alg.from_kupisch(nak.validate_kupisch(series, cyclic=cyclic), F2)
+    assert _symmetric_by_gram(a) is False
+    assert alg.is_symmetric(a) is False
 
 
 def test_opposite_is_involutive_on_multiplication():

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -91,6 +92,29 @@ def test_module_file_round_trip_same_seed_same_report(tmp_path):
     assert parsed["verdicts"]["gpi"]["status"] == "yes"
 
 
+def test_seed_changes_only_its_echo(monkeypatch):
+    def without_seed(argv, seed=None):
+        # a fresh fixture cache, so that each run starts from cold engines
+        monkeypatch.setattr(fx, "_CACHE", {})
+        code, text = run(argv if seed is None else ["--seed", str(seed)] + argv)
+        echo = seed or 0
+        if "json" in argv:
+            rep = json.loads(text)
+            assert rep.pop("seed") == echo
+            return code, rep
+        if "scan" in argv:
+            rows = list(csv.reader(io.StringIO(text)))
+            assert {r[-1] for r in rows[1:]} == {str(echo)}
+            return code, [r[:-1] for r in rows]
+        assert "seed=%d cutoff" % echo in text
+        return code, text.replace("seed=%d " % echo, "")
+
+    for argv in (["endo", "--fixture", "kupisch-455"],
+                 ["--format", "json", "endo", "--fixture", "kupisch-455"],
+                 ["scan", "2", "3"]):
+        assert without_seed(argv, 7) == without_seed(argv)
+
+
 def test_field_flag_reaches_named_fixtures(tmp_path):
     # e0A/e0J^3 over GF(5) with its first basis vector doubled: the action
     # has entries 2 and 3, so the file only loads over a field of order > 3
@@ -181,15 +205,17 @@ def test_scan_passes_field_cutoff_and_seed(monkeypatch):
     from gorlab import invariants as inv
     calls = []
 
-    def record(a, bound, seed):
-        calls.append((a.field, bound, seed))
+    def record(a, bound):
+        calls.append((a.field, bound))
         return False
 
     monkeypatch.setattr(inv, "gendo_symmetric_check", record)
     code, text = run(["--field", "5", "--cutoff", "3", "--seed", "7",
                       "scan", "2", "3"])
     assert code in (0, 3)
-    assert calls and set(calls) == {(la.PrimeField(5), 3, 7)}
+    assert calls and set(calls) == {(la.PrimeField(5), 3)}
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert rows and {r["seed"] for r in rows} == {"7"}
     calls.clear()
     run(["scan", "2", "3"])
-    assert calls and set(calls) == {(la.PrimeField(2), inv.DEFAULT_BOUND, 0)}
+    assert calls and set(calls) == {(la.PrimeField(2), inv.DEFAULT_BOUND)}

@@ -58,12 +58,12 @@ def test_direct_sum_decompose_round_trip(a455):
     parts = [mr.bridge_module(a455, 0, 3), mr.bridge_module(a455, 1, 2),
              mr.bridge_module(a455, 0, 3)]
     total = mr.direct_sum(parts)[0]
-    got = mr.decompose(total, 0)
+    got = mr.decompose(total)
     assert sorted(p.dim for p in got) == [2, 3, 3]
     # multiset of iso classes is preserved
     remaining = list(parts)
     for g in got:
-        hit = next(i for i, p in enumerate(remaining) if mr.iso(g, p, 0))
+        hit = next(i for i, p in enumerate(remaining) if mr.iso(g, p))
         remaining.pop(hit)
     assert not remaining
 
@@ -117,7 +117,7 @@ def test_dual_swaps_projectives_and_injectives(a455):
     injs_op = mr.injectives(aop)
     for p in projs:
         d = mr.dual(p)
-        assert any(mr.iso(d, j, 0) for j in injs_op)
+        assert any(mr.iso(d, j) for j in injs_op)
 
 
 def test_tau_and_tau_inv_stable_inverse(a455):
@@ -130,7 +130,7 @@ def test_nu_sends_projectives_to_injectives(a777):
     injs = mr.injectives(a777)
     for p in projs:
         v = mr.nu(p)
-        assert any(mr.iso(v, j, 0) for j in injs)
+        assert any(mr.iso(v, j) for j in injs)
 
 
 @pytest.mark.parametrize("name", ["penny-farthing-gendo", "gf4-local-gendo",
@@ -154,7 +154,7 @@ def test_zero_module_edge_cases(a455):
     z = mr.zero_module(a455)
     assert z.dim == 0
     assert mr.syzygy(z, 1).dim == 0
-    assert mr.decompose(z, 0) == []
+    assert mr.decompose(z) == []
 
 
 def test_translates_of_zero_module(a455):
@@ -173,8 +173,8 @@ def test_right_minimality_is_exact():
         b = alg.from_kupisch(nak.validate_kupisch((7,)), fld)
         p = mr.projectives(b)[0][0]
         cover = mr.structure(p).top_projection
-        assert mr._check_right_minimal(cover, 0)
-        assert mr.min_right_approx([p], mr.simples(b)[0], 0).minimal_certain
+        assert mr._check_right_minimal(cover)
+        assert mr.min_right_approx([p], mr.simples(b)[0]).minimal_certain
         # (cover, 0) and (cover, cover) from P + P are approximations with a
         # redundant copy of P: the projection onto it kills the map
         two = mr.direct_sum([p, p])[0]
@@ -182,14 +182,14 @@ def test_right_minimality_is_exact():
         for second in (zero, cover.matrix):
             redundant = mr.ModuleMap(two, cover.target, np.concatenate(
                 [cover.matrix, second]))
-            assert not mr._check_right_minimal(redundant, 0)
+            assert not mr._check_right_minimal(redundant)
 
 
 def test_resdim_infinite_needs_certified_minimality(a455, monkeypatch):
     projs, _ = mr.projectives(a455)
     m = mr.bridge_module(a455, 0, 1)
     assert mr.resdim(projs, m, cutoff=6).is_infinite
-    monkeypatch.setattr(mr, "_check_right_minimal", lambda mp, seed: False)
+    monkeypatch.setattr(mr, "_check_right_minimal", lambda mp: False)
     r = mr.resdim(projs, m, cutoff=6)
     assert r.kind == "atleast" and r.value >= 1 and r.bound_reason
 
@@ -203,7 +203,7 @@ def test_algebra_mismatch_guard(a455, a777):
 
 def test_endo_algebra_of_regular_module_has_same_dim(a455):
     projs, _ = mr.projectives(a455)
-    endo = mr.endo_algebra(projs, seed=0)
+    endo = mr.endo_algebra(projs)
     # End(A_A) is isomorphic to A itself
     assert endo.algebra.dim == a455.dim
 
@@ -211,17 +211,17 @@ def test_endo_algebra_of_regular_module_has_same_dim(a455):
 def test_hom_functor_on_generator_gives_projective(a455):
     projs, _ = mr.projectives(a455)
     extra = mr.bridge_module(a455, 0, 3)
-    endo = mr.endo_algebra(projs + [extra], seed=0)
+    endo = mr.endo_algebra(projs + [extra])
     img = mr.hom_functor(endo, extra)
     # Hom(X, M) for M a summand of X is projective over End(X)
     bprojs, _ = mr.projectives(endo.algebra)
-    assert any(mr.iso(img, p, 0) for p in bprojs)
+    assert any(mr.iso(img, p) for p in bprojs)
 
 
 def test_in_add(a455):
     projs, reg = mr.projectives(a455)
-    assert mr.in_add(projs, reg, 0)
-    assert not mr.in_add(projs, mr.bridge_module(a455, 0, 3), 0)
+    assert mr.in_add(projs, reg)
+    assert not mr.in_add(projs, mr.bridge_module(a455, 0, 3))
 
 
 def _gf4_eight_dim_modules(fx):
@@ -238,9 +238,9 @@ def test_local_certificate_settles_before_random_search(fix, monkeypatch):
     stages = []
     real = la.search_combinations
 
-    def spy(field, k, test, seed, random_budget, exhaustive_limit):
+    def spy(field, k, test, random_budget, exhaustive_limit):
         stages.append((random_budget, exhaustive_limit))
-        return real(field, k, test, seed, random_budget, exhaustive_limit)
+        return real(field, k, test, random_budget, exhaustive_limit)
 
     monkeypatch.setattr(la, "search_combinations", spy)
     for m in mods:

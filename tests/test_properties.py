@@ -32,7 +32,7 @@ def _base(name):
 
 
 def _nonprojectives(a, pool):
-    eng = inv._engine(a, 0)
+    eng = inv._engine(a)
     return [m for m in pool if eng.table.canon(m) not in eng.proj_ids]
 
 

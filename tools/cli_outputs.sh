@@ -39,6 +39,8 @@ done
 call suite.json --format json suite
 call suite-seed7.text --seed 7 suite
 call scan-3-7.csv scan 3 7
+call scan-seed7-3-7.csv --seed 7 scan 3 7
 call module-1-3-kupisch-455.json --format json module '[1,3]' --fixture kupisch-455
+call module-seed7-1-3-kupisch-455.json --seed 7 --format json module '[1,3]' --fixture kupisch-455
 call module-0-2-kupisch-56.json --format json module '[0,2]' --fixture kupisch-56
 call module-2-4-kupisch-455.text module '[2,4]' --fixture kupisch-455
