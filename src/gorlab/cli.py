@@ -12,6 +12,10 @@ Subcommands:
   the bounds, with bound-violation flags.
 * ``suite``  run the named-theorem checks over fixtures.
 
+Each subcommand declares the formats it writes (``formats``, the first is
+the default); another ``--format``, or ``--jobs`` > 1 outside ``scan``, is
+an input error.
+
 Exit codes: 0 success, 1 input error, 2 theorem-suite failure,
 3 scan violation.
 """
@@ -517,9 +521,10 @@ def _build_parser() -> _Parser:
                         % inv.DEFAULT_BOUND)
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the output; does not change results")
-    p.add_argument("--format", dest="fmt", default="text",
-                   choices=["text", "json", "csv"])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
+                   help="output format (default: the subcommand's first)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for scan (default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pn = sub.add_parser("nakayama", help="Kupisch-series report")
@@ -527,27 +532,27 @@ def _build_parser() -> _Parser:
     g = pn.add_mutually_exclusive_group()
     g.add_argument("--cyclic", action="store_true", default=True)
     g.add_argument("--linear", action="store_true", default=False)
-    pn.set_defaults(func=cmd_nakayama)
+    pn.set_defaults(func=cmd_nakayama, formats=("text", "json", "csv"))
 
     pe = sub.add_parser("endo", help="endomorphism-algebra fixture report")
     pe.add_argument("--fixture", required=True)
-    pe.set_defaults(func=cmd_endo)
+    pe.set_defaults(func=cmd_endo, formats=("text", "json"))
 
     pm = sub.add_parser("module", help="per-module report")
     pm.add_argument("spec",
                     help="[i,k] | hom:KEY | extra:KEY | @module.json")
     pm.add_argument("--fixture")
-    pm.set_defaults(func=cmd_module)
+    pm.set_defaults(func=cmd_module, formats=("text", "json"))
 
     ps = sub.add_parser("scan", help="scan cyclic Kupisch series")
     ps.add_argument("n_max", type=int)
     ps.add_argument("c_max", type=int)
-    ps.set_defaults(func=cmd_scan)
+    ps.set_defaults(func=cmd_scan, formats=("csv",))
 
     pt = sub.add_parser("suite", help="run the named-theorem checks")
     pt.add_argument("--fixture", dest="fixtures", action="append",
                     help="may be repeated; default: all fixtures")
-    pt.set_defaults(func=cmd_suite)
+    pt.set_defaults(func=cmd_suite, formats=("text",))
     return p
 
 
@@ -555,9 +560,15 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         args = _build_parser().parse_args(argv)
+        fmt = args.fmt or args.formats[0]
+        if fmt not in args.formats:
+            raise _CliError("%s writes %s, not %s" % (
+                args.command, " or ".join(args.formats), fmt))
+        if args.jobs > 1 and args.command != "scan":
+            raise _CliError("--jobs applies to scan only")
         field = None if args.field is None else parse_field(args.field)
         cfg = RunConfig(field=field, cutoff=args.cutoff,
-                        seed=args.seed, jobs=args.jobs, fmt=args.fmt)
+                        seed=args.seed, jobs=args.jobs, fmt=fmt)
         return args.func(args, cfg, out)
     except (_CliError, BudgetExceeded, nak.KupischViolation,
             alg.ValidationError, linalg.FieldError,

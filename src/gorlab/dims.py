@@ -24,7 +24,6 @@ class PeriodicityCertificate:
     preperiod: int
     period: int
     states: tuple = ()
-    iso: object = None       # witnessing isomorphism when produced generically
 
     def __str__(self):
         return "%s-periodic (preperiod %d, period %d)" % (

@@ -144,18 +144,6 @@ def penny_farthing_algebra(field) -> alg.BasedAlgebra:
     return alg.validate(alg.from_quiver(q, field))
 
 
-def _dedup_pool(mods, max_dim=None):
-    """Decompose the given modules and keep one copy per iso class."""
-    pool = []
-    for m in mods:
-        if m.dim == 0 or (max_dim and m.dim > max_dim):
-            continue
-        for part in mr.decompose(m):
-            if not any(p.dim == part.dim and mr.iso(part, p) for p in pool):
-                pool.append(part)
-    return pool
-
-
 def _orbit(m, op, steps):
     out = [m]
     for _ in range(steps):
@@ -176,7 +164,7 @@ def _penny_farthing_gendo(field) -> Fixture:
     raw = projs + s + [e2j2]
     raw += _orbit(s[1], mr.syzygy, 3) + _orbit(s[1], mr.cosyzygy, 3)
     raw += _orbit(e2j2, mr.syzygy, 3) + _orbit(e2j2, mr.cosyzygy, 3)
-    base_pool = _dedup_pool(raw, max_dim=12)
+    base_pool = mr.iso_classes(m for m in raw if m.dim <= 12)
     fx = _endo_fixture("penny-farthing-gendo", a, [s[1]], field,
                        base_pool, cm_finite=True,
                        extras={"s2": s[1], "e2j2": e2j2})
@@ -223,7 +211,7 @@ def _gf4_gendo() -> Fixture:
     reg = mr.regular_module(a)
     raw = [reg, m11, m1w, m1w2, m_ab(a, 1, 0), m_ab(a, 0, 1), s,
            mr.structure(reg).radical]
-    base_pool = _dedup_pool(raw, max_dim=8)
+    base_pool = mr.iso_classes(m for m in raw if m.dim <= 8)
     fx = _endo_fixture("gf4-local-gendo", a, [m11], f, base_pool,
                        cm_finite=False,
                        extras={"m11": m11, "m1w": m1w, "m1w2": m1w2})

@@ -1082,11 +1082,7 @@ def _check_k(fixture, bound):
     sel = _projinj_idempotents(a)
     corner = corner_algebra(a, sel)
     mcorner = mr.corner_restrict(corner, mr.regular_module(a))
-    classes = []
-    for part in mr.decompose(mcorner):
-        if not any(p.dim == part.dim and mr.iso(part, p)
-                   for p in classes):
-            classes.append(part)
+    classes = mr.iso_classes([mcorner])
     expected = len(list(nak.indecomposables(fixture.extras["base_series"])))
     if len(classes) != expected:
         return CheckResult(name, "fail",

@@ -8,9 +8,9 @@ field and 2-D numpy arrays of codes, and are pure functions:
 ``row_space_basis``, ``solve_raw``, ``rank_raw`` and ``invert`` are built on
 it.  ``combine`` forms a linear combination of a stack of arrays, and
 ``search_combinations`` is the bounded search for a coefficient vector whose
-combination passes a test (an isomorphism, a Fitting split, a central
-form that is nonzero on every socle); its random stage draws from a fixed
-generator, so every result is reproducible.  ``powers_vanish`` decides
+combination passes a test (a Fitting split, a central form that is nonzero
+on every socle); its random stage serves only ``modrep.decompose`` and
+draws from a fixed generator, so every result is reproducible.  ``powers_vanish`` decides
 whether a span of algebra elements (rows) generates a nilpotent algebra.
 """
 

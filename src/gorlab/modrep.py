@@ -14,6 +14,9 @@ from the minimal presentation g: P_1 -> P_0 of a module and the closed form
 Hom(e_iA, A) = Ae_i (h -> h(e_i)), valid for any finite-dimensional algebra
 (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, II/IV):
 Hom(g, A) is read off the components of g, with no Hom-space solve.
+
+``iso`` draws nothing: the random stage of ``linalg.search_combinations``
+serves only the fallback of ``decompose``.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "iso",
     "IsoResult",
     "decompose",
+    "iso_classes",
     "in_add",
     "min_right_approx",
     "resdim",
@@ -588,6 +592,8 @@ def tau_inv(m: RightModule) -> RightModule:
 
 @dataclass
 class IsoResult:
+    """``certain`` is False only when ``decompose`` could not certify a
+    summand indecomposable; ``witness`` is set only between indecomposables."""
     isomorphic: bool
     certain: bool
     witness: ModuleMap | None = None
@@ -597,7 +603,10 @@ class IsoResult:
 
 
 def iso(m: RightModule, n: RightModule) -> IsoResult:
-    """Isomorphism test with witness; staged search over Hom(m, n)."""
+    """Isomorphism test.  Between indecomposables the non-isomorphisms form
+    the radical, a proper subspace, so a basis of Hom(m, n) holds an
+    isomorphism if there is one; other modules are decomposed and their
+    summands matched (Krull-Schmidt)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     f = m.algebra.field
@@ -609,23 +618,16 @@ def iso(m: RightModule, n: RightModule) -> IsoResult:
     hb = hom_basis(m, n)
     if len(hb) != len(hom_basis(n, m)):
         return IsoResult(False, True)
-    mats = np.array([h.matrix for h in hb])
-
-    def invertible(coeffs):
-        cand = linalg.combine(f, coeffs, mats)
-        return cand if linalg.is_invertible(f, cand) else None
-
-    # Between indecomposables the non-isomorphisms form the radical, a
-    # proper subspace whenever an isomorphism exists; so any basis of a hom
-    # space containing an iso already contains one, and the basis stage
-    # alone decides.
-    indec = m.indec_certain and n.indec_certain
-    budget, limit = (0, 0) if indec else (2000, 1 << 16)
-    cand, exhausted = linalg.search_combinations(f, len(hb), invertible,
-                                                 budget, limit)
-    if cand is not None:
-        return IsoResult(True, True, ModuleMap(m, n, cand))
-    return IsoResult(False, exhausted or indec)
+    if not (m.indec_certain and n.indec_certain):
+        ms, ns = decompose(m), decompose(n)
+        if len(ms) > 1 or len(ns) > 1:
+            same = len(ms) == len(ns) and _match_summands(ms, ns)
+            return IsoResult(same, all(p.indec_certain for p in ms + ns))
+    # both sides single modules, flagged by decompose
+    for h in hb:
+        if linalg.is_invertible(f, h.matrix):
+            return IsoResult(True, True, h)
+    return IsoResult(False, bool(m.indec_certain and n.indec_certain))
 
 
 def _fitting_power(f, x):
@@ -707,6 +709,17 @@ def decompose(m: RightModule) -> list:
         return decompose(sp[0]) + decompose(sp[1])
     m.indec_certain = exhausted   # False: budget spent without a certificate
     return [m]
+
+
+def iso_classes(mods) -> list:
+    """One indecomposable summand per iso class among the summands of the
+    given modules, in the order first seen."""
+    reps = []
+    for m in mods:
+        for part in decompose(m):
+            if not any(iso(part, r) for r in reps):
+                reps.append(part)
+    return reps
 
 
 def in_add(gens, x: RightModule) -> bool:
@@ -820,39 +833,31 @@ def resdim(addgens, x: RightModule, cutoff: int = 24) -> HomologicalDim:
         ker, _ = kernel_submodule(ap)
         parts = decompose(ker)
         for back, old in enumerate(kernels):
-            hit = _summand_embedding(old, parts)
-            if hit is None:
+            if not _match_summands(old, parts):
                 continue
             if not minimal:
                 return HomologicalDim.at_least(
                     step + 1, "approximation kernel recurs at step %d, "
                     "minimality not certified" % step)
             cert = PeriodicityCertificate("approximation-kernel",
-                                          back + 1, step - back, iso=hit)
+                                          back + 1, step - back)
             return HomologicalDim.infinite(cert)
         kernels.append(parts)
         cur = ker
     return HomologicalDim.at_least(cutoff, "cutoff %d exhausted" % cutoff)
 
 
-def _summand_embedding(old_parts, new_parts):
-    """Match every old summand to a distinct iso-copy among new summands."""
+def _match_summands(old_parts, new_parts) -> bool:
+    """Whether every old summand matches a distinct iso-copy among the new
+    summands; matching greedily is exact because iso is an equivalence."""
     used = set()
-    witness = None
     for op_ in old_parts:
-        found = None
-        for idx, np_ in enumerate(new_parts):
-            if idx in used:
-                continue
-            r = iso(op_, np_)
-            if r:
-                found = idx
-                witness = r.witness
-                break
+        found = next((idx for idx, np_ in enumerate(new_parts)
+                      if idx not in used and iso(op_, np_)), None)
         if found is None:
-            return None
+            return False
         used.add(found)
-    return witness
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -870,11 +875,7 @@ class EndoData:
 
 def endo_algebra(summands) -> EndoData:
     """End(⊕X_i) as a based algebra; multiplication f*g = "g then f"."""
-    mods = []
-    for s in summands:
-        for part in decompose(s):
-            if not any(iso(part, m) for m in mods):
-                mods.append(part)
+    mods = iso_classes(summands)
     a = mods[0].algebra
     f = a.field
     basis_maps = []     # (i, j, matrix)

@@ -59,6 +59,25 @@ def test_bad_flags_are_input_errors():
     assert run(["--cutoff", "0", "nakayama", "4,5,5"])[0] == 1
     assert run(["--field", "9", "nakayama", "4,5,5"])[0] == 1
     assert run(["--jobs", "0", "nakayama", "4,5,5"])[0] == 1
+    # a format the subcommand does not write, and --jobs outside scan
+    for argv in (["--format", "json", "suite"], ["--format", "csv", "suite"],
+                 ["--format", "csv", "endo", "--fixture", "kupisch-455"],
+                 ["--format", "csv", "module", "[1,3]",
+                  "--fixture", "kupisch-455"],
+                 ["--format", "json", "scan", "2", "3"],
+                 ["--format", "text", "scan", "2", "3"],
+                 ["--jobs", "2", "nakayama", "4,5,5"],
+                 ["--jobs", "2", "endo", "--fixture", "kupisch-455"]):
+        assert run(argv) == (1, ""), argv
+
+
+def test_declared_formats_and_scan_jobs():
+    assert run(["--format", "csv", "scan", "2", "3"]) == run(["scan", "2", "3"])
+    assert run(["--jobs", "2", "scan", "2", "3"]) == run(["scan", "2", "3"])
+    assert run(["--format", "text", "suite", "--fixture", "a2-line"]) == \
+        run(["suite", "--fixture", "a2-line"])
+    code, text = run(["--format", "csv", "nakayama", "4,5,5"])
+    assert code == 0 and text.startswith("schema_version,module,")
 
 
 def test_module_coordinate_spec():

@@ -47,11 +47,47 @@ def test_bridge_hom_matches_closed_form(a455):
             assert got == want, ((mi, mk), (ni, nk))
 
 
-def test_iso_reflexive_and_distinguishes(a455):
+def test_iso_reflexive_and_distinguishes(a455, monkeypatch):
     m = mr.bridge_module(a455, 0, 3)
     n = mr.bridge_module(a455, 1, 3)
     assert_iso(m, m)
     assert_not_iso(m, n)
+    # decomposable sides are compared summand by summand
+    mm, mn, nm, mm2 = (mr.direct_sum(p)[0]
+                         for p in ((m, m), (m, n), (n, m), (m, m)))
+    assert_iso(mn, nm)
+    assert mr.hom_dim(mm, mn) == mr.hom_dim(mn, mm)     # equal Hom dimensions
+    assert_not_iso(mm, mn)
+    # maps with a single nonzero block form a basis of Hom(m+m, m+m) without
+    # an isomorphism; the summand match does not need one
+    blocks = [np.kron(u, h.matrix) for u in np.eye(4, dtype=np.int64)
+              .reshape(4, 2, 2) for h in mr.hom_basis(m, m)]
+    real = mr.hom_basis
+    assert len(blocks) == len(real(mm, mm2))
+    assert not any(la.is_invertible(F2, z) for z in blocks)
+    monkeypatch.setattr(mr, "hom_basis", lambda x, y: [
+        mr.ModuleMap(mm, mm2, z) for z in blocks]
+        if x is mm and y is mm2 else real(x, y))
+    assert_iso(mm, mm2)
+
+
+@pytest.mark.parametrize("name,positions", [("sym-777-gendo", (10, 16)),
+                                            ("gf4-local-gendo", (6, 7))])
+def test_iso_never_draws(fix, name, positions, monkeypatch):
+    # tau m and Omega^2 m of these pool classes (13 and 18, and 6 and 7, of
+    # a fresh class table) have equal dimensions and Hom dimensions but are
+    # not isomorphic: the case a random search would have to exhaust
+    eng, ids = inv._pool_classes(fix(name))
+    mods = [eng.table.reps[ids[k]] for k in positions]
+    pairs = [(mr.tau(m), mr.syzygy(m, 2)) for m in mods]
+
+    def draw(*args, **kwargs):
+        raise AssertionError("iso drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    for t, o2 in pairs:
+        assert len(mr.hom_basis(t, o2)) == len(mr.hom_basis(o2, t))
+        assert_not_iso(t, o2)
 
 
 def test_direct_sum_decompose_round_trip(a455):

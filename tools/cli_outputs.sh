@@ -44,3 +44,6 @@ call module-1-3-kupisch-455.json --format json module '[1,3]' --fixture kupisch-
 call module-seed7-1-3-kupisch-455.json --seed 7 --format json module '[1,3]' --fixture kupisch-455
 call module-0-2-kupisch-56.json --format json module '[0,2]' --fixture kupisch-56
 call module-2-4-kupisch-455.text module '[2,4]' --fixture kupisch-455
+call endo-kupisch-455.csv --format csv endo --fixture kupisch-455
+call scan-2-3.text --format text scan 2 3
+call endo-jobs2-kupisch-455.text --jobs 2 endo --fixture kupisch-455
