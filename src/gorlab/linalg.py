@@ -5,8 +5,8 @@ codes are 0..p-1 with modular arithmetic; for a table field the codes index
 the addition/multiplication tables.  All matrix routines take an explicit
 field and 2-D numpy arrays of codes, and are pure functions:
 ``row_echelon`` is the one elimination kernel, and ``nullspace``,
-``row_space_basis``, ``solve_raw``, ``rank_raw`` and ``invert`` are built on
-it.  ``combine`` forms a linear combination of a stack of arrays, and
+``row_space_basis``, ``solve_raw`` and ``rank_raw`` are built on it.
+``combine`` forms a linear combination of a stack of arrays (one matmul), and
 ``search_combinations`` is the bounded search for a coefficient vector whose
 combination passes a test (a Fitting split, a central form that is nonzero
 on every socle); its random stage serves only ``modrep.decompose`` and
@@ -17,6 +17,7 @@ whether a span of algebra elements (rows) generates a nilpotent algebra.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "in_row_space",
     "is_invertible",
     "rank_raw",
-    "invert",
     "combine",
     "search_combinations",
     "powers_vanish",
@@ -366,26 +366,12 @@ def rank_raw(field: FieldSpec, arr: np.ndarray) -> int:
     return len(pivots)
 
 
-def invert(field: FieldSpec, arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.int64)
-    n = arr.shape[0]
-    if arr.shape != (n, n):
-        raise FieldError("cannot invert a non-square %s matrix" % (arr.shape,))
-    # for a square matrix a solution of arr X = I is already the inverse
-    sol = solve_raw(field, arr, field.eye(n))
-    if sol is None:
-        raise FieldError("matrix not invertible")
-    return sol
-
-
 def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:
     """sum_t coeffs[t] * stack[t] over the field, for a stack of equally
     shaped arrays (rows, matrices) indexed by its first axis."""
     stack = np.asarray(stack)
-    out = np.zeros(stack.shape[1:], dtype=np.int64)
-    for t in np.nonzero(np.asarray(coeffs))[0]:
-        out = field.add(out, field.mul(int(coeffs[t]), stack[t]))
-    return out
+    flat = stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
+    return field.matmul(np.asarray(coeffs)[None], flat).reshape(stack.shape[1:])
 
 
 def search_combinations(field: FieldSpec, k: int, test,

@@ -9,6 +9,10 @@ right module M to the right opposite(A)-module on the transposed matrices.
 Maps f: M -> N are stored as dim(M) x dim(N) matrices acting by
 v -> v @ F, so composition "f then g" is F @ G.
 
+Submodule and quotient actions need no solve: the basis of a span is kept in
+reduced echelon form, so a vector of the span has its coordinates at the
+pivot columns, and one matmul checks that the span is action-stable.
+
 The Nakayama functor nu, the transpose Tr and the AR translate tau all come
 from the minimal presentation g: P_1 -> P_0 of a module and the closed form
 Hom(e_iA, A) = Ae_i (h -> h(e_i)), valid for any finite-dimensional algebra
@@ -176,6 +180,30 @@ def direct_sum(mods) -> tuple:
     return s, injs, projs
 
 
+def _pivots(basis: np.ndarray) -> np.ndarray:
+    """Pivot columns of an echelon basis: the first nonzero entry of each row."""
+    return (basis != 0).argmax(axis=1) if basis.shape[1] else np.zeros(0, int)
+
+
+def _images(f, basis: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """Stack of basis @ acts[j] for a stack of d x d matrices, as one matmul."""
+    k, d, _ = acts.shape
+    flat = f.matmul(basis, acts.transpose(1, 0, 2).reshape(d, k * d))
+    return flat.reshape(len(basis), k, d).transpose(1, 0, 2)
+
+
+def _restrict(f, basis: np.ndarray, imgs: np.ndarray) -> np.ndarray:
+    """Action on the span of a reduced echelon basis, from the images
+    imgs[j] = basis @ acts[j], read off at the pivots (basis[:, pivots] = I)
+    and checked to lie in the span."""
+    k, r, d = imgs.shape
+    action = imgs[:, :, _pivots(basis)]
+    if r and not np.array_equal(f.matmul(action.reshape(k * r, r), basis),
+                                imgs.reshape(k * r, d)):
+        raise ValueError("rows do not span an action-stable subspace")
+    return action
+
+
 def submodule_from_rows(m: RightModule, rows, close: bool = True,
                         label: str = "") -> tuple:
     """(submodule, inclusion map) spanned by the given row vectors."""
@@ -186,25 +214,16 @@ def submodule_from_rows(m: RightModule, rows, close: bool = True,
         return sub, ModuleMap(sub, m, np.zeros((0, 0), dtype=np.int64))
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, m.dim)
     basis = linalg.row_space_basis(f, rows)
-    if close:
-        while True:
-            prev = basis.shape[0]
-            if prev == 0:
-                break
-            imgs = [basis] + [f.matmul(basis, m.action[j])
-                              for j in range(m.algebra.dim)]
-            basis = linalg.row_space_basis(f, np.concatenate(imgs, axis=0))
-            if basis.shape[0] == prev:
-                break
-    r = basis.shape[0]
-    action = np.zeros((m.algebra.dim, r, r), dtype=np.int64)
-    for j in range(m.algebra.dim):
-        img = f.matmul(basis, m.action[j])
-        coords = linalg.solve_raw(f, basis.T, img.T)
-        if coords is None:
-            raise ValueError("rows do not span an action-stable subspace")
-        action[j] = coords.T
-    sub = RightModule(m.algebra, r, action, label)
+    imgs = _images(f, basis, m.action)
+    while close and len(basis):
+        # the echelon basis of a span is unique, so imgs stay valid on a stop
+        prev = len(basis)
+        basis = linalg.row_space_basis(
+            f, np.concatenate([basis, imgs.reshape(-1, m.dim)]))
+        if len(basis) == prev:
+            break
+        imgs = _images(f, basis, m.action)
+    sub = RightModule(m.algebra, len(basis), _restrict(f, basis, imgs), label)
     return sub, ModuleMap(sub, m, basis)
 
 
@@ -217,23 +236,17 @@ def quotient_by_rows(m: RightModule, rows, label: str = "") -> tuple:
         return quo, ModuleMap(m, quo, np.zeros((0, 0), dtype=np.int64))
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, m.dim)
     basis = linalg.row_space_basis(f, rows)
-    r = basis.shape[0]
-    _, pivots = linalg.row_echelon(f, basis) if r else (None, [])
-    comp = [j for j in range(m.dim) if j not in pivots]
+    pivots = _pivots(basis)
+    comp = np.delete(np.arange(m.dim), pivots)
     q = len(comp)
-    T = np.zeros((m.dim, m.dim), dtype=np.int64)
-    T[:r] = basis
-    for t, j in enumerate(comp):
-        T[r + t, j] = f.one
-    Tinv = linalg.invert(f, T)
-    proj = Tinv[:, r:]                         # v -> coset coordinates
-    E = np.zeros((q, m.dim), dtype=np.int64)   # coset representatives
-    for t, j in enumerate(comp):
-        E[t, j] = f.one
-    action = np.zeros((m.algebra.dim, q, q), dtype=np.int64)
-    for j in range(m.algebra.dim):
-        action[j] = f.matmul(f.matmul(E, m.action[j]), proj)
-    quo = RightModule(m.algebra, q, action, label)
+    # v = v[pivots] @ basis + w with w[pivots] = 0, so the coset of v has
+    # coordinates w[comp] = v[comp] - v[pivots] @ basis[:, comp]
+    proj = np.zeros((m.dim, q), dtype=np.int64)
+    proj[comp, np.arange(q)] = f.one
+    proj[pivots] = f.neg(basis[:, comp])
+    # the unit vectors at comp represent the cosets
+    action = f.matmul(m.action[:, comp, :].reshape(-1, m.dim), proj)
+    quo = RightModule(m.algebra, q, action.reshape(m.algebra.dim, q, q), label)
     return quo, ModuleMap(m, quo, proj)
 
 
@@ -330,8 +343,7 @@ def _projective_data(a: BasedAlgebra) -> tuple:
             sub, inc = submodule_from_rows(reg, a.L(a.idempotents[i]),
                                            close=False, label="e%dA" % i)
             out.append(sub)
-            bases.append((inc.matrix, [int(np.flatnonzero(r)[0])
-                                       for r in inc.matrix]))
+            bases.append((inc.matrix, _pivots(inc.matrix).tolist()))
         return out, reg, bases
     return a.cached("projectives", build)
 
@@ -990,13 +1002,9 @@ def corner_restrict(corner, x: RightModule) -> RightModule:
     for i in corner.idem_subset:
         e = f.add(e, a.idempotents[i])
     basis = linalg.row_space_basis(f, x.rho(e))
-    r = basis.shape[0]
-    action = np.zeros((corner.algebra.dim, r, r), dtype=np.int64)
-    for t in range(corner.algebra.dim):
-        img = f.matmul(basis, x.rho(corner.basis_rows[t]))
-        coords = linalg.solve_raw(f, basis.T, img.T)
-        action[t] = coords.T
-    return RightModule(corner.algebra, r, action,
+    acts = f.matmul(corner.basis_rows, x.action.reshape(a.dim, -1))
+    imgs = _images(f, basis, acts.reshape(corner.algebra.dim, x.dim, x.dim))
+    return RightModule(corner.algebra, len(basis), _restrict(f, basis, imgs),
                        "%s*e" % x.label if x.label else "")
 
 

@@ -186,16 +186,6 @@ def test_search_without_random_stage_makes_no_generator(monkeypatch):
     assert _recording_search(f, 0, 10, 0)[0] == (None, False)
 
 
-def test_invert_square_and_rejects_non_square():
-    f = la.PrimeField(5)
-    arr = np.array([[1, 2], [3, 4]])
-    assert np.array_equal(f.matmul(arr, la.invert(f, arr)), f.eye(2))
-    with pytest.raises(la.FieldError):
-        la.invert(f, np.array([[1, 2], [2, 4]]))
-    with pytest.raises(la.FieldError):
-        la.invert(f, np.array([[1, 0, 0], [0, 1, 0]]))
-
-
 @pytest.mark.parametrize("f", SMALL_FIELDS, ids=lambda f: "order%d" % f.order)
 def test_powers_vanish_on_matrix_spans(f):
     def unit(i, j):

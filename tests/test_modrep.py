@@ -90,6 +90,126 @@ def test_iso_never_draws(fix, name, positions, monkeypatch):
         assert_not_iso(t, o2)
 
 
+def _solve_submodule(m, rows, close):
+    """submodule_from_rows by one solve per algebra basis element."""
+    f = m.algebra.field
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, m.dim)
+    basis = la.row_space_basis(f, rows)
+    while close and basis.shape[0]:
+        prev = basis.shape[0]
+        imgs = [basis] + [f.matmul(basis, x) for x in m.action]
+        basis = la.row_space_basis(f, np.concatenate(imgs, axis=0))
+        if basis.shape[0] == prev:
+            break
+    r = len(basis)
+    action = np.array([la.solve_raw(f, basis.T, f.matmul(basis, x).T).T
+                       for x in m.action]).reshape(m.algebra.dim, r, r)
+    return action, basis
+
+
+def _invert_quotient(m, rows):
+    """quotient_by_rows by inverting the basis completed with unit rows."""
+    f = m.algebra.field
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, m.dim)
+    basis = la.row_space_basis(f, rows)
+    r = len(basis)
+    pivots = la.row_echelon(f, basis)[1] if r else []
+    comp = [j for j in range(m.dim) if j not in pivots]
+    E = np.zeros((len(comp), m.dim), dtype=np.int64)
+    E[np.arange(len(comp)), comp] = f.one
+    proj = la.solve_raw(f, np.concatenate([basis, E]), f.eye(m.dim))[:, r:]
+    action = np.array([f.matmul(f.matmul(E, x), proj) for x in m.action])
+    return action.reshape(m.algebra.dim, len(comp), len(comp)), proj
+
+
+def _solve_corner_restrict(corner, x):
+    f = x.algebra.field
+    e = la.combine(f, np.isin(np.arange(x.algebra.n_idem), corner.idem_subset),
+                   x.algebra.idempotents)
+    basis = la.row_space_basis(f, x.rho(e))
+    action = np.array([la.solve_raw(f, basis.T,
+                                    f.matmul(basis, x.rho(c)).T).T
+                       for c in corner.basis_rows])
+    return action.reshape(len(corner.basis_rows), len(basis), len(basis))
+
+
+@pytest.fixture
+def checked_spans(monkeypatch):
+    """Route submodule_from_rows and quotient_by_rows through a comparison
+    with the solve and inversion routes; returns the count of checked calls."""
+    real_sub, real_quo = mr.submodule_from_rows, mr.quotient_by_rows
+    seen = {"sub": 0, "quo": 0}
+
+    def sub(m, rows, close=True, label=""):
+        out = real_sub(m, rows, close, label)
+        if m.dim:
+            action, basis = _solve_submodule(m, rows, close)
+            assert np.array_equal(out[0].action, action)
+            assert np.array_equal(out[1].matrix, basis)
+            seen["sub"] += 1
+        return out
+
+    def quo(m, rows, label=""):
+        out = real_quo(m, rows, label)
+        if m.dim:
+            action, proj = _invert_quotient(m, rows)
+            assert np.array_equal(out[0].action, action)
+            assert np.array_equal(out[1].matrix, proj)
+            seen["quo"] += 1
+        return out
+
+    monkeypatch.setattr(mr, "submodule_from_rows", sub)
+    monkeypatch.setattr(mr, "quotient_by_rows", quo)
+    return seen
+
+
+def _check_spans_of(mods, corners):
+    for m in mods:
+        mr.structure(m)
+        mr.syzygy(m, 2)
+        mr.cosyzygy(m, 1)
+        # a span that is not a coordinate subspace
+        v = np.arange(m.dim) % m.algebra.field.order
+        mr.quotient_by_rows(m, mr.submodule_from_rows(m, v)[1].matrix)
+        for c in corners:
+            assert np.array_equal(mr.corner_restrict(c, m).action,
+                                  _solve_corner_restrict(c, m))
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_spans_match_solve_and_inversion_routes(checked_spans, p):
+    # radicals, tops, socles, syzygies and bridge quotients over a fresh
+    # algebra, so that its projectives are built through the check too
+    a = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), la.PrimeField(p))
+    mods = [mr.bridge_module(a, i, k) for i, c in enumerate((4, 5, 5))
+            for k in range(1, c + 1)]
+    corners = [alg.corner_algebra(a, s) for s in ([0], [1, 2])]
+    _check_spans_of(mods + [mr.regular_module(a)], corners)
+    assert checked_spans["sub"] > 100 and checked_spans["quo"] > 30
+
+
+def test_spans_match_solve_and_inversion_routes_gf4(checked_spans, fix):
+    fx = fix("gf4-local-gendo")
+    a = fx.algebra
+    corners = [alg.corner_algebra(a, [i]) for i in range(a.n_idem)]
+    _check_spans_of(fx.pool, corners)
+    assert checked_spans["sub"] > 20 and checked_spans["quo"] > 10
+
+
+def test_submodule_rejects_unstable_rows(a455, fix):
+    for m in (mr.bridge_module(a455, 0, 3),
+              fix("gf4-local-gendo").pool[-1]):
+        # a vector whose submodule is larger than its span
+        v = next(u for u in np.eye(m.dim, dtype=np.int64)
+                 if mr.submodule_from_rows(m, u)[0].dim > 1)
+        with pytest.raises(ValueError, match="action-stable"):
+            mr.submodule_from_rows(m, v, close=False)
+        zero, inc = mr.submodule_from_rows(m, np.zeros((0, m.dim)),
+                                           close=False)
+        assert zero.dim == 0 and inc.matrix.shape == (0, m.dim)
+        assert zero.action.shape == (m.algebra.dim, 0, 0)
+
+
 def test_direct_sum_decompose_round_trip(a455):
     parts = [mr.bridge_module(a455, 0, 3), mr.bridge_module(a455, 1, 2),
              mr.bridge_module(a455, 0, 3)]
