@@ -14,7 +14,7 @@ executable suite of theorem checks run against the named fixtures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "NotGenerator",
     "PoolIncomplete",
     "GpVerdict",
-    "InvariantReport",
     "CheckResult",
     "module_projdim",
     "module_injdim",
@@ -50,7 +49,6 @@ __all__ = [
     "nearly_gorenstein_check_nak",
     "almost_split_verify",
     "theorem_suite",
-    "invariant_report",
 ]
 
 DEFAULT_BOUND = 24
@@ -322,29 +320,27 @@ def fdomdim_pool(pool, bound: int = DEFAULT_BOUND,
 # Ext-vanishing windows and Gorenstein projectivity
 
 
-def _syzygy_window(m, bound: int, cosyzygy: bool = False):
-    """(window, certificate) for the orbit of m's class multiset.
+def _syzygy_window(m, bound: int):
+    """(window, certificate) for the syzygy orbit of m's class multiset.
 
-    If the multiset of iso classes of Omega^t(m) (or the cosyzygy orbit)
-    repeats or dies within the bound, Ext conditions in degrees beyond
-    ``window`` repeat those inside it.  Returns (None, None) at the bound.
+    If the multiset of iso classes of Omega^t(m) repeats or dies within the
+    bound, Ext conditions in degrees beyond ``window`` repeat those inside
+    it.  Returns (None, None) at the bound.
     """
     eng = _engine(m.algebra)
-    step = eng.cosyzygy_parts if cosyzygy else eng.syzygy_parts
-    op = "cosyzygy" if cosyzygy else "syzygy"
     state = tuple(sorted(eng.canon_parts(m)))
     seen = {state: 0}
     for t in range(1, bound + 1):
         nxt = []
         for ci in state:
-            nxt.extend(step(ci))
+            nxt.extend(eng.syzygy_parts(ci))
         state = tuple(sorted(nxt))
         if not state:
-            return t, PeriodicityCertificate(op + "-terminates", t, 0)
+            return t, PeriodicityCertificate("syzygy-terminates", t, 0)
         if state in seen:
             p = seen[state]
             labels = tuple(eng.table.label(c) for c in state)
-            return t, PeriodicityCertificate(op, p, t - p, labels)
+            return t, PeriodicityCertificate("syzygy", p, t - p, labels)
         seen[state] = t
     return None, None
 
@@ -446,21 +442,16 @@ def _require_symmetric_generator(b: BasedAlgebra, m):
 def mueller_domdim(b: BasedAlgebra, m,
                    bound: int = DEFAULT_BOUND) -> HomologicalDim:
     """domdim(End(m)) = inf{i >= 1 : Ext^i_b(m, m) != 0} + 1 for a
-    generator m over a symmetric algebra b."""
+    generator m over a symmetric algebra b.
+
+    Ext^i(P, -) = 0 for projective P, so the projective summands of m add
+    nothing on the left; the syzygy window of m bounds the degrees to test.
+    """
     eng = _require_symmetric_generator(b, m)
     w, cert = _syzygy_window(m, bound)
-    # Ext^i(P, -) = 0 for projective P, so only the nonprojective summands
-    # of m contribute on the left; this keeps the syzygies small.
-    nonproj = [p for p in mr.decompose(m)
-               if eng.table.canon(p) not in eng.proj_ids]
-    if not nonproj:
-        return HomologicalDim.infinite(cert) if w is not None else \
-            HomologicalDim.at_least(bound + 1,
-                                    "window not certified at bound %d" % bound)
-    x = mr.direct_sum(nonproj)[0]
-    for i in range(1, (w or bound) + 1):
-        if mr.ext_dim(x, m, i):
-            return HomologicalDim.finite(i + 1)
+    i = eng.first_nonzero_ext(m, m, w or bound)
+    if i is not None:
+        return HomologicalDim.finite(i + 1)
     if w is None:
         return HomologicalDim.at_least(
             bound + 1, "Ext window not certified at bound %d" % bound)
@@ -1091,69 +1082,3 @@ def _check_k(fixture, bound):
     return CheckResult(name, "pass",
                        "proj = Dom_2; corner generator maximal 0-orthogonal "
                        "(%d classes)" % expected)
-
-
-# ---------------------------------------------------------------------------
-# Aggregated report
-
-
-@dataclass
-class InvariantReport:
-    algebra_id: str
-    domdim: HomologicalDim
-    codomdim: HomologicalDim
-    gordim_left: HomologicalDim
-    gordim_right: HomologicalDim
-    fdomdim: HomologicalDim | None
-    gp_classes: list
-    gi_classes: list
-    gpi_classes: list
-    gendo_symmetric: bool
-    nearly_gorenstein: bool | None
-    checks: list = dc_field(default_factory=list)
-    bound: int = DEFAULT_BOUND
-
-
-def invariant_report(fixture, bound: int = DEFAULT_BOUND,
-                     run_checks: bool = True) -> InvariantReport:
-    a = fixture.algebra
-    eng, ids = _pool_classes(fixture)
-    domdim = algebra_domdim(a, bound)
-    codomdim = algebra_domdim(mr.opp(a), bound)
-    left, right = gorenstein_dims(a, bound)
-    if fixture.pool_certified:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PoolIncomplete)
-            fd = fdomdim_pool([eng.table.reps[c] for c in ids], bound)
-    else:
-        fd = None
-    gp, gi, gpi = [], [], []
-    for ci in ids:
-        m = eng.table.reps[ci]
-        label = eng.table.label(ci)
-        vg = gp_test(a, m, bound)
-        vi = gi_test(a, m, bound)
-        if vg.status == "yes":
-            gp.append(label)
-        if vi.status == "yes":
-            gi.append(label)
-        if vg.status == "yes" and vi.status == "yes":
-            gpi.append(label)
-    ng = None
-    if fixture.nak is not None:
-        ng = bool(nearly_gorenstein_check_nak(fixture.nak))
-    return InvariantReport(
-        algebra_id=fixture.name,
-        domdim=domdim,
-        codomdim=codomdim,
-        gordim_left=left,
-        gordim_right=right,
-        fdomdim=fd,
-        gp_classes=gp,
-        gi_classes=gi,
-        gpi_classes=gpi,
-        gendo_symmetric=gendo_symmetric_check(a, bound),
-        nearly_gorenstein=ng,
-        checks=theorem_suite(fixture, bound) if run_checks else [],
-        bound=bound,
-    )

@@ -13,6 +13,10 @@ Submodule and quotient actions need no solve: the basis of a span is kept in
 reduced echelon form, so a vector of the span has its coordinates at the
 pivot columns, and one matmul checks that the span is action-stable.
 
+Hom spaces are built from the idempotent grading: a map sends M e_v into
+N e_v, so the maps that commute with the idempotents have a closed-form
+basis, and only the radical generators are solved for.
+
 The Nakayama functor nu, the transpose Tr and the AR translate tau all come
 from the minimal presentation g: P_1 -> P_0 of a module and the closed form
 Hom(e_iA, A) = Ae_i (h -> h(e_i)), valid for any finite-dimensional algebra
@@ -25,7 +29,7 @@ serves only the fallback of ``decompose``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,10 +190,10 @@ def _pivots(basis: np.ndarray) -> np.ndarray:
 
 
 def _images(f, basis: np.ndarray, acts: np.ndarray) -> np.ndarray:
-    """Stack of basis @ acts[j] for a stack of d x d matrices, as one matmul."""
-    k, d, _ = acts.shape
-    flat = f.matmul(basis, acts.transpose(1, 0, 2).reshape(d, k * d))
-    return flat.reshape(len(basis), k, d).transpose(1, 0, 2)
+    """Stack of basis @ acts[j] for a stack of d x e matrices, as one matmul."""
+    k, d, e = acts.shape
+    flat = f.matmul(basis, acts.transpose(1, 0, 2).reshape(d, k * e))
+    return flat.reshape(len(basis), k, e).transpose(1, 0, 2)
 
 
 def _restrict(f, basis: np.ndarray, imgs: np.ndarray) -> np.ndarray:
@@ -263,8 +267,11 @@ def _field_kron(f, A, B):
 def hom_basis(m: RightModule, n: RightModule) -> list:
     """Basis of the intertwiner space Hom_A(m, n) as ModuleMaps.
 
-    Constraints are imposed only for the idempotents and radical
-    generators, which generate the algebra multiplicatively.
+    The e_v are complete orthogonal idempotents, so F commutes with every
+    rho(e_v) iff F = sum_v rho_m(e_v) F rho_n(e_v), a span of outer products
+    u (x) w with u in the column space of rho_m(e_v) and w in n e_v.  With the
+    idempotents the radical generators generate A as an algebra, so only
+    rho_m(g) F = F rho_n(g) remains to be imposed, for those g.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
@@ -272,26 +279,18 @@ def hom_basis(m: RightModule, n: RightModule) -> list:
     f = a.field
     if m.dim == 0 or n.dim == 0:
         return []
-    gens = np.concatenate([a.idempotents, a.radical_generators], axis=0)
-    eye_n = f.eye(n.dim)
-    eye_m = f.eye(m.dim)
-    # Intersect the constraint kernels one generator at a time: solutions
-    # are kept as coordinates in the running kernel basis, so the column
-    # count shrinks after the first (idempotent) constraints instead of
-    # eliminating one tall stacked system.
-    basis = None
-    for g in gens:
-        rm = m.rho(g)
-        rn = n.rho(g)
-        block = f.sub(_field_kron(f, rm, eye_n),
-                      _field_kron(f, eye_m, rn.T))
-        if basis is None:
-            basis = linalg.nullspace(f, block)
-        else:
-            coords = linalg.nullspace(f, f.matmul(block, basis.T))
-            basis = f.matmul(coords, basis)
+    basis = np.concatenate([
+        _field_kron(f, linalg.row_space_basis(f, m.rho(e).T),
+                    linalg.row_space_basis(f, n.rho(e)))
+        for e in a.idempotents])
+    for g in a.radical_generators:
         if basis.shape[0] == 0:
             return []
+        maps = basis.reshape(-1, m.dim, n.dim)
+        after = f.matmul(basis.reshape(-1, n.dim), n.rho(g))
+        cons = f.sub(_images(f, m.rho(g), maps), after.reshape(maps.shape))
+        coords = linalg.nullspace(f, cons.reshape(len(maps), -1).T)
+        basis = f.matmul(coords, basis)
     return [ModuleMap(m, n, v.reshape(m.dim, n.dim)) for v in basis]
 
 

@@ -203,7 +203,8 @@ def test_endo_unknown_fixture_is_input_error():
 def test_reports_never_show_uncertified_infinite():
     for argv in (["--format", "json", "nakayama", "5,6"],
                  ["--format", "json", "module", "[1,3]",
-                  "--fixture", "kupisch-455"]):
+                  "--fixture", "kupisch-455"],
+                 ["--format", "json", "endo", "--fixture", "a2-line"]):
         code, text = run(argv)
         assert code == 0
         def walk(node):

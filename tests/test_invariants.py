@@ -8,6 +8,8 @@ from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import nakayama as nak
 from gorlab import invariants as inv
+from gorlab import serialize as ser
+from gorlab.dims import HomologicalDim
 
 F2 = la.PrimeField(2)
 
@@ -129,21 +131,43 @@ def test_mueller_requires_generator(fix):
         inv.mueller_domdim(f.base_algebra, f.extras["s2"])
 
 
+def _mueller_by_degree(b, m, bound):
+    """mueller_domdim by one ext_dim per degree on the nonprojective part."""
+    eng = inv._require_symmetric_generator(b, m)
+    w, cert = inv._syzygy_window(m, bound)
+    nonproj = [p for p in mr.decompose(m)
+               if eng.table.canon(p) not in eng.proj_ids]
+    if not nonproj:
+        return HomologicalDim.infinite(cert) if w is not None else \
+            HomologicalDim.at_least(bound + 1,
+                                    "window not certified at bound %d" % bound)
+    x = mr.direct_sum(nonproj)[0]
+    for i in range(1, (w or bound) + 1):
+        if mr.ext_dim(x, m, i):
+            return HomologicalDim.finite(i + 1)
+    if w is None:
+        return HomologicalDim.at_least(
+            bound + 1, "Ext window not certified at bound %d" % bound)
+    return HomologicalDim.infinite(cert)
+
+
+@pytest.mark.parametrize("name,bounds", [
+    ("penny-farthing-gendo", (24, 3, 2, 1)), ("gf4-local-gendo", (24, 3, 2, 1)),
+    ("two-periodic-demo", (24, 3, 2, 1)), ("sym-777-gendo", (24,))])
+def test_mueller_matches_ext_per_degree(fix, name, bounds):
+    f = fix(name)
+    gen = mr.direct_sum(list(f.endo.summands))[0]
+    for bound in bounds:
+        got = inv.mueller_domdim(f.base_algebra, gen, bound)
+        want = _mueller_by_degree(f.base_algebra, gen, bound)
+        assert ser.dim_to_json(got) == ser.dim_to_json(want), (name, bound)
+
+
 def test_fdomdim_pool_warns_when_uncertified(fix):
     f = fix("penny-farthing-gendo")
     with pytest.warns(inv.PoolIncomplete):
         d = inv.fdomdim_pool(f.pool, certified=False)
     assert d == 4
-
-
-def test_invariant_report_smoke(fix):
-    rep = inv.invariant_report(fix("a2-line"), run_checks=False)
-    assert rep.domdim is not None
-    assert rep.bound == inv.DEFAULT_BOUND
-    # uncertified-infinity policy: every infinite carries a certificate
-    for d in (rep.domdim, rep.gordim_left, rep.gordim_right):
-        if d is not None and d.is_infinite:
-            assert d.certificate is not None or d.by_convention
 
 
 def test_uncertain_tau_omega2_comparison_is_undecided(fix, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,59 @@ def test_bridge_hom_matches_closed_form(a455):
             want = inv.hom_dim_nak(a, nak.NakModule(mi, mk),
                                    nak.NakModule(ni, nk))
             assert got == want, ((mi, mk), (ni, nk))
+
+
+def _kronecker_hom_basis(m, n):
+    """hom_basis by one Kronecker constraint system per idempotent and
+    radical generator, intersected one generator at a time."""
+    a = m.algebra
+    f = a.field
+    basis = None
+    for g in np.concatenate([a.idempotents, a.radical_generators]):
+        block = f.sub(mr._field_kron(f, m.rho(g), f.eye(n.dim)),
+                      mr._field_kron(f, f.eye(m.dim), n.rho(g).T))
+        if basis is None:
+            basis = la.nullspace(f, block)
+        else:
+            basis = f.matmul(la.nullspace(f, f.matmul(block, basis.T)), basis)
+    return basis
+
+
+@pytest.mark.parametrize("name,field", [
+    ("kupisch-455", None), ("kupisch-455", la.PrimeField(5)),
+    ("gf4-local-gendo", None), ("penny-farthing-gendo", None),
+    ("sym-777-gendo", None)])
+def test_hom_basis_spans_the_kronecker_hom_space(name, field):
+    # the closed form on the idempotents leaves only the radical generators
+    # to solve for; it must span the space the full constraint systems cut
+    # out, also on a module whose rho(e_v) are not symmetric: the largest
+    # pool module in the basis given by the rows of P = I + (ones above
+    # the diagonal)
+    fx = fixtures.build_fixture(name, field)
+    f = fx.algebra.field
+    big = max(fx.pool, key=lambda m: m.dim)
+    p = np.triu(np.ones((big.dim, big.dim), dtype=np.int64))
+    p_inv = la.solve_raw(f, p, f.eye(big.dim))
+    twisted = mr.make_module(fx.algebra, [f.matmul(f.matmul(p, x), p_inv)
+                                          for x in big.action])
+    assert any(not np.array_equal(x, x.T) for x in
+               (twisted.rho(e) for e in fx.algebra.idempotents))
+    pool = fx.pool + [twisted]
+    dims = []
+    for m, n in itertools.product(pool, repeat=2):
+        got = mr.hom_basis(m, n)
+        flat = np.array([h.matrix.ravel() for h in got]).reshape(
+            len(got), m.dim * n.dim)
+        assert np.array_equal(la.row_space_basis(f, flat),
+                              la.row_space_basis(f, _kronecker_hom_basis(m, n)))
+        for h in got:
+            for x, y in zip(m.action, n.action):
+                assert np.array_equal(f.matmul(x, h.matrix),
+                                      f.matmul(h.matrix, y))
+        dims.append(len(got))
+    assert max(dims) > 1
+    if name == "penny-farthing-gendo":
+        assert fx.algebra.n_idem > 1 and 0 in dims
 
 
 def test_iso_reflexive_and_distinguishes(a455, monkeypatch):
