@@ -79,16 +79,23 @@ def _dim_plus(d: HomologicalDim, k: int) -> HomologicalDim:
 
 
 class _ClassTable:
-    """Canonical indices for iso classes of modules over one algebra."""
+    """Canonical indices for iso classes of modules over one algebra.
+
+    ``buckets`` groups the class ids by ``mr.fingerprint``, an isomorphism
+    invariant, so ``iso`` runs only against classes in the module's bucket.
+    """
 
     def __init__(self):
         self.reps = []
+        self.buckets = {}
 
     def canon(self, m) -> int:
-        for i, r in enumerate(self.reps):
-            if r.dim == m.dim and mr.iso(m, r):
+        bucket = self.buckets.setdefault(mr.fingerprint(m), [])
+        for i in bucket:
+            if mr.iso(m, self.reps[i]):
                 return i
         self.reps.append(m)
+        bucket.append(len(self.reps) - 1)
         return len(self.reps) - 1
 
     def label(self, ci: int) -> str:

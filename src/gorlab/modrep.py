@@ -15,7 +15,8 @@ pivot columns, and one matmul checks that the span is action-stable.
 
 Hom spaces are built from the idempotent grading: a map sends M e_v into
 N e_v, so the maps that commute with the idempotents have a closed-form
-basis, and only the radical generators are solved for.
+basis, and only the radical generators are solved for.  Each module
+computes its grading once and keeps it in its cache.
 
 The Nakayama functor nu, the transpose Tr and the AR translate tau all come
 from the minimal presentation g: P_1 -> P_0 of a module and the closed form
@@ -29,7 +30,7 @@ serves only the fallback of ``decompose``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "submodule_from_rows",
     "quotient_by_rows",
     "hom_basis",
+    "fingerprint",
     "structure",
     "projective_cover",
     "injective_hull",
@@ -85,11 +87,21 @@ class AlgebraMismatch(ValueError):
 
 @dataclass(eq=False)
 class RightModule:
+    """A right module.  ``action`` is never mutated after construction, so
+    data derived from it is kept in ``cache``, through :meth:`cached` only,
+    under the keys ``"grading"`` (:func:`_grading`) and ``"fingerprint"``."""
     algebra: BasedAlgebra
     dim: int
     action: np.ndarray          # (algebra.dim, dim, dim)
     label: str = ""
     indec_certain: bool | None = None   # set by decompose on its outputs
+    cache: dict = field(default_factory=dict, repr=False)
+
+    def cached(self, key, build):
+        """The cache entry under key; build() makes it on first use only."""
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
 
     def rho(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (coordinates x)."""
@@ -264,6 +276,23 @@ def _field_kron(f, A, B):
     return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
+def _grading(m: RightModule) -> list:
+    """Per idempotent e_v, echelon bases of rho(e_v)'s column space and of m e_v."""
+    f = m.algebra.field
+    return m.cached("grading", lambda: [
+        (linalg.row_space_basis(f, r.T), linalg.row_space_basis(f, r))
+        for r in map(m.rho, m.algebra.idempotents)])
+
+
+def fingerprint(m: RightModule) -> tuple:
+    """(dimension vector, rank of rho(g) per radical generator g): both are
+    isomorphism invariants, since rho_n(x) = P^-1 rho_m(x) P."""
+    f = m.algebra.field
+    return m.cached("fingerprint", lambda: (
+        tuple(len(rows) for _, rows in _grading(m)),
+        tuple(linalg.rank_raw(f, m.rho(g)) for g in m.algebra.radical_generators)))
+
+
 def hom_basis(m: RightModule, n: RightModule) -> list:
     """Basis of the intertwiner space Hom_A(m, n) as ModuleMaps.
 
@@ -279,10 +308,8 @@ def hom_basis(m: RightModule, n: RightModule) -> list:
     f = a.field
     if m.dim == 0 or n.dim == 0:
         return []
-    basis = np.concatenate([
-        _field_kron(f, linalg.row_space_basis(f, m.rho(e).T),
-                    linalg.row_space_basis(f, n.rho(e)))
-        for e in a.idempotents])
+    basis = np.concatenate([_field_kron(f, gm[0], gn[1])
+                            for gm, gn in zip(_grading(m), _grading(n))])
     for g in a.radical_generators:
         if basis.shape[0] == 0:
             return []
@@ -317,18 +344,14 @@ def structure(m: RightModule) -> StructureData:
     f = a.field
     if m.dim == 0:
         raise ValueError("structure of the zero module")
-    rad_rows = [np.zeros((0, m.dim), dtype=np.int64)]
-    for r in a.radical_generators:
-        rad_rows.append(m.rho(r))
-    rad, rad_inc = submodule_from_rows(m, np.concatenate(rad_rows, axis=0),
-                                       close=True, label="rad")
+    # rad M = MJ is spanned by the rows of the rho(j) over a basis of the
+    # ideal J, so the span needs no closure; soc M is where they all vanish
+    acts = f.matmul(a.jacobson_basis, m.action.reshape(a.dim, -1))
+    rad, rad_inc = submodule_from_rows(m, acts.reshape(-1, m.dim),
+                                       close=False, label="rad")
     top, top_proj = quotient_by_rows(m, rad_inc.matrix, label="top")
-    jb = a.jacobson_basis
-    if jb.shape[0] == 0:
-        soc_rows = f.eye(m.dim)
-    else:
-        H = np.concatenate([m.rho(j) for j in jb], axis=1)
-        soc_rows = linalg.nullspace(f, H.T)
+    soc_rows = linalg.nullspace(f, acts.reshape(-1, m.dim, m.dim)
+                                .transpose(1, 0, 2).reshape(m.dim, -1).T)
     soc, soc_inc = submodule_from_rows(m, soc_rows, close=False, label="soc")
     return StructureData(rad, rad_inc, top, top_proj, soc, soc_inc)
 
@@ -380,27 +403,23 @@ def projective_cover(m: RightModule) -> ModuleMap:
     projs, _ = projectives(a)
     st = structure(m)
     pi = st.top_projection.matrix
-    summands = []
-    gen_vectors = []
+    idems, blocks = [], []
     for i in range(a.n_idem):
-        block = st.top.rho(a.idempotents[i])
-        rows = linalg.row_space_basis(f, block)
+        rows = linalg.row_space_basis(f, st.top.rho(a.idempotents[i]))
+        if not len(rows):
+            continue
+        # e_iA basis rows are elements b = e_i b of A; the summand's
+        # generator v e_i is sent to v * b
+        acts = f.matmul(_idem_basis(a, i)[0], m.action.reshape(a.dim, -1))
+        acts = acts.reshape(-1, m.dim, m.dim)
         for u in rows:
             v = linalg.solve_raw(f, pi.T, u)
-            v = f.matmul(v[None, :], m.rho(a.idempotents[i]))[0]
-            summands.append(projs[i])
-            gen_vectors.append((i, v))
-    P, injs, _ = direct_sum(summands) if summands else (zero_module(a), [], [])
-    F = np.zeros((P.dim, m.dim), dtype=np.int64)
-    pos = 0
-    for (i, v), sm in zip(gen_vectors, summands):
-        # e_iA basis rows are elements of A; the map sends b -> v * b
-        sub_basis, _ = _idem_basis(a, i)
-        for r in range(sm.dim):
-            F[pos + r] = f.matmul(v[None, :], m.rho(sub_basis[r]))[0]
-        pos += sm.dim
-    cover = ModuleMap(P, m, F)
-    cover.summand_idems = [i for i, _ in gen_vectors]
+            blocks.append(_images(f, v[None], acts)[:, 0])
+            idems.append(i)
+    P = direct_sum([projs[i] for i in idems])[0] if idems else zero_module(a)
+    cover = ModuleMap(P, m, np.concatenate(blocks) if blocks
+                      else np.zeros((0, m.dim), dtype=np.int64))
+    cover.summand_idems = idems
     return cover
 
 
@@ -474,9 +493,7 @@ def ext_dim(m: RightModule, n: RightModule, i: int) -> int:
     hk = hom_dim(k, n)
     if hk == 0:
         return 0
-    f = m.algebra.field
-    hp = sum(linalg.rank_raw(f, n.rho(m.algebra.idempotents[j]))
-             for j in cov.summand_idems)
+    hp = sum(len(_grading(n)[j][1]) for j in cov.summand_idems)
     return hk - hp + hom_dim(x, n)
 
 
@@ -627,9 +644,10 @@ def iso(m: RightModule, n: RightModule) -> IsoResult:
         return IsoResult(True, True,
                          ModuleMap(m, n, np.zeros((0, 0), dtype=np.int64)))
     hb = hom_basis(m, n)
-    if len(hb) != len(hom_basis(n, m)):
-        return IsoResult(False, True)
+    # between certified indecomposables the basis stage decides on its own
     if not (m.indec_certain and n.indec_certain):
+        if len(hb) != len(hom_basis(n, m)):
+            return IsoResult(False, True)
         ms, ns = decompose(m), decompose(n)
         if len(ms) > 1 or len(ns) > 1:
             same = len(ms) == len(ns) and _match_summands(ms, ns)

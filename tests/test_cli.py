@@ -2,7 +2,6 @@ import csv
 import io
 import json
 
-import numpy as np
 import pytest
 
 from gorlab import cli
@@ -138,10 +137,12 @@ def test_field_flag_reaches_named_fixtures(tmp_path):
     # e0A/e0J^3 over GF(5) with its first basis vector doubled: the action
     # has entries 2 and 3, so the file only loads over a field of order > 3
     f5 = la.PrimeField(5)
-    m = mr.bridge_module(fx.build_fixture("kupisch-455", f5).algebra, 0, 3)
+    a = fx.build_fixture("kupisch-455", f5).algebra
+    m = mr.bridge_module(a, 0, 3)
     d, d_inv = f5.eye(3), f5.eye(3)
     d[0, 0], d_inv[0, 0] = 2, 3
-    m.action = np.array([f5.matmul(f5.matmul(d_inv, x), d) for x in m.action])
+    m = mr.make_module(a, [f5.matmul(f5.matmul(d_inv, x), d) for x in m.action],
+                       m.label)
     assert m.action.max() > 1
     path = tmp_path / "mod.json"
     ser.dump_json(ser.module_to_json(m, algebra_ref="kupisch-455"), str(path))

@@ -8,6 +8,7 @@ from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import nakayama as nak
 from gorlab import invariants as inv
+from gorlab import fixtures
 from gorlab import serialize as ser
 from gorlab.dims import HomologicalDim
 
@@ -39,6 +40,44 @@ def test_per_algebra_data_lives_in_the_declared_cache():
     # one dimension engine per algebra
     eng = inv._engine(a)
     assert a.cache["dim_engine"] is eng and inv._engine(a) is eng
+
+
+def _linear_scan_ids(mods) -> list:
+    """Class ids by iso against every earlier class of the same dimension."""
+    reps, ids = [], []
+    for m in mods:
+        i = next((i for i, r in enumerate(reps)
+                  if r.dim == m.dim and mr.iso(m, r)), None)
+        if i is None:
+            reps.append(m)
+            i = len(reps) - 1
+        ids.append(i)
+    return ids
+
+
+# the six cyclic Kupisch series of the oracle benchmark
+ORACLE_SERIES = [(2,), (3, 2), (2, 3, 3), (3, 3, 3), (3, 4, 4), (4, 5, 5)]
+
+
+@pytest.mark.parametrize("source", ORACLE_SERIES + list(fixtures.FIXTURE_NAMES),
+                         ids=str)
+def test_bucketed_class_table_matches_a_linear_scan(source):
+    # the projectives, the injectives and the summands of the (co)syzygies
+    # repeat classes, so the table sees hits as well as new classes
+    if source in fixtures.FIXTURE_NAMES:
+        pool = fixtures.build_fixture(source).pool
+    else:
+        a = alg.from_kupisch(nak.validate_kupisch(source), F2)
+        pool = [mr.bridge_module(a, x.i, x.k)
+                for x in nak.indecomposables(a.nak_bridge["series"])]
+    a = pool[0].algebra
+    mods = [p for m in pool + mr.projectives(a)[0] + mr.injectives(a)
+            for x in (m, mr.syzygy(m), mr.cosyzygy(m))
+            for p in mr.decompose(x)]
+    table = inv._ClassTable()
+    ids = [table.canon(m) for m in mods]
+    assert ids == _linear_scan_ids(mods)
+    assert len(set(ids)) < len(ids)
 
 
 def test_domdim_of_sum_sound_after_warm_engine():

@@ -102,6 +102,81 @@ def test_hom_basis_spans_the_kronecker_hom_space(name, field):
         assert fx.algebra.n_idem > 1 and 0 in dims
 
 
+_POOLS = [("kupisch-455", None), ("kupisch-455", la.PrimeField(5)),
+          ("gf4-local-gendo", None), ("penny-farthing-gendo", None)]
+
+
+@pytest.mark.parametrize("name,field", _POOLS)
+def test_fingerprint_and_iso_survive_a_change_of_basis(name, field):
+    # rho_n(x) = P^-1 rho_m(x) P for a random invertible P: the fingerprint
+    # must not move and iso must find the isomorphism
+    fx = fixtures.build_fixture(name, field)
+    f = fx.algebra.field
+    rng = np.random.default_rng(0)
+    for m in fx.pool:
+        p = rng.integers(0, f.order, (m.dim, m.dim))
+        while not la.is_invertible(f, p):
+            p = rng.integers(0, f.order, (m.dim, m.dim))
+        p_inv = la.solve_raw(f, p, f.eye(m.dim))
+        n = mr.make_module(fx.algebra, [f.matmul(f.matmul(p_inv, x), p)
+                                        for x in m.action])
+        assert mr.fingerprint(n) == mr.fingerprint(m)
+        assert sum(mr.fingerprint(m)[0]) == m.dim
+        assert_iso(m, n)
+        assert set(m.cache) <= {"grading", "fingerprint"}
+
+
+def _closure_structure(m):
+    """rad (closure of the radical generators' rows), top and socle (the
+    common kernel of the rho(j) over the Jacobson basis), as arrays."""
+    a, f = m.algebra, m.algebra.field
+    basis = la.row_space_basis(f, np.concatenate(
+        [np.zeros((0, m.dim), dtype=np.int64)]
+        + [m.rho(g) for g in a.radical_generators]))
+    while len(basis):
+        prev = len(basis)
+        basis = la.row_space_basis(f, np.concatenate(
+            [basis] + [f.matmul(basis, x) for x in m.action]))
+        if len(basis) == prev:
+            break
+    rad, rad_inc = mr.submodule_from_rows(m, basis, close=False)
+    top, top_proj = mr.quotient_by_rows(m, rad_inc.matrix)
+    jb = a.jacobson_basis
+    soc_rows = (f.eye(m.dim) if len(jb) == 0 else la.nullspace(
+        f, np.concatenate([m.rho(j) for j in jb], axis=1).T))
+    soc, soc_inc = mr.submodule_from_rows(m, soc_rows, close=False)
+    return [rad.action, rad_inc.matrix, top.action, top_proj.matrix,
+            soc.action, soc_inc.matrix]
+
+
+def _loop_cover_matrix(m):
+    """The projective cover's matrix, one generator image per row."""
+    a, f = m.algebra, m.algebra.field
+    st = mr.structure(m)
+    rows = []
+    for i in range(a.n_idem):
+        for u in la.row_space_basis(f, st.top.rho(a.idempotents[i])):
+            v = la.solve_raw(f, st.top_projection.matrix.T, u)
+            v = f.matmul(v[None, :], m.rho(a.idempotents[i]))[0]
+            rows += [f.matmul(v[None, :], m.rho(b))[0]
+                     for b in mr._idem_basis(a, i)[0]]
+    return np.array(rows, dtype=np.int64).reshape(-1, m.dim)
+
+
+@pytest.mark.parametrize("name,field", _POOLS)
+def test_structure_and_cover_match_the_loop_references(name, field):
+    fx = fixtures.build_fixture(name, field)
+    for m in fx.pool:
+        st = mr.structure(m)
+        got = [st.radical.action, st.radical_inclusion.matrix, st.top.action,
+               st.top_projection.matrix, st.socle.action,
+               st.socle_inclusion.matrix]
+        for x, y in zip(got, _closure_structure(m)):
+            assert np.array_equal(x, y)
+        assert np.array_equal(mr.projective_cover(m).matrix,
+                              _loop_cover_matrix(m))
+
+
 def test_iso_reflexive_and_distinguishes(a455, monkeypatch):
     m = mr.bridge_module(a455, 0, 3)
     n = mr.bridge_module(a455, 1, 3)
