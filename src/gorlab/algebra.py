@@ -6,6 +6,9 @@ set of its Jacobson radical.  Builders are provided for bound-quiver
 presentations (with path rewriting) and for Nakayama algebras given by a
 Kupisch series.
 
+Every basis is graded: each basis element lies in one e_u A e_v, so every
+L(e_u) and R(e_v) is a 0/1 diagonal; ``validate`` checks this.
+
 Convention: module elements are row vectors of coordinates, and every
 linear map acts by right multiplication.  For an element x of the algebra,
 ``L(x)`` is the matrix of left multiplication by x (v -> coords of x*v) and
@@ -85,6 +88,8 @@ class BasedAlgebra:
 
     Not built directly; use :func:`validate` or one of the builders.
 
+    Basis element j lies in e_u A e_v for u, v = ``peirce[0][j], peirce[1][j]``.
+
     Data built once per algebra is kept in ``cache``, through :meth:`cached`
     only, under the keys ``"opp"`` (the opposite algebra, stored both ways
     so that ``modrep.opp(modrep.opp(a)) is a``), ``"projectives"`` (the e_iA,
@@ -107,6 +112,7 @@ class BasedAlgebra:
         self.radical_generators = pres.radical_generators
         # filled during validation
         self.jacobson_basis = None   # rows spanning the radical ideal
+        self.peirce = None           # (left, right) vertex of each basis element
         self.cartan = None           # integer matrix, entry (i,j) = dim e_i A e_j
         self.connected = None
         self.warnings = []
@@ -187,11 +193,9 @@ def validate(pres: AlgebraPresentation) -> BasedAlgebra:
                               (k, int(jac.shape[0]), n))
     alg.jacobson_basis = jac
 
+    alg.peirce = _peirce(alg)
     cart = np.zeros((k, k), dtype=np.int64)
-    for a in range(k):
-        la = alg.L(idem[a])
-        for b in range(k):
-            cart[a, b] = linalg.rank_raw(f, f.matmul(la, alg.R(idem[b])))
+    np.add.at(cart, alg.peirce, 1)
     alg.cartan = cart
 
     adj = (cart + cart.T) > 0
@@ -209,6 +213,24 @@ def validate(pres: AlgebraPresentation) -> BasedAlgebra:
     if jac.shape[0] == 0:
         alg.warnings.append("semisimple")
     return alg
+
+
+def _peirce(alg) -> tuple:
+    """(left, right) vertex of each basis element b_j, or NotGraded at the
+    first b_j with some e_u b_j or b_j e_u not a multiple c b_j.  Then
+    c^2 = c is 0 or 1, and exactly one of the e_u gives 1 on each side."""
+    f, n = alg.field, alg.dim
+    # row j of each product: e_u b_j, row n + j: b_j e_u
+    rows, cols = np.arange(2 * n), np.arange(2 * n) % n
+    both = np.concatenate([alg.mult, alg.mult.transpose(1, 0, 2)], axis=1)
+    acts = f.matmul(alg.idempotents, both.reshape(n, -1)).reshape(-1, 2 * n, n)
+    diag = acts[:, rows, cols]
+    acts[:, rows, cols] = 0
+    bad = np.flatnonzero(acts.any(axis=(0, 2))) % n
+    if len(bad):
+        raise ValidationError("NotGraded", int(bad.min()))
+    vertex = diag.argmax(axis=0)
+    return vertex[:n], vertex[n:]
 
 
 def _assoc_witness(alg, i, k):
@@ -583,32 +605,20 @@ class CornerData:
     parent: BasedAlgebra
     idem_subset: tuple
     basis_rows: np.ndarray   # corner basis as elements of the parent
-    projector: np.ndarray    # x -> e x e on the parent
 
 
 def corner_algebra(a: BasedAlgebra, idem_subset) -> CornerData:
-    """The algebra eAe for e the sum of the selected idempotents."""
+    """The algebra eAe for e the sum of the selected idempotents: the span
+    of the basis elements in the e_u A e_v with u, v selected."""
     sel = sorted(set(idem_subset))
     if not sel:
         raise ValidationError("BadIdempotents", sel, "empty idempotent subset")
     f = a.field
-    e = np.zeros(a.dim, dtype=np.int64)
-    for i in sel:
-        e = f.add(e, a.idempotents[i])
-    proj = f.matmul(a.L(e), a.R(e))
-    rows = linalg.row_space_basis(f, proj)
-    m = rows.shape[0]
-    mult = np.zeros((m, m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            prod = a.elem_mul(rows[i], rows[j])
-            coords = linalg.solve_raw(f, rows.T, prod)
-            mult[i, j] = coords
-    unit = linalg.solve_raw(f, rows.T, e)
-    idem = np.array([linalg.solve_raw(f, rows.T, a.idempotents[i]) for i in sel])
-    radrows = f.matmul(a.jacobson_basis, proj) if a.jacobson_basis.size else a.jacobson_basis
-    radrows = linalg.row_space_basis(f, radrows)
-    radgens = np.array([linalg.solve_raw(f, rows.T, r) for r in radrows]).reshape(-1, m)
-    labels = ["c%d" % i for i in range(m)]
-    pres = AlgebraPresentation(f, labels, mult, unit, idem, radgens)
-    return CornerData(validate(pres), a, tuple(sel), rows, proj)
+    left, right = a.peirce
+    idx = np.flatnonzero(np.isin(left, sel) & np.isin(right, sel))
+    # each e_u lies in e_u A e_u, so e = sum of the selected e_u is unit[idx]
+    pres = AlgebraPresentation(
+        f, ["c%d" % i for i in range(len(idx))], a.mult[np.ix_(idx, idx, idx)],
+        a.unit[idx], a.idempotents[sel][:, idx],
+        linalg.row_space_basis(f, a.jacobson_basis[:, idx]))
+    return CornerData(validate(pres), a, tuple(sel), f.eye(a.dim)[idx])

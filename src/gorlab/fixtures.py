@@ -189,15 +189,14 @@ def gf4_local_algebra() -> alg.BasedAlgebra:
 
 def m_ab(a: alg.BasedAlgebra, ca: int, cb: int) -> mr.RightModule:
     """M(ca, cb) = A/(ca*x + cb*y)A over the local GF(4) algebra."""
-    f = a.field
     reg = mr.regular_module(a)
     # basis order is e, x, y, xy (normal forms sorted by length then label)
     v = np.zeros(a.dim, dtype=np.int64)
     labels = list(a.basis_labels)
     v[labels.index("x")] = ca
     v[labels.index("y")] = cb
-    sub, inc = mr.submodule_from_rows(reg, v[None, :], close=True)
-    quo, _ = mr.quotient_by_rows(reg, inc.matrix, label="M(%d,%d)" % (ca, cb))
+    # the rows v * b_j of L(v) span the right ideal vA
+    quo, _ = mr.quotient_by_rows(reg, a.L(v), label="M(%d,%d)" % (ca, cb))
     return quo
 
 

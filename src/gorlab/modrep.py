@@ -13,10 +13,11 @@ Submodule and quotient actions need no solve: the basis of a span is kept in
 reduced echelon form, so a vector of the span has its coordinates at the
 pivot columns, and one matmul checks that the span is action-stable.
 
-Hom spaces are built from the idempotent grading: a map sends M e_v into
-N e_v, so the maps that commute with the idempotents have a closed-form
-basis, and only the radical generators are solved for.  Each module
-computes its grading once and keeps it in its cache.
+Modules are kept in graded bases (Auslander-Reiten-Smalo, III.1): each
+basis vector lies in one M e_v, so every rho(e_v) is a 0/1 diagonal.
+``make_module`` regrades its input; every other construction keeps the
+grading.  A map sends M e_v into N e_v, so Hom spaces start from unit maps,
+and only the radical generators are solved for.
 
 The Nakayama functor nu, the transpose Tr and the AR translate tau all come
 from the minimal presentation g: P_1 -> P_0 of a module and the closed form
@@ -30,7 +31,7 @@ serves only the fallback of ``decompose``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,21 +88,13 @@ class AlgebraMismatch(ValueError):
 
 @dataclass(eq=False)
 class RightModule:
-    """A right module.  ``action`` is never mutated after construction, so
-    data derived from it is kept in ``cache``, through :meth:`cached` only,
-    under the keys ``"grading"`` (:func:`_grading`) and ``"fingerprint"``."""
+    """A right module in a graded basis: every rho(e_v) is a 0/1 diagonal,
+    so each basis vector lies in a single m e_v (:func:`_vertices`)."""
     algebra: BasedAlgebra
     dim: int
     action: np.ndarray          # (algebra.dim, dim, dim)
     label: str = ""
     indec_certain: bool | None = None   # set by decompose on its outputs
-    cache: dict = field(default_factory=dict, repr=False)
-
-    def cached(self, key, build):
-        """The cache entry under key; build() makes it on first use only."""
-        if key not in self.cache:
-            self.cache[key] = build()
-        return self.cache[key]
 
     def rho(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (coordinates x)."""
@@ -131,21 +124,32 @@ class ModuleMap:
                 and linalg.is_invertible(self.source.algebra.field, self.matrix))
 
 
-def make_module(a: BasedAlgebra, action, label: str = "", check: bool = True) -> RightModule:
+def make_module(a: BasedAlgebra, action, label: str = "") -> RightModule:
+    """The module with the given action, checked against the structure
+    constants.  If some rho(e_v) is not a 0/1 diagonal, it is the isomorphic
+    module in the graded basis P, the echelon bases of the m e_v stacked
+    over v, with action P rho P^-1."""
     f = a.field
     action = f.check(np.asarray(action, dtype=np.int64))
     dim = action.shape[1] if action.ndim == 3 else 0
     if action.shape != (a.dim, dim, dim):
         raise ValueError("action must be one dim x dim matrix per basis element")
     m = RightModule(a, dim, action, label)
-    if check and dim:
-        if not np.array_equal(m.rho(a.unit), f.eye(dim)):
-            raise ValueError("unit does not act as identity")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if not np.array_equal(f.matmul(action[i], action[j]),
-                                      m.rho(a.mult[i, j])):
-                    raise ValueError("action violates structure constants at (%d,%d)" % (i, j))
+    if not dim:
+        return m
+    if not np.array_equal(m.rho(a.unit), f.eye(dim)):
+        raise ValueError("unit does not act as identity")
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if not np.array_equal(f.matmul(action[i], action[j]),
+                                  m.rho(a.mult[i, j])):
+                raise ValueError("action violates structure constants at (%d,%d)" % (i, j))
+    idems = f.matmul(a.idempotents, action.reshape(a.dim, -1)).reshape(-1, dim, dim)
+    if idems[:, ~np.eye(dim, dtype=bool)].any():
+        p = np.concatenate([linalg.row_space_basis(f, r) for r in idems])
+        p_inv = linalg.solve_raw(f, p, f.eye(dim))
+        m.action = f.matmul(_images(f, p, action).reshape(-1, dim),
+                            p_inv).reshape(a.dim, dim, dim)
     return m
 
 
@@ -220,9 +224,9 @@ def _restrict(f, basis: np.ndarray, imgs: np.ndarray) -> np.ndarray:
     return action
 
 
-def submodule_from_rows(m: RightModule, rows, close: bool = True,
-                        label: str = "") -> tuple:
-    """(submodule, inclusion map) spanned by the given row vectors."""
+def submodule_from_rows(m: RightModule, rows, label: str = "") -> tuple:
+    """(submodule, inclusion map) on the span of the given row vectors,
+    which must be action-stable."""
     f = m.algebra.field
     if m.dim == 0:
         sub = RightModule(m.algebra, 0,
@@ -230,16 +234,8 @@ def submodule_from_rows(m: RightModule, rows, close: bool = True,
         return sub, ModuleMap(sub, m, np.zeros((0, 0), dtype=np.int64))
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, m.dim)
     basis = linalg.row_space_basis(f, rows)
-    imgs = _images(f, basis, m.action)
-    while close and len(basis):
-        # the echelon basis of a span is unique, so imgs stay valid on a stop
-        prev = len(basis)
-        basis = linalg.row_space_basis(
-            f, np.concatenate([basis, imgs.reshape(-1, m.dim)]))
-        if len(basis) == prev:
-            break
-        imgs = _images(f, basis, m.action)
-    sub = RightModule(m.algebra, len(basis), _restrict(f, basis, imgs), label)
+    sub = RightModule(m.algebra, len(basis),
+                      _restrict(f, basis, _images(f, basis, m.action)), label)
     return sub, ModuleMap(sub, m, basis)
 
 
@@ -270,37 +266,31 @@ def quotient_by_rows(m: RightModule, rows, label: str = "") -> tuple:
 # Hom spaces
 
 
-def _field_kron(f, A, B):
-    out = f.mul(np.asarray(A, dtype=np.int64)[:, None, :, None],
-                np.asarray(B, dtype=np.int64)[None, :, None, :])
-    return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
-
-
-def _grading(m: RightModule) -> list:
-    """Per idempotent e_v, echelon bases of rho(e_v)'s column space and of m e_v."""
-    f = m.algebra.field
-    return m.cached("grading", lambda: [
-        (linalg.row_space_basis(f, r.T), linalg.row_space_basis(f, r))
-        for r in map(m.rho, m.algebra.idempotents)])
+def _vertices(m: RightModule) -> np.ndarray:
+    """The vertex v of each basis vector, which lies in m e_v: the one
+    rho(e_v) with a nonzero diagonal entry at its place."""
+    a = m.algebra
+    return a.field.matmul(a.idempotents, m.action.diagonal(axis1=1, axis2=2)
+                          ).argmax(axis=0)
 
 
 def fingerprint(m: RightModule) -> tuple:
     """(dimension vector, rank of rho(g) per radical generator g): both are
     isomorphism invariants, since rho_n(x) = P^-1 rho_m(x) P."""
-    f = m.algebra.field
-    return m.cached("fingerprint", lambda: (
-        tuple(len(rows) for _, rows in _grading(m)),
-        tuple(linalg.rank_raw(f, m.rho(g)) for g in m.algebra.radical_generators)))
+    a = m.algebra
+    return (tuple(np.bincount(_vertices(m), minlength=a.n_idem).tolist()),
+            tuple(linalg.rank_raw(a.field, m.rho(g)) for g in a.radical_generators))
 
 
 def hom_basis(m: RightModule, n: RightModule) -> list:
     """Basis of the intertwiner space Hom_A(m, n) as ModuleMaps.
 
     The e_v are complete orthogonal idempotents, so F commutes with every
-    rho(e_v) iff F = sum_v rho_m(e_v) F rho_n(e_v), a span of outer products
-    u (x) w with u in the column space of rho_m(e_v) and w in n e_v.  With the
-    idempotents the radical generators generate A as an algebra, so only
-    rho_m(g) F = F rho_n(g) remains to be imposed, for those g.
+    rho(e_v) iff F = sum_v rho_m(e_v) F rho_n(e_v): in graded bases, a span of
+    the unit maps E_rs with r and s at one vertex, listed by vertex, then r,
+    then s.  With the idempotents the radical generators generate A as an
+    algebra, so only rho_m(g) F = F rho_n(g) remains to be imposed, for
+    those g.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
@@ -308,8 +298,11 @@ def hom_basis(m: RightModule, n: RightModule) -> list:
     f = a.field
     if m.dim == 0 or n.dim == 0:
         return []
-    basis = np.concatenate([_field_kron(f, gm[0], gn[1])
-                            for gm, gn in zip(_grading(m), _grading(n))])
+    vm = _vertices(m)
+    r, s = np.nonzero(vm[:, None] == _vertices(n)[None, :])
+    flat = (r * n.dim + s)[np.argsort(vm[r], kind="stable")]
+    basis = np.zeros((len(flat), m.dim * n.dim), dtype=np.int64)
+    basis[np.arange(len(flat)), flat] = f.one
     for g in a.radical_generators:
         if basis.shape[0] == 0:
             return []
@@ -347,12 +340,11 @@ def structure(m: RightModule) -> StructureData:
     # rad M = MJ is spanned by the rows of the rho(j) over a basis of the
     # ideal J, so the span needs no closure; soc M is where they all vanish
     acts = f.matmul(a.jacobson_basis, m.action.reshape(a.dim, -1))
-    rad, rad_inc = submodule_from_rows(m, acts.reshape(-1, m.dim),
-                                       close=False, label="rad")
+    rad, rad_inc = submodule_from_rows(m, acts.reshape(-1, m.dim), label="rad")
     top, top_proj = quotient_by_rows(m, rad_inc.matrix, label="top")
     soc_rows = linalg.nullspace(f, acts.reshape(-1, m.dim, m.dim)
                                 .transpose(1, 0, 2).reshape(m.dim, -1).T)
-    soc, soc_inc = submodule_from_rows(m, soc_rows, close=False, label="soc")
+    soc, soc_inc = submodule_from_rows(m, soc_rows, label="soc")
     return StructureData(rad, rad_inc, top, top_proj, soc, soc_inc)
 
 
@@ -363,7 +355,7 @@ def _projective_data(a: BasedAlgebra) -> tuple:
         out, bases = [], []
         for i in range(a.n_idem):
             sub, inc = submodule_from_rows(reg, a.L(a.idempotents[i]),
-                                           close=False, label="e%dA" % i)
+                                           label="e%dA" % i)
             out.append(sub)
             bases.append((inc.matrix, _pivots(inc.matrix).tolist()))
         return out, reg, bases
@@ -402,23 +394,20 @@ def projective_cover(m: RightModule) -> ModuleMap:
         return cover
     projs, _ = projectives(a)
     st = structure(m)
-    pi = st.top_projection.matrix
-    idems, blocks = [], []
-    for i in range(a.n_idem):
-        rows = linalg.row_space_basis(f, st.top.rho(a.idempotents[i]))
-        if not len(rows):
-            continue
+    # row t: a preimage in m of the top's basis vector t, which lies at
+    # vertex tv[t] and generates one summand e_iA of the cover
+    gens = linalg.solve_raw(f, st.top_projection.matrix.T, f.eye(st.top.dim)).T
+    tv = _vertices(st.top)
+    idems = np.sort(tv).tolist()
+    blocks = []
+    for i in sorted(set(idems)):
         # e_iA basis rows are elements b = e_i b of A; the summand's
-        # generator v e_i is sent to v * b
+        # generator v is sent to v * b
         acts = f.matmul(_idem_basis(a, i)[0], m.action.reshape(a.dim, -1))
-        acts = acts.reshape(-1, m.dim, m.dim)
-        for u in rows:
-            v = linalg.solve_raw(f, pi.T, u)
-            blocks.append(_images(f, v[None], acts)[:, 0])
-            idems.append(i)
-    P = direct_sum([projs[i] for i in idems])[0] if idems else zero_module(a)
-    cover = ModuleMap(P, m, np.concatenate(blocks) if blocks
-                      else np.zeros((0, m.dim), dtype=np.int64))
+        imgs = _images(f, gens[tv == i], acts.reshape(-1, m.dim, m.dim))
+        blocks.append(imgs.transpose(1, 0, 2).reshape(-1, m.dim))
+    cover = ModuleMap(direct_sum([projs[i] for i in idems])[0], m,
+                      np.concatenate(blocks))
     cover.summand_idems = idems
     return cover
 
@@ -445,7 +434,7 @@ def injective_hull(m: RightModule) -> ModuleMap:
 def kernel_submodule(mp: ModuleMap) -> tuple:
     f = mp.source.algebra.field
     rows = linalg.nullspace(f, mp.matrix.T)
-    return submodule_from_rows(mp.source, rows, close=False)
+    return submodule_from_rows(mp.source, rows)
 
 
 def cokernel_quotient(mp: ModuleMap) -> tuple:
@@ -493,7 +482,8 @@ def ext_dim(m: RightModule, n: RightModule, i: int) -> int:
     hk = hom_dim(k, n)
     if hk == 0:
         return 0
-    hp = sum(len(_grading(n)[j][1]) for j in cov.summand_idems)
+    hp = int(np.bincount(_vertices(n), minlength=n.algebra.n_idem)
+             [cov.summand_idems].sum())
     return hk - hp + hom_dim(x, n)
 
 
@@ -721,8 +711,8 @@ def decompose(m: RightModule) -> list:
             im_rows = linalg.row_space_basis(f, p)
             stacked = np.concatenate([ker_rows, im_rows], axis=0)
             if linalg.rank_raw(f, stacked) == m.dim:
-                a, _ = submodule_from_rows(m, ker_rows, close=False)
-                b, _ = submodule_from_rows(m, im_rows, close=False)
+                a, _ = submodule_from_rows(m, ker_rows)
+                b, _ = submodule_from_rows(m, im_rows)
                 return a, b
         return None
 
@@ -1010,18 +1000,13 @@ def hom_functor(endo: EndoData, n: RightModule) -> RightModule:
 
 
 def corner_restrict(corner, x: RightModule) -> RightModule:
-    """x*e as a right module over the corner algebra eAe."""
-    a = corner.parent
-    if x.algebra is not a:
+    """x*e as a right module over the corner algebra eAe: the action of
+    eAe's basis (at the pivots of basis_rows) on x's selected vertices."""
+    if x.algebra is not corner.parent:
         raise AlgebraMismatch("module is not over the corner's parent algebra")
-    f = a.field
-    e = np.zeros(a.dim, dtype=np.int64)
-    for i in corner.idem_subset:
-        e = f.add(e, a.idempotents[i])
-    basis = linalg.row_space_basis(f, x.rho(e))
-    acts = f.matmul(corner.basis_rows, x.action.reshape(a.dim, -1))
-    imgs = _images(f, basis, acts.reshape(corner.algebra.dim, x.dim, x.dim))
-    return RightModule(corner.algebra, len(basis), _restrict(f, basis, imgs),
+    keep = np.isin(_vertices(x), corner.idem_subset)
+    action = x.action[_pivots(corner.basis_rows)][:, keep][:, :, keep]
+    return RightModule(corner.algebra, int(keep.sum()), action,
                        "%s*e" % x.label if x.label else "")
 
 

@@ -78,6 +78,8 @@ def module_to_json(m: mr.RightModule, algebra_ref: str = "") -> dict:
 
 
 def module_from_json(d: dict, a: alg.BasedAlgebra) -> mr.RightModule:
+    """Through ``make_module``: checked, and regraded (to an isomorphic
+    module) if the stored basis is not graded."""
     dim = int(d["dim"])
     action = np.asarray(d["action"], dtype=np.int64)
     if dim == 0:

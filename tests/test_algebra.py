@@ -50,6 +50,25 @@ def test_validation_rejects_nonidempotent():
         alg.validate(bad)
 
 
+def test_validation_rejects_an_ungraded_basis():
+    # b_1 + b_5 (the arrows out of vertices 0 and 1) replaces b_1: every
+    # other axiom holds in the new basis, but b_1 + b_5 lies in no e_u A e_v
+    a = _nak455()
+    q = np.eye(a.dim, dtype=np.int64)
+    q[1, 5] = 1
+    q_inv = la.solve_raw(F2, q, F2.eye(a.dim))
+    mult = np.einsum("ik,jl,klm->ijm", q, q, a.mult) % 2
+    bad = alg.AlgebraPresentation(
+        field=F2, basis_labels=list(a.basis_labels),
+        mult=F2.matmul(mult.reshape(-1, a.dim), q_inv).reshape(a.mult.shape),
+        unit=F2.matmul(a.unit[None, :], q_inv)[0],
+        idempotents=F2.matmul(a.idempotents, q_inv),
+        radical_generators=F2.matmul(a.radical_generators, q_inv))
+    with pytest.raises(alg.ValidationError) as err:
+        alg.validate(bad)
+    assert (err.value.code, err.value.witness) == ("NotGraded", 1)
+
+
 def test_penny_farthing_projective_dimensions():
     b = fx.penny_farthing_algebra(F2)
     projs, _ = mr.projectives(b)

@@ -47,3 +47,5 @@ call module-2-4-kupisch-455.text module '[2,4]' --fixture kupisch-455
 call endo-kupisch-455.csv --format csv endo --fixture kupisch-455
 call scan-2-3.text --format text scan 2 3
 call endo-jobs2-kupisch-455.text --jobs 2 endo --fixture kupisch-455
+call module-gpi-gf4-local-gendo.json --format json module extra:gpi_candidate --fixture gf4-local-gendo
+call module-e2j2-penny-farthing-gendo.json --format json module hom:e2j2 --fixture penny-farthing-gendo
