@@ -37,7 +37,6 @@ __all__ = [
     "from_quiver",
     "from_kupisch",
     "opposite",
-    "cartan_matrix",
     "is_symmetric",
     "corner_algebra",
     "CornerData",
@@ -92,10 +91,10 @@ class BasedAlgebra:
 
     Data built once per algebra is kept in ``cache``, through :meth:`cached`
     only, under the keys ``"opp"`` (the opposite algebra, stored both ways
-    so that ``modrep.opp(modrep.opp(a)) is a``), ``"projectives"`` (the e_iA,
-    A_A, and each e_iA's echelon basis in A with its pivots), ``"simples"``,
-    ``"injectives"``, ``"symmetric"`` (:func:`is_symmetric`) and
-    ``"dim_engine"`` (the dimension engine of ``invariants``).
+    so that ``modrep.opp(modrep.opp(a)) is a``), ``"projectives"`` (the e_iA
+    and A_A), ``"simples"``, ``"injectives"``, ``"symmetric"``
+    (:func:`is_symmetric`) and ``"dim_engine"`` (the dimension engine of
+    ``invariants``).
     """
 
     def __init__(self, pres: AlgebraPresentation, *, _token=None):
@@ -554,10 +553,6 @@ def opposite(a: BasedAlgebra) -> BasedAlgebra:
                                a.unit.copy(), a.idempotents.copy(),
                                a.radical_generators.copy())
     return validate(pres)
-
-
-def cartan_matrix(a: BasedAlgebra) -> np.ndarray:
-    return a.cartan.copy()
 
 
 def is_symmetric(a: BasedAlgebra) -> bool:

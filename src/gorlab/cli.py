@@ -310,6 +310,17 @@ def _resolve_fixture(name, cfg: RunConfig):
         raise _CliError(str(e))
 
 
+def _extra_module(f, key: str, algebra, what: str):
+    """The entry key of the fixture's extras, which must be a module over
+    the given algebra."""
+    known = sorted(k for k, v in f.extras.items()
+                   if isinstance(v, mr.RightModule) and v.algebra is algebra)
+    if key not in known:
+        raise _CliError("fixture %s has no %s %r (known: %s)"
+                        % (f.name, what, key, ", ".join(known) or "none"))
+    return f.extras[key]
+
+
 def _resolve_module(spec: str, f, cfg: RunConfig):
     spec = spec.strip()
     if spec.startswith("[") and spec.endswith("]"):
@@ -318,19 +329,12 @@ def _resolve_module(spec: str, f, cfg: RunConfig):
         i, k = (int(x) for x in spec[1:-1].split(","))
         return mr.bridge_module(f.algebra, i, k)
     if spec.startswith("hom:"):
-        key = spec[4:]
         if f.endo is None:
             raise _CliError("hom-image specs need an endo fixture")
-        base = f.extras.get(key)
-        if base is None:
-            raise _CliError("fixture %s has no base module %r (known: %s)"
-                            % (f.name, key, sorted(f.extras)))
-        return mr.hom_functor(f.endo, base)
+        return mr.hom_functor(f.endo, _extra_module(f, spec[4:], f.base_algebra,
+                                                    "base module"))
     if spec.startswith("extra:"):
-        m = f.extras.get(spec[6:])
-        if m is None:
-            raise _CliError("fixture %s has no extra %r" % (f.name, spec[6:]))
-        return m
+        return _extra_module(f, spec[6:], f.algebra, "extra module")
     if spec.startswith("@"):
         d = ser.load_json(spec[1:])
         ref = d.get("algebra_ref", "")

@@ -310,7 +310,11 @@ def row_echelon(field: FieldSpec, m: np.ndarray):
 
 
 def nullspace(field: FieldSpec, arr: np.ndarray):
-    """Kernel basis of a raw coefficient array, as a (k x cols) array."""
+    """Kernel basis of a raw coefficient array, as a (k x cols) array.
+
+    Row t is 1 at the t-th free (non-pivot) column and elsewhere nonzero
+    only at pivot columns before it, so its last nonzero column is its free
+    column and the rows restricted to the free columns are the identity."""
     arr = np.asarray(arr, dtype=np.int64)
     cols = arr.shape[1]
     if arr.shape[0] == 0 or arr.size == 0:

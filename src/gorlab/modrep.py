@@ -16,8 +16,14 @@ pivot columns, and one matmul checks that the span is action-stable.
 Modules are kept in graded bases (Auslander-Reiten-Smalo, III.1): each
 basis vector lies in one M e_v, so every rho(e_v) is a 0/1 diagonal.
 ``make_module`` regrades its input; every other construction keeps the
-grading.  A map sends M e_v into N e_v, so Hom spaces start from unit maps,
-and only the radical generators are solved for.
+grading.  A map sends M e_v into N e_v, so a Hom space starts from the unit
+maps E_rs with r and s at one vertex, and only the radical generators impose
+equations.  Each equation keeps the rows of a nullspace, which are the
+identity at known columns, so every Hom basis is the identity at a set of
+keys: the coordinates of a map are its entries there, checked by one matmul.
+Endomorphism algebras and the Hom functor read their structure constants this
+way.  Likewise e_iA is spanned by the basis elements b = e_i b of A, so the
+action of each projective is a submatrix of that of A_A.
 
 The Nakayama functor nu, the transpose Tr and the AR translate tau all come
 from the minimal presentation g: P_1 -> P_0 of a module and the closed form
@@ -31,6 +37,7 @@ serves only the fallback of ``decompose``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,36 +289,57 @@ def fingerprint(m: RightModule) -> tuple:
             tuple(linalg.rank_raw(a.field, m.rho(g)) for g in a.radical_generators))
 
 
-def hom_basis(m: RightModule, n: RightModule) -> list:
-    """Basis of the intertwiner space Hom_A(m, n) as ModuleMaps.
+def _hom_space(m: RightModule, n: RightModule) -> tuple:
+    """(basis, keys): the rows of basis are flattened maps spanning
+    Hom_A(m, n), and basis[:, keys] is the identity, so the coordinates of
+    a map in this basis are its entries at the keys.
 
     The e_v are complete orthogonal idempotents, so F commutes with every
     rho(e_v) iff F = sum_v rho_m(e_v) F rho_n(e_v): in graded bases, a span of
     the unit maps E_rs with r and s at one vertex, listed by vertex, then r,
     then s.  With the idempotents the radical generators generate A as an
     algebra, so only rho_m(g) F = F rho_n(g) remains to be imposed, for
-    those g.
+    those g.  Each constraint keeps the combinations given by a nullspace,
+    whose rows are the identity at their last nonzero columns.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     a = m.algebra
     f = a.field
     if m.dim == 0 or n.dim == 0:
-        return []
+        return np.zeros((0, m.dim * n.dim), dtype=np.int64), np.zeros(0, int)
     vm = _vertices(m)
     r, s = np.nonzero(vm[:, None] == _vertices(n)[None, :])
-    flat = (r * n.dim + s)[np.argsort(vm[r], kind="stable")]
-    basis = np.zeros((len(flat), m.dim * n.dim), dtype=np.int64)
-    basis[np.arange(len(flat)), flat] = f.one
+    keys = (r * n.dim + s)[np.argsort(vm[r], kind="stable")]
+    basis = np.zeros((len(keys), m.dim * n.dim), dtype=np.int64)
+    basis[np.arange(len(keys)), keys] = f.one
     for g in a.radical_generators:
         if basis.shape[0] == 0:
-            return []
+            break
         maps = basis.reshape(-1, m.dim, n.dim)
         after = f.matmul(basis.reshape(-1, n.dim), n.rho(g))
         cons = f.sub(_images(f, m.rho(g), maps), after.reshape(maps.shape))
         coords = linalg.nullspace(f, cons.reshape(len(maps), -1).T)
         basis = f.matmul(coords, basis)
-    return [ModuleMap(m, n, v.reshape(m.dim, n.dim)) for v in basis]
+        keys = keys[coords.shape[1] - 1 - (coords[:, ::-1] != 0).argmax(axis=1)]
+    return basis, keys
+
+
+def _coords(f, space: tuple, flats: np.ndarray, what: str) -> np.ndarray:
+    """Coordinates of the rows of flats (flattened maps) in the basis of
+    space = _hom_space(...), read at its keys and checked by one matmul."""
+    basis, keys = space
+    coords = flats[:, keys]
+    if not np.array_equal(f.matmul(coords, basis), flats):
+        raise RuntimeError("%s closure failed" % what)
+    return coords
+
+
+def hom_basis(m: RightModule, n: RightModule) -> list:
+    """Basis of the intertwiner space Hom_A(m, n) as ModuleMaps, in the
+    order of :func:`_hom_space`."""
+    return [ModuleMap(m, n, v.reshape(m.dim, n.dim))
+            for v in _hom_space(m, n)[0]]
 
 
 def hom_dim(m: RightModule, n: RightModule) -> int:
@@ -348,23 +376,15 @@ def structure(m: RightModule) -> StructureData:
     return StructureData(rad, rad_inc, top, top_proj, soc, soc_inc)
 
 
-def _projective_data(a: BasedAlgebra) -> tuple:
-    """([e_iA], A_A, [(echelon basis of e_iA as rows in A, pivots)])."""
+def projectives(a: BasedAlgebra) -> tuple:
+    """(list of e_iA, regular module).  e_iA is spanned by the basis
+    elements b = e_i b, so its action is a submatrix of that of A_A."""
     def build():
         reg = regular_module(a)
-        out, bases = [], []
-        for i in range(a.n_idem):
-            sub, inc = submodule_from_rows(reg, a.L(a.idempotents[i]),
-                                           label="e%dA" % i)
-            out.append(sub)
-            bases.append((inc.matrix, _pivots(inc.matrix).tolist()))
-        return out, reg, bases
+        ixs = (np.flatnonzero(a.peirce[0] == i) for i in range(a.n_idem))
+        return [RightModule(a, len(ix), reg.action[:, ix][:, :, ix],
+                            "e%dA" % i) for i, ix in enumerate(ixs)], reg
     return a.cached("projectives", build)
-
-
-def projectives(a: BasedAlgebra) -> tuple:
-    """(list of e_iA, regular module)."""
-    return _projective_data(a)[:2]
 
 
 def _labelled(mods, fmt) -> list:
@@ -401,10 +421,10 @@ def projective_cover(m: RightModule) -> ModuleMap:
     idems = np.sort(tv).tolist()
     blocks = []
     for i in sorted(set(idems)):
-        # e_iA basis rows are elements b = e_i b of A; the summand's
-        # generator v is sent to v * b
-        acts = f.matmul(_idem_basis(a, i)[0], m.action.reshape(a.dim, -1))
-        imgs = _images(f, gens[tv == i], acts.reshape(-1, m.dim, m.dim))
+        # e_iA's basis is the b = e_i b of A; the summand's generator v is
+        # sent to v * b
+        imgs = _images(f, gens[tv == i],
+                       m.action[np.flatnonzero(a.peirce[0] == i)])
         blocks.append(imgs.transpose(1, 0, 2).reshape(-1, m.dim))
     cover = ModuleMap(direct_sum([projs[i] for i in idems])[0], m,
                       np.concatenate(blocks))
@@ -521,40 +541,36 @@ def minimal_presentation(m: RightModule):
     return g, q.summand_idems, p.summand_idems
 
 
-def _idem_basis(a: BasedAlgebra, i: int) -> tuple:
-    """Echelon basis of e_iA as rows in A, and its pivot columns: the
-    coordinates of x in e_iA (as in projectives(a)[i]) are x[pivots]."""
-    return _projective_data(a)[2][i]
-
-
 def _hom_to_regular(m: RightModule) -> ModuleMap:
     """Hom(g, A): Hom(P_0, A) -> Hom(P_1, A) for the minimal presentation g
     of m, as a map of right opp(A)-modules.
 
     Hom(e_iA, A) is Ae_i = projectives(opp(a))[i] via h -> h(e_i), and
     precomposition with g sends x in Ae_i to x*y, where y in e_iAe_j is the
-    e_iA-component of g(e_j).
+    e_iA-component of g(e_j).  Both projectives are spanned by basis
+    elements of A, listed in ea[i] and ae[i].
     """
     a = m.algebra
     f = a.field
     op = opp(a)
     g, idems1, idems0 = minimal_presentation(m)
-    ea = _projective_data(a)[2]     # e_iA
-    ae = _projective_data(op)[2]    # Ae_i
+    ea = [np.flatnonzero(a.peirce[0] == i) for i in range(a.n_idem)]
+    ae = [np.flatnonzero(op.peirce[0] == i) for i in range(a.n_idem)]
 
     def offsets(basis, idems):
-        return np.cumsum([0] + [len(basis[i][1]) for i in idems])
+        return np.cumsum([0] + [len(basis[i]) for i in idems])
 
     p0, p1 = offsets(ea, idems0), offsets(ea, idems1)     # P_0, P_1
     h0, h1 = offsets(ae, idems0), offsets(ae, idems1)     # Hom(P_0, A), ...
     mat = np.zeros((h0[-1], h1[-1]), dtype=np.int64)
     for t, j in enumerate(idems1):
-        e_j = a.idempotents[j][ea[j][1]]
-        gen = f.matmul(e_j[None, :], g.matrix[p1[t]:p1[t + 1]])    # g(e_j)
+        e_j = a.idempotents[j][ea[j]]
+        gen = f.matmul(e_j[None, :], g.matrix[p1[t]:p1[t + 1]])[0]  # g(e_j)
         for s, i in enumerate(idems0):
-            y = f.matmul(gen[:, p0[s]:p0[s + 1]], ea[i][0])[0]
+            y = np.zeros(a.dim, dtype=np.int64)
+            y[ea[i]] = gen[p0[s]:p0[s + 1]]
             mat[h0[s]:h0[s + 1], h1[t]:h1[t + 1]] = \
-                f.matmul(ae[i][0], a.R(y))[:, ae[j][1]]
+                a.R(y)[np.ix_(ae[i], ae[j])]
     op_projs, _ = projectives(op)
     src, tgt = (direct_sum([op_projs[i] for i in idems])[0] if idems
                 else zero_module(op) for idems in (idems0, idems1))
@@ -888,114 +904,86 @@ class EndoData:
     algebra: BasedAlgebra
     summands: list                 # pairwise non-isomorphic indecomposables
     block_index: dict              # (i, j) -> list of basis positions
-    block_maps: dict               # (i, j) -> list of map matrices
-    idem_positions: list           # basis position of id_{X_i}
+    block_maps: dict               # (i, j) -> stack of map matrices X_i -> X_j
 
 
 def endo_algebra(summands) -> EndoData:
-    """End(⊕X_i) as a based algebra; multiplication f*g = "g then f"."""
+    """End(⊕X_i) as a based algebra; multiplication f*g = "g then f".
+
+    Block (i, j) of the basis is the basis of Hom(X_i, X_j) from
+    :func:`_hom_space`, so the coordinates of a map X_i -> X_j are its
+    entries at that block's keys."""
     mods = iso_classes(summands)
     a = mods[0].algebra
     f = a.field
-    basis_maps = []     # (i, j, matrix)
+    spaces = {(i, j): _hom_space(X, Y)
+              for i, X in enumerate(mods) for j, Y in enumerate(mods)}
     block_index = {}
     block_maps = {}
-    for i, X in enumerate(mods):
-        for j, Y in enumerate(mods):
-            hb = hom_basis(X, Y)
-            block_index[(i, j)] = list(range(len(basis_maps),
-                                             len(basis_maps) + len(hb)))
-            block_maps[(i, j)] = [h.matrix for h in hb]
-            for h in hb:
-                basis_maps.append((i, j, h.matrix))
-    n = len(basis_maps)
+    n = 0
+    for (i, j), (basis, _) in spaces.items():
+        block_index[(i, j)] = list(range(n, n + len(basis)))
+        block_maps[(i, j)] = basis.reshape(-1, mods[i].dim, mods[j].dim)
+        n += len(basis)
     mult = np.zeros((n, n, n), dtype=np.int64)
-    flat_cache = {}
-    for key, mats in block_maps.items():
-        flat_cache[key] = _flatten_mats(mats, mods[key[0]].dim * mods[key[1]].dim)
-    for p, (i, j, F) in enumerate(basis_maps):
-        for q, (k, l, G) in enumerate(basis_maps):
-            # product F*G = "G then F": needs G to land where F starts
-            if l != i:
-                continue
-            prod = f.matmul(G, F).ravel()
-            if not block_index[(k, j)]:
-                if np.any(prod):
-                    raise RuntimeError("hom block closure failed")
-                continue
-            coords = linalg.solve_raw(f, flat_cache[(k, j)].T, prod)
-            for t, pos in enumerate(block_index[(k, j)]):
-                mult[p, q, pos] = coords[t]
-    unit = np.zeros(n, dtype=np.int64)
+    for k, i, j in itertools.product(range(len(mods)), repeat=3):
+        # products F*G = "G then F" for F: X_i -> X_j and G: X_k -> X_i;
+        # prods[p, q] = G_q @ F_p
+        fs, gs = block_maps[(i, j)], block_maps[(k, i)]
+        if not (len(fs) and len(gs)):
+            continue
+        prods = _images(f, gs.reshape(-1, mods[i].dim), fs)
+        coords = _coords(f, spaces[(k, j)],
+                         prods.reshape(len(fs) * len(gs), -1), "hom block")
+        mult[np.ix_(block_index[(i, j)], block_index[(k, i)],
+                    block_index[(k, j)])] = coords.reshape(len(fs), len(gs), -1)
     idem = np.zeros((len(mods), n), dtype=np.int64)
-    idem_positions = []
     for i, X in enumerate(mods):
-        eye_flat = f.eye(X.dim).ravel()
-        coords = linalg.solve_raw(f, flat_cache[(i, i)].T, eye_flat)
-        for t, pos in enumerate(block_index[(i, i)]):
-            idem[i, pos] = coords[t]
-            unit[pos] = f.add(unit[pos], coords[t])
-        idem_positions.append(block_index[(i, i)])
-    radgens = []
+        idem[i, block_index[(i, i)]] = _coords(
+            f, spaces[(i, i)], f.eye(X.dim).reshape(1, -1), "hom block")[0]
+    unit = idem.sum(axis=0)         # the idempotents have disjoint supports
+    radgens = [np.zeros((0, n), dtype=np.int64)]
     for (i, j), positions in block_index.items():
         if i != j:
-            for pos in positions:
-                v = np.zeros(n, dtype=np.int64)
-                v[pos] = f.one
-                radgens.append(v)
-        else:
-            for pos, F in zip(positions, block_maps[(i, j)]):
-                nil = _nilpotent_part(f, F)
-                if nil is None:
-                    raise RuntimeError("endomorphism ring not local")
-                if np.any(nil):
-                    coords = linalg.solve_raw(f, flat_cache[(i, i)].T, nil.ravel())
-                    v = np.zeros(n, dtype=np.int64)
-                    for t, p2 in enumerate(block_index[(i, i)]):
-                        v[p2] = coords[t]
-                    radgens.append(v)
-    labels = ["f%d_%d_%d" % (i, j, t)
-              for (i, j, _), t in zip(basis_maps, range(n))]
+            radgens.append(f.eye(n)[positions])
+            continue
+        nils = [_nilpotent_part(f, F) for F in block_maps[(i, j)]]
+        if any(nil is None for nil in nils):
+            raise RuntimeError("endomorphism ring not local")
+        nils = [nil.ravel() for nil in nils if np.any(nil)]
+        if nils:
+            rows = np.zeros((len(nils), n), dtype=np.int64)
+            rows[:, positions] = _coords(f, spaces[(i, i)], np.array(nils),
+                                         "hom block")
+            radgens.append(rows)
+    labels = ["f%d_%d_%d" % (i, j, pos)
+              for (i, j), positions in block_index.items() for pos in positions]
     pres = AlgebraPresentation(f, labels, mult, unit, idem,
-                               np.array(radgens).reshape(len(radgens), n))
+                               np.concatenate(radgens))
     B = validate(pres)
-    return EndoData(B, mods, block_index, block_maps, idem)
+    return EndoData(B, mods, block_index, block_maps)
 
 
 def hom_functor(endo: EndoData, n: RightModule) -> RightModule:
     """Hom_A(⊕X_i, n) as a right module over End(⊕X_i)."""
     B = endo.algebra
     f = B.field
-    pieces = []          # (summand index, map matrix X_i -> n)
-    for i, X in enumerate(endo.summands):
-        for h in hom_basis(X, n):
-            pieces.append((i, h.matrix))
-    d = len(pieces)
-    flat_by_src = {}
-    for i, X in enumerate(endo.summands):
-        idxs = [t for t, (s, _) in enumerate(pieces) if s == i]
-        flat_by_src[i] = (idxs, _flatten_mats([pieces[t][1] for t in idxs],
-                                              X.dim * n.dim))
-    action = np.zeros((B.dim, d, d), dtype=np.int64)
-    # B basis element pos is a map Phi: X_i -> X_j; (g . Phi) = "Phi then g"
-    pos_to_block = {}
-    for key, positions in endo.block_index.items():
-        for t, pos in enumerate(positions):
-            pos_to_block[pos] = (key[0], key[1], endo.block_maps[key][t])
-    for pos in range(B.dim):
-        i, j, Phi = pos_to_block[pos]
-        idxs_j, _ = flat_by_src[j]
-        idxs_i, flats_i = flat_by_src[i]
-        for t in idxs_j:
-            img = f.matmul(Phi, pieces[t][1]).ravel()
-            if not idxs_i:
-                if np.any(img):
-                    raise RuntimeError("hom functor closure failed")
-                continue
-            coords = linalg.solve_raw(f, flats_i.T, img)
-            for s, t2 in enumerate(idxs_i):
-                action[pos, t, t2] = coords[s]
-    return RightModule(B, d, action,
+    spaces = [_hom_space(X, n) for X in endo.summands]
+    offs = np.cumsum([0] + [len(basis) for basis, _ in spaces])
+    action = np.zeros((B.dim, offs[-1], offs[-1]), dtype=np.int64)
+    # B basis element pos is a map Phi: X_i -> X_j; (h . Phi) = "Phi then h"
+    for (i, j), phis in endo.block_maps.items():
+        hs = spaces[j][0].reshape(-1, endo.summands[j].dim, n.dim)
+        if not (len(phis) and len(hs)):
+            continue
+        # imgs[t, b] = Phi_b @ h_t
+        imgs = _images(f, phis.reshape(-1, endo.summands[j].dim), hs)
+        coords = _coords(f, spaces[i], imgs.reshape(len(hs) * len(phis), -1),
+                         "hom functor")
+        action[np.ix_(endo.block_index[(i, j)], np.arange(offs[j], offs[j + 1]),
+                      np.arange(offs[i], offs[i + 1]))] = \
+            coords.reshape(len(hs), len(phis), -1).transpose(1, 0, 2)
+    return RightModule(B, int(offs[-1]), action,
                        "Hom(X,%s)" % n.label if n.label else "")
 
 
@@ -1029,8 +1017,7 @@ def bridge_module(a: BasedAlgebra, i: int, k: int) -> RightModule:
         v[index[(i, t)]] = f.one
         # coordinates inside e_iA
         rows.append(v)
-    # express in p's basis
-    _, pivots = _idem_basis(a, i)
-    coords = np.array(rows)[:, pivots]
+    # express in p's basis, the basis elements b = e_i b of A
+    coords = np.array(rows)[:, np.flatnonzero(a.peirce[0] == i)]
     quo, _ = quotient_by_rows(p, coords, label="e%dA/e%dJ^%d" % (i, i, k))
     return quo

@@ -169,5 +169,5 @@ def test_corner_algebra_at_vertex_zero_of_455():
 
 def test_cartan_matrix_row_sums_are_projective_dims():
     a = _nak455()
-    c = alg.cartan_matrix(a)
+    c = a.cartan
     assert [int(r.sum()) for r in c] == [4, 5, 5]

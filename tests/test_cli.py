@@ -90,6 +90,16 @@ def test_module_unknown_spec_is_input_error():
     assert run(["module", "extra:nope", "--fixture", "kupisch-455"])[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["module", "hom:domdim4_module", "--fixture", "penny-farthing-gendo"],
+    ["module", "extra:base_series", "--fixture", "sym-777-gendo"],
+])
+def test_module_spec_of_a_non_module_or_wrong_algebra_is_input_error(
+        argv, capsys):
+    assert run(argv)[0] == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_module_file_round_trip_same_seed_same_report(tmp_path):
     f = fx.build_fixture("kupisch-455")
     m = mr.bridge_module(f.algebra, 1, 3)

@@ -94,6 +94,22 @@ def test_kernel_rank_and_solve(f):
                                        ).ravel(), rhs)
 
 
+@pytest.mark.parametrize("f", [la.PrimeField(2), la.PrimeField(5), la.GF4()],
+                         ids=lambda f: "order%d" % f.order)
+def test_nullspace_rows_are_the_identity_at_their_last_nonzero_columns(f):
+    # sparse arrays of every shape class, so that free columns fall between
+    # pivot columns; modrep reads Hom coordinates off these columns
+    rng = np.random.default_rng(4)
+    for shape in [(3, 7), (5, 5), (7, 3), (1, 6), (4, 1)]:
+        for _ in range(20):
+            arr = rng.integers(0, f.order, size=shape)
+            arr[rng.random(shape) < 0.6] = 0
+            ker = la.nullspace(f, arr)
+            last = ker.shape[1] - 1 - (ker[:, ::-1] != 0).argmax(axis=1)
+            assert np.array_equal(ker[:, last], f.eye(len(ker)))
+            assert la.rank_raw(f, arr) + len(ker) == shape[1]
+
+
 def test_solve_reports_inconsistent_system():
     f = la.PrimeField(2)
     arr = np.zeros((2, 2), dtype=np.int64)

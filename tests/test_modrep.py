@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -225,7 +226,7 @@ def _loop_cover_matrix(m):
             v = la.solve_raw(f, st.top_projection.matrix.T, u)
             v = f.matmul(v[None, :], m.rho(a.idempotents[i]))[0]
             rows += [f.matmul(v[None, :], m.rho(b))[0]
-                     for b in mr._idem_basis(a, i)[0]]
+                     for b in la.row_space_basis(f, a.L(a.idempotents[i]))]
     return np.array(rows, dtype=np.int64).reshape(-1, m.dim)
 
 
@@ -550,6 +551,109 @@ def test_algebra_mismatch_guard(a455, a777):
     n = mr.bridge_module(a777, 0, 1)
     with pytest.raises(mr.AlgebraMismatch):
         mr.hom_basis(m, n)
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_hom_space_is_the_identity_at_its_keys(fix, name):
+    pool = fix(name).pool
+    f = pool[0].algebra.field
+    for m in pool:
+        for n in pool:
+            basis, keys = mr._hom_space(m, n)
+            assert np.array_equal(basis[:, keys], f.eye(len(keys)))
+
+
+def test_coords_reject_a_map_outside_the_span(a455):
+    f = a455.field
+    p = mr.projectives(a455)[0][0]
+    basis, keys = space = mr._hom_space(p, p)
+    outside = np.setdiff1d(np.arange(basis.shape[1]), keys)[0]
+    flats = basis[:1].copy()
+    flats[0, outside] = f.add(flats[0, outside], f.one)
+    assert np.array_equal(mr._coords(f, space, basis, "hom block"),
+                          f.eye(len(keys)))
+    with pytest.raises(RuntimeError, match="hom block closure failed"):
+        mr._coords(f, space, flats, "hom block")
+    s = mr.simples(a455)
+    empty = mr._hom_space(s[0], s[1])
+    with pytest.raises(RuntimeError, match="hom functor closure failed"):
+        mr._coords(f, empty, np.ones((1, 1), dtype=np.int64), "hom functor")
+
+
+def _solve_endo(endo):
+    """endo_algebra's arrays by one solve per product of basis maps: mult,
+    unit, idempotents, radical generators."""
+    f = endo.algebra.field
+    n = endo.algebra.dim
+    pos, maps = endo.block_index, endo.block_maps
+
+    def coords(key, x):
+        out = np.zeros(n, dtype=np.int64)
+        if not pos[key]:
+            assert not np.any(x)
+            return out
+        out[pos[key]] = la.solve_raw(
+            f, maps[key].reshape(len(pos[key]), -1).T, x.ravel())
+        return out
+
+    mult = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j), ps in pos.items():
+        for (k, l), qs in pos.items():
+            if l != i:
+                continue
+            for p, F in zip(ps, maps[(i, j)]):
+                for q, G in zip(qs, maps[(k, l)]):
+                    mult[p, q] = coords((k, j), f.matmul(G, F))
+    idem = np.array([coords((i, i), f.eye(x.dim))
+                     for i, x in enumerate(endo.summands)])
+    unit = functools.reduce(f.add, idem)
+    radgens = []
+    for (i, j), ps in pos.items():
+        for p, F in zip(ps, maps[(i, j)]):
+            if i != j:
+                radgens.append(f.eye(n)[p])
+            elif np.any(mr._nilpotent_part(f, F)):
+                radgens.append(coords((i, i), mr._nilpotent_part(f, F)))
+    return [mult, unit, idem, np.array(radgens).reshape(-1, n)]
+
+
+def _solve_hom_functor(endo, x):
+    """hom_functor's action by one solve per basis map and image."""
+    f = endo.algebra.field
+    homs = [np.array([h.matrix.ravel() for h in mr.hom_basis(y, x)]
+                     ).reshape(-1, y.dim * x.dim) for y in endo.summands]
+    offs = np.cumsum([0] + [len(h) for h in homs])
+    action = np.zeros((endo.algebra.dim, offs[-1], offs[-1]), dtype=np.int64)
+    for (i, j), ps in endo.block_index.items():
+        for p, phi in zip(ps, endo.block_maps[(i, j)]):
+            for t, h in enumerate(homs[j]):
+                img = f.matmul(phi, h.reshape(-1, x.dim)).ravel()
+                if not len(homs[i]):
+                    assert not np.any(img)
+                    continue
+                action[p, offs[j] + t, offs[i]:offs[i + 1]] = \
+                    la.solve_raw(f, homs[i].T, img)
+    return action
+
+
+_ENDO_FIXTURES = [(name, la.PrimeField(p))
+                  for name in ("sym-777-gendo", "penny-farthing-gendo",
+                               "auslander-22", "two-periodic-demo")
+                  for p in (2, 3)]
+_ENDO_FIXTURES += [("gf4-local-gendo", None),
+                   ("two-periodic-demo", la.PrimeField(5))]
+
+
+@pytest.mark.parametrize("name,field", _ENDO_FIXTURES)
+def test_endo_algebra_and_hom_functor_match_the_solve_references(name, field):
+    fx = fixtures.build_fixture(name, field)
+    b = fx.endo.algebra
+    got = [b.mult, b.unit, b.idempotents, b.radical_generators]
+    for x, y in zip(got, _solve_endo(fx.endo)):
+        assert np.array_equal(x, y), name
+    for x in fx.base_pool:
+        assert np.array_equal(mr.hom_functor(fx.endo, x).action,
+                              _solve_hom_functor(fx.endo, x)), (name, x.label)
 
 
 def test_endo_algebra_of_regular_module_has_same_dim(a455):

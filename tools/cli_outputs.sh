@@ -49,3 +49,8 @@ call scan-2-3.text --format text scan 2 3
 call endo-jobs2-kupisch-455.text --jobs 2 endo --fixture kupisch-455
 call module-gpi-gf4-local-gendo.json --format json module extra:gpi_candidate --fixture gf4-local-gendo
 call module-e2j2-penny-farthing-gendo.json --format json module hom:e2j2 --fixture penny-farthing-gendo
+call endo-f3-penny-farthing-gendo.json --field 3 --format json endo --fixture penny-farthing-gendo
+call endo-f5-two-periodic-demo.json --field 5 --format json endo --fixture two-periodic-demo
+call module-f5-hom-w-two-periodic-demo.json --field 5 --format json module hom:w --fixture two-periodic-demo
+call module-hom-domdim4-penny-farthing-gendo.json --format json module hom:domdim4_module --fixture penny-farthing-gendo
+call module-extra-base-series-sym-777-gendo.json --format json module extra:base_series --fixture sym-777-gendo
