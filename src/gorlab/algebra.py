@@ -3,8 +3,8 @@
 An algebra is given concretely by a basis, structure constants, a unit, a
 complete set of pairwise orthogonal primitive idempotents and a generating
 set of its Jacobson radical.  Builders are provided for bound-quiver
-presentations (with path rewriting) and for Nakayama algebras given by a
-Kupisch series.
+presentations (normal paths by elimination) and for Nakayama algebras given
+by a Kupisch series.
 
 Every basis is graded: each basis element lies in one e_u A e_v, so every
 L(e_u) and R(e_v) is a 0/1 diagonal; ``validate`` checks this.
@@ -31,7 +31,6 @@ __all__ = [
     "BasedAlgebra",
     "QuiverPresentation",
     "ValidationError",
-    "RewritingDiverged",
     "NotFiniteDimensional",
     "validate",
     "from_quiver",
@@ -51,10 +50,6 @@ class ValidationError(ValueError):
         self.witness = witness
         super().__init__("%s%s%s" % (code, " at %r" % (witness,) if witness is not None else "",
                                      ": " + message if message else ""))
-
-
-class RewritingDiverged(RuntimeError):
-    pass
 
 
 class NotFiniteDimensional(RuntimeError):
@@ -288,8 +283,6 @@ class QuiverPresentation:
     vertices: list
     arrows: list                      # (source, target, label)
     relations: list
-    max_steps: int = 10_000
-    max_path_len: int = 64
 
     def source(self, path):
         if path[0] == "v":
@@ -314,186 +307,98 @@ class QuiverPresentation:
                     raise ValidationError("BadRelation", rel, "path of length < 2")
 
 
+_MAX_PATH_LEN = 64
+
+
 def _path_key(q: QuiverPresentation, path):
     return (len(path), tuple(q.arrows[a][2] for a in path))
 
 
-class _Rewriter:
-    """Path rewriting with critical-pair completion.
+def _normal_forms(q: QuiverPresentation, field: FieldSpec):
+    """(normal, forms): the normal paths, and the normal form of every
+    nontrivial path of length <= L as coordinates over them; longer paths
+    lie in the ideal.
 
-    Each rule sends its leading path (maximal under length-then-label-lex)
-    to a combination of smaller paths.  Completion adds rules from
-    unresolved overlaps so that normal forms are well defined; the final
-    associativity check in validate() certifies the outcome independently.
+    Modulo J^(L+1), the ideal is spanned by the products p r s of each
+    relation r with paths p and s, cut off at length L.  With the paths
+    ordered largest first, the pivots of one reduced echelon are the leading
+    paths, the other columns are the normal paths, and each row gives the
+    normal form of its pivot.  At the first L where every path of length L
+    is a row on its own, J^L lies in the ideal, because the ideal is
+    admissible and so contains some J^m.
     """
-
-    def __init__(self, q: QuiverPresentation):
-        self.q = q
-        self.f = None  # set in build()
-        self.rules = {}
-        self.steps = 0
-
-    def _bump(self):
-        self.steps += 1
-        if self.steps > self.q.max_steps:
-            raise RewritingDiverged(self.q.max_steps)
-
-    def _combo_sub(self, a: dict, b: dict):
-        out = dict(a)
-        for p, c in b.items():
-            out[p] = int(self.f.sub(out.get(p, 0), c))
-            if out[p] == 0:
-                del out[p]
-        return out
-
-    def add_relation(self, rel):
+    rels = []
+    for rel in q.relations:
         combo = {}
         for c, p in rel:
-            combo[tuple(p)] = int(self.f.add(combo.get(tuple(p), 0), c))
-        self._add_rule(self.reduce(combo))
-
-    def _add_rule(self, combo):
-        combo = {p: c for p, c in combo.items() if c != 0}
-        if not combo:
-            return False
-        lead = max(combo, key=lambda p: _path_key(self.q, p))
-        inv = self.f.inv(combo[lead])
-        rhs = {p: int(self.f.neg(self.f.mul(inv, c)))
-               for p, c in combo.items() if p != lead}
-        self.rules[lead] = rhs
-        return True
-
-    def reduce(self, combo: dict) -> dict:
-        changed = True
-        while changed:
-            changed = False
-            for p in list(combo):
-                c = combo.get(p, 0)
-                if c == 0:
-                    continue
-                hit = self._find_redex(p)
-                if hit is None:
-                    continue
-                self._bump()
-                i, lead = hit
-                del combo[p]
-                pre, post = p[:i], p[i + len(lead):]
-                for rp, rc in self.rules[lead].items():
-                    newp = pre + rp + post
-                    combo[newp] = int(self.f.add(combo.get(newp, 0),
-                                                 self.f.mul(c, rc)))
-                    if combo[newp] == 0:
-                        del combo[newp]
-                changed = True
-                break
-        return combo
-
-    def _find_redex(self, p):
-        for lead in self.rules:
-            L = len(lead)
-            for i in range(len(p) - L + 1):
-                if p[i:i + L] == lead:
-                    return i, lead
-        return None
-
-    def complete(self):
-        while True:
-            new_rules = []
-            leads = list(self.rules)
-            for u, v in itertools.product(leads, leads):
-                for k in range(1, min(len(u), len(v))):
-                    if u[-k:] != v[:k]:
-                        continue
-                    # overlap word u + v[k:] reduces two ways
-                    word = u + v[k:]
-                    left = {u + v[k:]: self.f.one}
-                    a = {p + v[k:]: c for p, c in self.rules[u].items()}
-                    b = {u[:-k] + p: c for p, c in self.rules[v].items()}
-                    spoly = self.reduce(self._combo_sub(a, b))
-                    if spoly:
-                        new_rules.append(spoly)
-                    del word, left
-            added = False
-            for spoly in new_rules:
-                spoly = self.reduce(spoly)
-                if self._add_rule(spoly):
-                    added = True
-            if not added:
-                return
-
-    def normal_paths(self):
-        q = self.q
-        level = [("v", i) for i in range(len(q.vertices))]
-        out = list(level)
-        length = 0
-        by_target = {}
-        for idx, (s, t, _) in enumerate(q.arrows):
-            by_target.setdefault(s, []).append(idx)
-        while level:
-            length += 1
-            if length > q.max_path_len:
-                raise NotFiniteDimensional(q.max_path_len)
-            nxt = []
-            for p in level:
-                tgt = q.target(p)
-                for a in by_target.get(tgt, []):
-                    new = (a,) if p[0] == "v" else p + (a,)
-                    if self._find_redex(new) is None:
-                        nxt.append(new)
-            out.extend(nxt)
-            level = nxt
-        return out
+            combo[tuple(p)] = int(field.add(combo.get(tuple(p), 0), c))
+        rels.append((q.source(rel[0][1]), q.target(rel[0][1]),
+                     min(len(p) for _, p in rel), combo))
+    levels = [[(a,) for a in range(len(q.arrows))]]
+    for L in range(2, _MAX_PATH_LEN + 1):
+        levels.append([p + (a,) for p in levels[-1]
+                       for a, (s, _, _) in enumerate(q.arrows) if s == q.target(p)])
+        paths = sorted(itertools.chain(*levels), key=lambda p: _path_key(q, p),
+                       reverse=True)
+        col = {p: c for c, p in enumerate(paths)}
+        rows = []
+        for src, tgt, low, combo in rels:
+            for p in [()] + [u for u in paths
+                             if len(u) <= L - low and q.target(u) == src]:
+                for s in [()] + [u for u in paths
+                                 if len(u) <= L - low - len(p) and q.source(u) == tgt]:
+                    row = np.zeros(len(paths), dtype=np.int64)
+                    for t, c in combo.items():
+                        if len(p) + len(t) + len(s) <= L:
+                            row[col[p + t + s]] = c
+                    rows.append(row)
+        red, pivots = linalg.row_echelon(
+            field, np.reshape(rows, (len(rows), len(paths))))
+        top = len(levels[-1])   # the paths of length L come first
+        if pivots[:top] == list(range(top)) and not red[:top, top:].any():
+            normal = np.delete(np.arange(len(paths)), pivots)
+            nf = np.zeros((len(paths), len(normal)), dtype=np.int64)
+            nf[normal, np.arange(len(normal))] = field.one
+            nf[pivots] = field.neg(red[:len(pivots), normal])
+            return [paths[c] for c in normal], dict(zip(paths, nf))
+    raise NotFiniteDimensional(_MAX_PATH_LEN)
 
 
 def from_quiver(q: QuiverPresentation, field: FieldSpec) -> AlgebraPresentation:
-    """Bound quiver algebra as a based presentation.
+    """Bound quiver algebra kQ/I as a based presentation, for an admissible
+    ideal I.
 
-    The basis consists of the rewriting normal-form paths; the subsequent
-    validate() call certifies that rewriting was confluent on this input.
+    The basis consists of the trivial paths and the normal paths, the
+    standard monomials of I for the order by length, then arrow labels
+    (Green, Noncommutative Groebner bases and projective resolutions, 1999),
+    found by one elimination per length bound (:func:`_normal_forms`).
+    Raises NotFiniteDimensional if no J^L with L <= 64 lies in I.  For an I
+    that contains no power of J, such as (x^2 - x^3) on a loop, the result
+    is the quotient by I + J^(L+1) at the first L that passes, here k[x]/(x^2).
     """
     q.check_admissible()
-    rw = _Rewriter(q)
-    rw.f = field
-    for rel in q.relations:
-        rw.add_relation(rel)
-    rw.complete()
-    paths = rw.normal_paths()
+    normal, forms = _normal_forms(q, field)
+    paths = [("v", i) for i in range(len(q.vertices))] + normal
     paths.sort(key=lambda p: (q.source(p), len(p) if p[0] != "v" else 0,
                               _path_key(q, p) if p[0] != "v" else (0, ())))
     index = {p: i for i, p in enumerate(paths)}
+    to_basis = [index[p] for p in normal]
     n = len(paths)
     mult = np.zeros((n, n, n), dtype=np.int64)
     for p in paths:
         for r in paths:
             if q.target(p) != q.source(r):
                 continue
-            if p[0] == "v":
-                word = r
-            elif r[0] == "v":
-                word = p
-            else:
-                word = p + r
-            combo = rw.reduce({word: field.one})
-            for w, c in combo.items():
-                mult[index[p], index[r], index[w]] = c
-    unit = np.zeros(n, dtype=np.int64)
-    idem = []
-    for i in range(len(q.vertices)):
-        unit[index[("v", i)]] = field.one
-        e = np.zeros(n, dtype=np.int64)
-        e[index[("v", i)]] = field.one
-        idem.append(e)
-    radgens = []
-    for a in range(len(q.arrows)):
-        v = np.zeros(n, dtype=np.int64)
-        v[index[(a,)]] = field.one
-        radgens.append(v)
+            if p[0] == "v" or r[0] == "v":
+                word = r if p[0] == "v" else p
+                mult[index[p], index[r], index[word]] = field.one
+            elif p + r in forms:
+                mult[index[p], index[r], to_basis] = forms[p + r]
+    idem = field.eye(n)[[index[("v", i)] for i in range(len(q.vertices))]]
+    radgens = field.eye(n)[[index[(a,)] for a in range(len(q.arrows))]]
     labels = ["e%s" % q.vertices[p[1]] if p[0] == "v"
               else "".join(q.arrows[a][2] for a in p) for p in paths]
-    pres = AlgebraPresentation(field, labels, mult, unit,
-                               np.array(idem), np.array(radgens).reshape(len(radgens), n))
-    pres.path_index = {p: index[p] for p in paths}
-    return pres
+    return AlgebraPresentation(field, labels, mult, idem.sum(axis=0), idem, radgens)
 
 
 # ---------------------------------------------------------------------------

@@ -323,11 +323,14 @@ def _extra_module(f, key: str, algebra, what: str):
 
 def _resolve_module(spec: str, f, cfg: RunConfig):
     spec = spec.strip()
-    if spec.startswith("[") and spec.endswith("]"):
-        if f.nak is None:
-            raise _CliError("coordinate pairs need a Nakayama fixture")
-        i, k = (int(x) for x in spec[1:-1].split(","))
-        return mr.bridge_module(f.algebra, i, k)
+    if spec.startswith("@"):
+        return _module_file(spec[1:], f, cfg)
+    pair = spec.startswith("[") and spec.endswith("]")
+    if not (pair or spec.startswith(("hom:", "extra:"))):
+        raise _CliError("cannot parse module spec %r "
+                        "(use [i,k], hom:KEY, extra:KEY or @file.json)" % spec)
+    if f is None:
+        raise _CliError("a --fixture name is required")
     if spec.startswith("hom:"):
         if f.endo is None:
             raise _CliError("hom-image specs need an endo fixture")
@@ -335,16 +338,36 @@ def _resolve_module(spec: str, f, cfg: RunConfig):
                                                     "base module"))
     if spec.startswith("extra:"):
         return _extra_module(f, spec[6:], f.algebra, "extra module")
-    if spec.startswith("@"):
-        d = ser.load_json(spec[1:])
-        ref = d.get("algebra_ref", "")
-        if ref.endswith(".json"):
-            a = ser.algebra_from_json(ser.load_json(ref))
-        else:
-            a = _resolve_fixture(ref or None, cfg).algebra
+    if f.nak is None:
+        raise _CliError("coordinate pairs need a Nakayama fixture")
+    try:
+        i, k = (int(x) for x in spec[1:-1].split(","))
+    except ValueError:
+        raise _CliError("cannot parse coordinate pair %r (use [i,k])" % spec)
+    if not (0 <= i < f.nak.n and 1 <= k <= f.nak.c[i]):
+        raise _CliError("no module %s over Kupisch series %s: need 0 <= i < %d "
+                        "and 1 <= k <= c_i" % (spec, ",".join(map(str, f.nak.c)),
+                                               f.nak.n))
+    return mr.bridge_module(f.algebra, i, k)
+
+
+def _module_file(path: str, f, cfg: RunConfig):
+    """The module stored at path, over its algebra_ref (a fixture name or an
+    algebra JSON file) or else over the --fixture algebra."""
+    d = ser.load_json(path)
+    ref = d.get("algebra_ref", "") if isinstance(d, dict) else None
+    if not isinstance(ref, str):
+        raise _CliError("module file %s holds no module object" % path)
+    if not ref and f is None:
+        raise _CliError("a --fixture name or an algebra_ref is required")
+    if ref and not ref.endswith(".json"):
+        f = _resolve_fixture(ref, cfg)
+    try:
+        a = (ser.algebra_from_json(ser.load_json(ref)) if ref.endswith(".json")
+             else f.algebra)
         return ser.module_from_json(d, a)
-    raise _CliError("cannot parse module spec %r "
-                    "(use [i,k], hom:KEY, extra:KEY or @file.json)" % spec)
+    except (KeyError, TypeError, ValueError) as e:
+        raise _CliError("malformed module file %s: %r" % (path, e))
 
 
 def cmd_module(args, cfg: RunConfig, out) -> int:

@@ -641,7 +641,7 @@ def nearly_gorenstein_check_nak(a: nak.NakAlgebra) -> NearlyGorensteinResult:
 
 
 def _flat_rank(f, mats, size):
-    flats = mr._flatten_mats(mats, size)
+    flats = np.array(mats, dtype=np.int64).reshape(len(mats), size)
     return linalg.rank_raw(f, flats), flats
 
 

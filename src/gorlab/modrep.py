@@ -67,7 +67,6 @@ __all__ = [
     "syzygy",
     "cosyzygy",
     "ext_dim",
-    "stable_hom_dim",
     "dual",
     "nu",
     "transpose_tr",
@@ -480,7 +479,7 @@ def cosyzygy(m: RightModule, steps: int = 1) -> RightModule:
 
 
 # ---------------------------------------------------------------------------
-# Ext and stable Hom
+# Ext
 
 
 def ext_dim(m: RightModule, n: RightModule, i: int) -> int:
@@ -507,27 +506,8 @@ def ext_dim(m: RightModule, n: RightModule, i: int) -> int:
     return hk - hp + hom_dim(x, n)
 
 
-def stable_hom_dim(m: RightModule, n: RightModule) -> int:
-    """dim of Hom(m, n) modulo maps factoring through projectives, that is,
-    through the projective cover pi: P(n) -> n."""
-    f = m.algebra.field
-    hb = hom_basis(m, n)
-    if not hb:
-        return 0
-    pi = projective_cover(n)
-    through = [f.matmul(u.matrix, pi.matrix).ravel()
-               for u in hom_basis(m, pi.source)]
-    return len(hb) - linalg.rank_raw(f, _flatten_mats(through, m.dim * n.dim))
-
-
 # ---------------------------------------------------------------------------
 # Nakayama functor, transpose, AR translate
-
-
-def _flatten_mats(mats, ncols: int) -> np.ndarray:
-    if not len(mats):
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array([np.asarray(m).ravel() for m in mats]).reshape(len(mats), ncols)
 
 
 def minimal_presentation(m: RightModule):
@@ -775,105 +755,65 @@ def in_add(gens, x: RightModule) -> bool:
 
 
 def min_right_approx(addgens, x: RightModule) -> ModuleMap:
-    """Minimal right add(⊕addgens)-approximation of x.
+    """Minimal right add(⊕addgens)-approximation of x: the projective cover
+    of Hom(-, x) restricted to add(⊕addgens) (Auslander-Smalo, Preprojective
+    modules over Artin algebras, J. Algebra 66, 1980).
 
-    Built from the universal map and pruned summand by summand; the
-    result carries ``summand_gens`` (index into addgens per source copy)
-    and ``minimal_certain``.
+    Let G_t run over the indecomposable summands, one per iso class.  The
+    maps G_t -> x through a radical map G_t -> G_s span R_t: the products
+    "h then g" with g: G_s -> x, and h any map G_t -> G_s for s != t or h in
+    rad End(G_t).  One copy of G_t per basis vector of Hom(G_t, x)/R_t gives
+    the approximation, which is right minimal by construction.  Raises
+    RuntimeError unless :func:`_is_local` certifies every End(G_t) local
+    with residue field f.
     """
-    a = x.algebra
-    f = a.field
-    gens = list(addgens)
-    hom_to_x = [hom_basis(g, x) for g in gens]
-    copies = []   # (generator index, map matrix to x)
-    for t, hb in enumerate(hom_to_x):
-        for h in hb:
-            copies.append((t, h.matrix))
-    hom_between = {}
-    for s in range(len(gens)):
-        for t in range(len(gens)):
-            hom_between[(s, t)] = [h.matrix for h in hom_basis(gens[s], gens[t])]
-    target_ranks = [len(hb) for hb in hom_to_x]
-
-    def is_approx(subset):
-        for s in range(len(gens)):
-            if target_ranks[s] == 0:
+    f = x.algebra.field
+    gens = iso_classes(addgens)
+    spaces = [_hom_space(g, x) for g in gens]
+    mods, maps = [], [np.zeros((0, x.dim), dtype=np.int64)]
+    for t, g in enumerate(gens):
+        if not len(spaces[t][0]):
+            continue
+        ends = _hom_space(g, g)[0].reshape(-1, g.dim, g.dim)
+        if not _is_local(f, ends):
+            raise RuntimeError("endomorphism ring not split local")
+        through = [np.zeros((0, g.dim * x.dim), dtype=np.int64)]
+        for s, (gs, _) in enumerate(spaces):
+            if not len(gs):
                 continue
-            flats = []
-            for c in subset:
-                t, F = copies[c]
-                for G in hom_between[(s, t)]:
-                    flats.append(f.matmul(G, F).ravel())
-            arr = _flatten_mats(flats, gens[s].dim * x.dim)
-            if linalg.rank_raw(f, arr) < target_ranks[s]:
-                return False
-        return True
-
-    subset = list(range(len(copies)))
-    changed = True
-    while changed:
-        changed = False
-        for c in list(subset):
-            trial = [d for d in subset if d != c]
-            if is_approx(trial):
-                subset = trial
-                changed = True
-    mods = [gens[copies[c][0]] for c in subset]
-    if mods:
-        src, _, _ = direct_sum(mods)
-        F = np.concatenate([copies[c][1] for c in subset], axis=0)
-    else:
-        src = zero_module(a)
-        F = np.zeros((0, x.dim), dtype=np.int64)
-    out = ModuleMap(src, x, F)
-    out.summand_gens = [copies[c][0] for c in subset]
-    out.minimal_certain = _check_right_minimal(out)
-    return out
-
-
-def _check_right_minimal(mp: ModuleMap) -> bool:
-    """Whether every endomorphism h of the source with h∘f = 0 is nilpotent.
-
-    These h form K, closed under precomposition, so they are all nilpotent
-    iff the spans of the products K^j reach 0: an exact check."""
-    f = mp.source.algebra.field
-    s = mp.source
-    if s.dim == 0:
-        return True
-    eb = hom_basis(s, s)
-    # solve for combinations annihilating f
-    cons = _flatten_mats([f.matmul(h.matrix, mp.matrix) for h in eb],
-                         s.dim * mp.target.dim)
-    coeff_rows = linalg.nullspace(f, cons.T)
-    mats = np.array([h.matrix for h in eb]).reshape(len(eb), -1)
-    return _nilpotent_span(f, f.matmul(coeff_rows, mats), s.dim)
+            hs = (np.array([_nilpotent_part(f, F) for F in ends]) if s == t
+                  else _hom_space(g, gens[s])[0].reshape(-1, g.dim, gens[s].dim))
+            if len(hs):
+                # prods[j] stacks h_i @ g_j over i
+                prods = _images(f, hs.reshape(-1, gens[s].dim),
+                                gs.reshape(-1, gens[s].dim, x.dim))
+                through.append(prods.reshape(-1, g.dim * x.dim))
+        coords = _coords(f, spaces[t], np.concatenate(through), "approximation")
+        free = np.delete(np.arange(len(spaces[t][0])),
+                         linalg.row_echelon(f, coords)[1])
+        mods += [g] * len(free)
+        maps.append(spaces[t][0][free].reshape(-1, x.dim))
+    src = direct_sum(mods)[0] if mods else zero_module(x.algebra)
+    return ModuleMap(src, x, np.concatenate(maps))
 
 
 def resdim(addgens, x: RightModule, cutoff: int = 24) -> HomologicalDim:
     """add(M)-resolution dimension with iso-certified infinity detection.
 
     Infinite is certified when an earlier approximation kernel recurs as a
-    direct summand of a later one (with minimal approximations this forces
-    the chain never to terminate).  If some approximation could not be
-    certified minimal, a recurrence gives only a lower bound.
+    direct summand of a later one: the approximations are minimal, so this
+    forces the chain never to terminate.
     """
     kernels = []     # list of lists of indecomposable summands
-    minimal = True   # every approximation so far certified right minimal
     cur = x
     for step in range(cutoff + 1):
         if in_add(addgens, cur):
             return HomologicalDim.finite(step)
-        ap = min_right_approx(addgens, cur)
-        minimal = minimal and ap.minimal_certain
-        ker, _ = kernel_submodule(ap)
+        ker, _ = kernel_submodule(min_right_approx(addgens, cur))
         parts = decompose(ker)
         for back, old in enumerate(kernels):
             if not _match_summands(old, parts):
                 continue
-            if not minimal:
-                return HomologicalDim.at_least(
-                    step + 1, "approximation kernel recurs at step %d, "
-                    "minimality not certified" % step)
             cert = PeriodicityCertificate("approximation-kernel",
                                           back + 1, step - back)
             return HomologicalDim.infinite(cert)

@@ -34,7 +34,6 @@ __all__ = [
     "ZeroModule",
     "ResolutionQuiver",
     "validate_kupisch",
-    "to_inj_coord",
     "from_inj_coord",
     "top",
     "socle",
@@ -46,7 +45,6 @@ __all__ = [
     "syzygy_nak",
     "cosyzygy_nak",
     "tau_nak",
-    "tau_inv_nak",
     "dims_nak",
     "resolution_quiver",
     "gp_indecs",
@@ -217,22 +215,6 @@ def from_inj_coord(a: NakAlgebra, ic: InjCoord) -> NakModule:
     return NakModule(a.v(ic.x - a.d[ic.x] + 1), a.d[ic.x] - ic.y)
 
 
-def to_inj_coord(a: NakAlgebra, m: NakModule) -> InjCoord:
-    """Minimal-y injective coordinate of m; LookupError if none exists.
-
-    Over a series with constant d (e.g. selfinjective) this inverts
-    from_inj_coord bijectively; in general some modules admit no
-    coordinate and some coordinates coincide, so the minimal y is taken.
-    """
-    _check(a, m)
-    s = socle(a, m)
-    for y in range(max(a.d) - m.k + 1):
-        x = a.v(s + y)
-        if 0 <= x < a.n and a.d[x] == m.k + y:
-            return InjCoord(x, y)
-    raise LookupError("no injective coordinate for %r over %r" % (m, a.c))
-
-
 # -- syzygies, cosyzygies, translate ----------------------------------------
 
 def syzygy_nak(a: NakAlgebra, m: NakModule):
@@ -266,13 +248,6 @@ def tau_nak(a: NakAlgebra, m: NakModule):
     if not a.cyclic and a.v(m.i + 1) >= a.n:
         raise ValueError("tau undefined")
     return NakModule(a.v(m.i + 1), m.k)
-
-
-def tau_inv_nak(a: NakAlgebra, m: NakModule):
-    _check(a, m)
-    if is_injective(a, m):
-        return ZERO
-    return NakModule(a.v(m.i - 1), m.k)
 
 
 # -- dimensions --------------------------------------------------------------

@@ -17,7 +17,7 @@ from gorlab import invariants as inv
 from gorlab import fixtures as fx
 from gorlab.cli import _cyclic_series
 
-from conftest import assert_iso, assert_not_iso
+from conftest import assert_iso, assert_not_iso, check_right_minimal
 
 F2 = la.PrimeField(2)
 F5 = la.PrimeField(5)
@@ -158,6 +158,7 @@ def test_criterion_3_recurring_kernels_displayed():
     kernel_parts = []
     for _ in range(2):
         ap = mr.min_right_approx(parts, cur)
+        assert check_right_minimal(ap)
         cur, _ = mr.kernel_submodule(ap)
         kernel_parts.append(mr.decompose(cur))
     k1, k2 = kernel_parts

@@ -132,12 +132,68 @@ def test_is_symmetric_matches_gram_reference_on_cyclic_series(p):
     assert sum(bool(alg.is_symmetric(a)) for a in compared) > 5
 
 
-def test_socle_of_dimension_two_is_not_symmetric():
-    # k[x, y]/(x^2, y^2, xy, yx): the local algebra with soc(A) = span(x, y)
+def _two_loops(relations, field):
+    """k<x, y>/I for the relations, as a validated algebra."""
     q = alg.QuiverPresentation(
-        vertices=["*"], arrows=[(0, 0, "x"), (0, 0, "y")],
-        relations=[[(1, p)] for p in ((0, 0), (1, 1), (0, 1), (1, 0))])
-    a = alg.validate(alg.from_quiver(q, F2))
+        vertices=["*"], arrows=[(0, 0, "x"), (0, 0, "y")], relations=relations)
+    return alg.validate(alg.from_quiver(q, field))
+
+
+def _socle_two():
+    # k[x, y]/(x^2, y^2, xy, yx): the local algebra with soc(A) = span(x, y)
+    return _two_loops([[(1, p)] for p in ((0, 0), (1, 1), (0, 1), (1, 0))], F2)
+
+
+def _x2_is_y3():
+    # k<x, y>/(x^2 - y^3, xy, yx) over F5: not homogeneous
+    return _two_loops([[(1, (0, 0)), (4, (1, 1, 1))], [(1, (0, 1))],
+                       [(1, (1, 0))]], la.PrimeField(5))
+
+
+# basis labels and the nonzero (i, j, k, c) entries of mult, as the
+# critical-pair rewriter that from_quiver replaced computed them
+PENNY_FARTHING = (["e1", "a", "b1", "aa", "ab1", "aaa", "e2", "b2", "b2a", "b2ab1"], [
+    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (0, 4, 4, 1),
+    (0, 5, 5, 1), (1, 0, 1, 1), (1, 1, 3, 1), (1, 2, 4, 1), (1, 3, 5, 1),
+    (2, 6, 2, 1), (2, 7, 3, 1), (2, 8, 5, 1), (3, 0, 3, 1), (3, 1, 5, 1),
+    (4, 6, 4, 1), (4, 7, 5, 1), (5, 0, 5, 1), (6, 6, 6, 1), (6, 7, 7, 1),
+    (6, 8, 8, 1), (6, 9, 9, 1), (7, 0, 7, 1), (7, 1, 8, 1), (7, 4, 9, 1),
+    (8, 0, 8, 1), (8, 2, 9, 1), (9, 6, 9, 1)])
+GF4_LOCAL = (["e*", "x", "y", "xy"], [
+    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (1, 0, 1, 1),
+    (1, 2, 3, 1), (2, 0, 2, 1), (2, 1, 3, 1), (3, 0, 3, 1)])
+SOCLE_TWO = (["e*", "x", "y"], [
+    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (2, 0, 2, 1)])
+X2_IS_Y3 = (["e*", "x", "y", "xx", "yy"], [
+    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (0, 4, 4, 1),
+    (1, 0, 1, 1), (1, 1, 3, 1), (2, 0, 2, 1), (2, 2, 4, 1), (2, 4, 3, 1),
+    (3, 0, 3, 1), (4, 0, 4, 1), (4, 2, 3, 1)])
+
+
+@pytest.mark.parametrize("build, pinned", [
+    (lambda: fx.penny_farthing_algebra(F2), PENNY_FARTHING),
+    (lambda: fx.penny_farthing_algebra(la.PrimeField(3)), PENNY_FARTHING),
+    (fx.gf4_local_algebra, GF4_LOCAL),
+    (_socle_two, SOCLE_TWO),
+    (_x2_is_y3, X2_IS_Y3),
+], ids=["penny-farthing-F2", "penny-farthing-F3", "gf4-local", "socle-two",
+        "x2-is-y3-F5"])
+def test_from_quiver_keeps_basis_and_structure_constants(build, pinned):
+    a = build()
+    entries = [tuple(int(v) for v in t) + (int(a.mult[tuple(t)]),)
+               for t in np.argwhere(a.mult)]
+    assert (a.basis_labels, entries) == pinned
+
+
+def test_from_quiver_of_a_free_loop_is_not_finite_dimensional():
+    q = alg.QuiverPresentation(vertices=["*"], arrows=[(0, 0, "x")],
+                               relations=[])
+    with pytest.raises(alg.NotFiniteDimensional):
+        alg.from_quiver(q, F2)
+
+
+def test_socle_of_dimension_two_is_not_symmetric():
+    a = _socle_two()
     assert a.dim == 3
     assert _symmetric_by_gram(a) is False
     assert alg.is_symmetric(a) is False

@@ -90,14 +90,39 @@ def test_module_unknown_spec_is_input_error():
     assert run(["module", "extra:nope", "--fixture", "kupisch-455"])[0] == 1
 
 
+# module files written for the @file.json specs below
+MODULE_FILES = {
+    "empty.json": "{}",
+    "list.json": "[1, 2]",
+    "no-dim.json": '{"algebra_ref": "kupisch-455", "label": "x"}',
+    "bad-shape.json": '{"algebra_ref": "kupisch-455", "dim": 2, '
+                      '"action": [[1, 0], [0, 1]]}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["module", "hom:domdim4_module", "--fixture", "penny-farthing-gendo"],
     ["module", "extra:base_series", "--fixture", "sym-777-gendo"],
+    ["module", "[1,3]"],
+    ["module", "hom:w"],
+    ["module", "[9,9]", "--fixture", "kupisch-455"],
+    ["module", "[0,9]", "--fixture", "kupisch-455"],
+    ["module", "[1]", "--fixture", "kupisch-455"],
+    ["module", "[a,b]", "--fixture", "kupisch-455"],
+    ["module", "@empty.json", "--fixture", "kupisch-455"],
+    ["module", "@list.json", "--fixture", "kupisch-455"],
+    ["module", "@no-dim.json"],
+    ["module", "@bad-shape.json"],
 ])
 def test_module_spec_of_a_non_module_or_wrong_algebra_is_input_error(
-        argv, capsys):
+        argv, capsys, tmp_path, monkeypatch):
+    for name, text in MODULE_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     assert run(argv)[0] == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--fixture name is required" not in err or "--fixture" not in argv
 
 
 def test_module_file_round_trip_same_seed_same_report(tmp_path):

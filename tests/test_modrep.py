@@ -11,7 +11,7 @@ from gorlab import nakayama as nak
 from gorlab import invariants as inv
 from gorlab import fixtures
 
-from conftest import assert_iso, assert_not_iso
+from conftest import assert_iso, assert_not_iso, check_right_minimal
 
 F2 = la.PrimeField(2)
 
@@ -524,9 +524,9 @@ def test_right_minimality_is_exact():
     for fld in (la.PrimeField(5), F2):
         b = alg.from_kupisch(nak.validate_kupisch((7,)), fld)
         p = mr.projectives(b)[0][0]
+        s = mr.simples(b)[0]
         cover = mr.structure(p).top_projection
-        assert mr._check_right_minimal(cover)
-        assert mr.min_right_approx([p], mr.simples(b)[0]).minimal_certain
+        assert check_right_minimal(cover)
         # (cover, 0) and (cover, cover) from P + P are approximations with a
         # redundant copy of P: the projection onto it kills the map
         two = mr.direct_sum([p, p])[0]
@@ -534,16 +534,16 @@ def test_right_minimality_is_exact():
         for second in (zero, cover.matrix):
             redundant = mr.ModuleMap(two, cover.target, np.concatenate(
                 [cover.matrix, second]))
-            assert not mr._check_right_minimal(redundant)
-
-
-def test_resdim_infinite_needs_certified_minimality(a455, monkeypatch):
-    projs, _ = mr.projectives(a455)
-    m = mr.bridge_module(a455, 0, 1)
-    assert mr.resdim(projs, m, cutoff=6).is_infinite
-    monkeypatch.setattr(mr, "_check_right_minimal", lambda mp: False)
-    r = mr.resdim(projs, m, cutoff=6)
-    assert r.kind == "atleast" and r.value >= 1 and r.bound_reason
+            assert not check_right_minimal(redundant)
+        # one copy of P covers S and k[x]/(x^3), whatever the generators;
+        # over add(P + S), S is its own approximation: P -> S factors
+        # through the identity of S
+        m = mr.bridge_module(b, 0, 3)
+        for gens, x, dim in (([p], s, 7), ([p, p], m, 7), ([two], m, 7),
+                             ([p, s], s, 1)):
+            ap = mr.min_right_approx(gens, x)
+            assert ap.source.dim == dim and check_right_minimal(ap)
+            assert la.rank_raw(fld, ap.matrix) == x.dim
 
 
 def test_algebra_mismatch_guard(a455, a777):

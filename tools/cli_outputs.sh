@@ -54,3 +54,22 @@ call endo-f5-two-periodic-demo.json --field 5 --format json endo --fixture two-p
 call module-f5-hom-w-two-periodic-demo.json --field 5 --format json module hom:w --fixture two-periodic-demo
 call module-hom-domdim4-penny-farthing-gendo.json --format json module hom:domdim4_module --fixture penny-farthing-gendo
 call module-extra-base-series-sym-777-gendo.json --format json module extra:base_series --fixture sym-777-gendo
+# malformed module specs: each must exit 1 with an error message, never a
+# traceback (the message goes to stderr, which is not recorded)
+specs=$(mktemp -d)
+trap 'rm -rf "$specs"' EXIT
+echo '{}' > "$specs/empty.json"
+echo '[1, 2]' > "$specs/list.json"
+echo '{"algebra_ref": "kupisch-455", "label": "x"}' > "$specs/no-dim.json"
+echo '{"algebra_ref": "kupisch-455", "dim": 2, "action": [[1, 0], [0, 1]]}' \
+    > "$specs/bad-shape.json"
+call module-error-1-3-no-fixture.text module '[1,3]'
+call module-error-hom-w-no-fixture.text module hom:w
+call module-error-9-9-kupisch-455.text module '[9,9]' --fixture kupisch-455
+call module-error-0-9-kupisch-455.text module '[0,9]' --fixture kupisch-455
+call module-error-1-kupisch-455.text module '[1]' --fixture kupisch-455
+call module-error-a-b-kupisch-455.text module '[a,b]' --fixture kupisch-455
+call module-error-file-empty-kupisch-455.text module "@$specs/empty.json" --fixture kupisch-455
+call module-error-file-list-kupisch-455.text module "@$specs/list.json" --fixture kupisch-455
+call module-error-file-no-dim.text module "@$specs/no-dim.json"
+call module-error-file-bad-shape.text module "@$specs/bad-shape.json"
