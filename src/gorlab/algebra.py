@@ -2,9 +2,10 @@
 
 An algebra is given concretely by a basis, structure constants, a unit, a
 complete set of pairwise orthogonal primitive idempotents and a generating
-set of its Jacobson radical.  Builders are provided for bound-quiver
-presentations (normal paths by elimination) and for Nakayama algebras given
-by a Kupisch series.
+set of its Jacobson radical J, from which ``validate`` chooses the arrows, a
+lift of a basis of J/J^2 that generates the algebra with the idempotents.
+Builders are provided for bound-quiver presentations (normal paths by
+elimination) and for Nakayama algebras given by a Kupisch series.
 
 Every basis is graded: each basis element lies in one e_u A e_v, so every
 L(e_u) and R(e_v) is a 0/1 diagonal; ``validate`` checks this.
@@ -71,8 +72,8 @@ class AlgebraPresentation:
         self.unit = self.field.check(np.asarray(self.unit, dtype=np.int64))
         self.idempotents = self.field.check(
             np.asarray(self.idempotents, dtype=np.int64).reshape(-1, n))
-        rg = np.asarray(self.radical_generators, dtype=np.int64)
-        self.radical_generators = self.field.check(rg.reshape(-1, n) if rg.size else rg.reshape(0, n))
+        self.radical_generators = self.field.check(
+            np.asarray(self.radical_generators, dtype=np.int64).reshape(-1, n))
         if self.mult.shape != (n, n, n) or self.unit.shape != (n,):
             raise ValidationError("BadShape", None, "structure constant dimensions")
 
@@ -83,6 +84,8 @@ class BasedAlgebra:
     Not built directly; use :func:`validate` or one of the builders.
 
     Basis element j lies in e_u A e_v for u, v = ``peirce[0][j], peirce[1][j]``.
+    ``arrows`` is a homogeneous lift of a basis of J/J^2, chosen by
+    :func:`validate` from the presented generators; ``jacobson_basis`` spans J.
 
     Data built once per algebra is kept in ``cache``, through :meth:`cached`
     only, under the keys ``"opp"`` (the opposite algebra, stored both ways
@@ -103,9 +106,9 @@ class BasedAlgebra:
         self.unit = pres.unit
         self.idempotents = pres.idempotents
         self.n_idem = pres.idempotents.shape[0]
-        self.radical_generators = pres.radical_generators
         # filled during validation
         self.jacobson_basis = None   # rows spanning the radical ideal
+        self.arrows = None           # homogeneous lift of a basis of J/J^2
         self.peirce = None           # (left, right) vertex of each basis element
         self.cartan = None           # integer matrix, entry (i,j) = dim e_i A e_j
         self.connected = None
@@ -178,16 +181,22 @@ def validate(pres: AlgebraPresentation) -> BasedAlgebra:
     jac = _ideal_closure(alg, pres.radical_generators)
     if jac.shape[0] and linalg.in_row_space(f, jac, pres.unit):
         raise ValidationError("RadicalNotIdeal", None, "radical ideal contains the unit")
-    if not _is_nilpotent_ideal(alg, jac):
+    # column block x of left is L(jac[x]): times(P) stacks the jac[x] * y, y in P
+    left = f.matmul(jac, pres.mult.reshape(n, -1)).reshape(-1, n, n)
+    left = left.transpose(1, 0, 2).reshape(n, -1)
+
+    def times(power):
+        return f.matmul(power, left).reshape(-1, n)
+    if not linalg.powers_vanish(f, jac, times):
         raise ValidationError("RadicalNotNilpotent")
     # elementary semisimple quotient: A = span(e_i) + J with independent images
-    stack = np.concatenate([idem, jac], axis=0) if jac.size else idem
-    if k + jac.shape[0] != n or linalg.rank_raw(f, stack) != n:
+    if k + jac.shape[0] != n or linalg.rank_raw(f, np.concatenate([idem, jac])) != n:
         raise ValidationError("QuotientNotSemisimple",
                               (k, int(jac.shape[0]), n))
     alg.jacobson_basis = jac
 
     alg.peirce = _peirce(alg)
+    alg.arrows = _arrows(alg, linalg.row_space_basis(f, times(jac)))
     cart = np.zeros((k, k), dtype=np.int64)
     np.add.at(cart, alg.peirce, 1)
     alg.cartan = cart
@@ -227,6 +236,19 @@ def _peirce(alg) -> tuple:
     return vertex[:n], vertex[n:]
 
 
+def _arrows(alg, square) -> np.ndarray:
+    """The Peirce pieces e_u g e_v (g at the basis of one e_u A e_v) of the
+    generators g outside the span of J^2 (rows of square) and the pieces
+    before them.  AgA lies in span(e_u g e_v) + J^2, so they lift a basis of
+    J/J^2 (Auslander-Reiten-Smalo, III.1)."""
+    cell = alg.peirce[0] * alg.n_idem + alg.peirce[1]
+    pieces = np.array([g * (cell == c) for g in alg.pres.radical_generators
+                       for c in sorted(set(cell[g != 0].tolist()))],
+                      dtype=np.int64).reshape(-1, alg.dim)
+    _, pivots = linalg.row_echelon(alg.field, np.concatenate([square, pieces]).T)
+    return pieces[[p - len(square) for p in pivots if p >= len(square)]]
+
+
 def _assoc_witness(alg, i, k):
     f = alg.field
     for j in range(alg.dim):
@@ -245,25 +267,18 @@ def _basis_vec(alg, i, f):
 
 def _ideal_closure(alg, rows) -> np.ndarray:
     """Row basis of the two-sided ideal generated by the given elements."""
-    f = alg.field
+    f, n = alg.field, alg.dim
+    # basis @ sides[0] stacks the products x * b_j, basis @ sides[1] the b_j * x
+    sides = [alg.mult.reshape(n, -1), alg.mult.transpose(1, 0, 2).reshape(n, -1)]
     basis = linalg.row_space_basis(f, rows)
     while True:
         prev = basis.shape[0]
         if prev == 0:
             return basis
-        new = [basis]
-        for j in range(alg.dim):
-            new.append(f.matmul(basis, alg.mult[:, j, :]))   # right mult by b_j
-            new.append(f.matmul(basis, alg.mult[j]))          # left mult by b_j
-        basis = linalg.row_space_basis(f, np.concatenate(new, axis=0))
+        basis = linalg.row_space_basis(f, np.concatenate(
+            [basis] + [f.matmul(basis, s).reshape(-1, n) for s in sides]))
         if basis.shape[0] == prev:
             return basis
-
-
-def _is_nilpotent_ideal(alg, jac) -> bool:
-    f = alg.field
-    return linalg.powers_vanish(f, jac, lambda power: np.concatenate(
-        [f.matmul(power, alg.L(g)) for g in jac]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +438,13 @@ def from_kupisch(series, field: FieldSpec) -> BasedAlgebra:
     mult = np.zeros((n, n, n), dtype=np.int64)
     for (i, t) in paths:
         end = (i + t) % n_v if cyclic else i + t
-        for (j, s) in paths:
-            if j != end:
-                continue
-            if t + s < c[i]:
-                mult[index[(i, t)], index[(j, s)], index[(i, t + s)]] = field.one
-    unit = np.zeros(n, dtype=np.int64)
-    idem = np.zeros((n_v, n), dtype=np.int64)
-    for i in range(n_v):
-        unit[index[(i, 0)]] = field.one
-        idem[i, index[(i, 0)]] = field.one
-    radgens = []
-    for i in range(n_v):
-        if c[i] >= 2:
-            v = np.zeros(n, dtype=np.int64)
-            v[index[(i, 1)]] = field.one
-            radgens.append(v)
+        # c[end] >= c[i] - t for a Kupisch series, so each (end, s) is a path
+        for s in range(c[i] - t):
+            mult[index[(i, t)], index[(end, s)], index[(i, t + s)]] = field.one
+    idem = field.eye(n)[[index[(i, 0)] for i in range(n_v)]]
+    arrows = field.eye(n)[[index[(i, 1)] for i in range(n_v) if c[i] >= 2]]
     labels = ["p%d.%d" % p for p in paths]
-    pres = AlgebraPresentation(field, labels, mult, unit, idem,
-                               np.array(radgens).reshape(len(radgens), n))
+    pres = AlgebraPresentation(field, labels, mult, idem.sum(axis=0), idem, arrows)
     alg = validate(pres)
     alg.nak_bridge = {"series": series, "path_index": index}
     return alg
@@ -453,11 +456,9 @@ def from_kupisch(series, field: FieldSpec) -> BasedAlgebra:
 
 def opposite(a: BasedAlgebra) -> BasedAlgebra:
     """Same basis, transposed structure constants; an involution."""
-    mult_op = a.mult.transpose(1, 0, 2).copy()
-    pres = AlgebraPresentation(a.field, list(a.basis_labels), mult_op,
-                               a.unit.copy(), a.idempotents.copy(),
-                               a.radical_generators.copy())
-    return validate(pres)
+    return validate(AlgebraPresentation(
+        a.field, list(a.basis_labels), a.mult.transpose(1, 0, 2).copy(),
+        a.unit.copy(), a.idempotents.copy(), a.arrows.copy()))
 
 
 def is_symmetric(a: BasedAlgebra) -> bool:
@@ -478,10 +479,10 @@ def is_symmetric(a: BasedAlgebra) -> bool:
 def _socle_test(a: BasedAlgebra) -> bool:
     f = a.field
     n = a.dim
-    jac = a.jacobson_basis
-    # soc(A_A) = {x : xJ = 0} is a two-sided ideal, so soc(e_iA) = e_i soc(A_A)
-    soc = (linalg.nullspace(f, np.concatenate([a.R(j) for j in jac], axis=1).T)
-           if jac.shape[0] else f.eye(n))
+    # soc(A_A) = {x : xJ = 0} is a two-sided ideal, so soc(e_iA) = e_i soc(A_A);
+    # J is spanned by products of arrows, so xJ = 0 iff x kills every arrow
+    soc = (linalg.nullspace(f, np.concatenate([a.R(g) for g in a.arrows], axis=1).T)
+           if len(a.arrows) else f.eye(n))
     socles = []
     for e in a.idempotents:
         s = linalg.row_space_basis(f, f.matmul(soc, a.L(e)))

@@ -185,11 +185,7 @@ def _print_nakayama_text(rep: dict, out):
 def cmd_nakayama(args, cfg: RunConfig, out) -> int:
     series = _parse_series(args.series)
     cyclic = not args.linear
-    try:
-        rep = _nakayama_report(series, cyclic, cfg)
-    except nak.KupischViolation as e:
-        print("invalid Kupisch series: %s" % e, file=sys.stderr)
-        return 1
+    rep = _nakayama_report(series, cyclic, cfg)
     if cfg.fmt == "json":
         print(ser.dump_json(rep), file=out)
     elif cfg.fmt == "csv":

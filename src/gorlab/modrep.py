@@ -17,10 +17,11 @@ Modules are kept in graded bases (Auslander-Reiten-Smalo, III.1): each
 basis vector lies in one M e_v, so every rho(e_v) is a 0/1 diagonal.
 ``make_module`` regrades its input; every other construction keeps the
 grading.  A map sends M e_v into N e_v, so a Hom space starts from the unit
-maps E_rs with r and s at one vertex, and only the radical generators impose
-equations.  Each equation keeps the rows of a nullspace, which are the
-identity at known columns, so every Hom basis is the identity at a set of
-keys: the coordinates of a map are its entries there, checked by one matmul.
+maps E_rs with r and s at one vertex, and only the arrows (a lift of a basis
+of J/J^2) impose equations.  Each equation keeps the rows of a nullspace,
+which are the identity at known columns, so every Hom basis is the identity
+at a set of keys: the coordinates of a map are its entries there, checked by
+one matmul.
 Endomorphism algebras and the Hom functor read their structure constants this
 way.  Likewise e_iA is spanned by the basis elements b = e_i b of A, so the
 action of each projective is a submatrix of that of A_A.
@@ -281,11 +282,11 @@ def _vertices(m: RightModule) -> np.ndarray:
 
 
 def fingerprint(m: RightModule) -> tuple:
-    """(dimension vector, rank of rho(g) per radical generator g): both are
-    isomorphism invariants, since rho_n(x) = P^-1 rho_m(x) P."""
+    """(dimension vector, rank of rho(g) per arrow g): both are isomorphism
+    invariants, since rho_n(x) = P^-1 rho_m(x) P."""
     a = m.algebra
     return (tuple(np.bincount(_vertices(m), minlength=a.n_idem).tolist()),
-            tuple(linalg.rank_raw(a.field, m.rho(g)) for g in a.radical_generators))
+            tuple(linalg.rank_raw(a.field, m.rho(g)) for g in a.arrows))
 
 
 def _hom_space(m: RightModule, n: RightModule) -> tuple:
@@ -296,9 +297,9 @@ def _hom_space(m: RightModule, n: RightModule) -> tuple:
     The e_v are complete orthogonal idempotents, so F commutes with every
     rho(e_v) iff F = sum_v rho_m(e_v) F rho_n(e_v): in graded bases, a span of
     the unit maps E_rs with r and s at one vertex, listed by vertex, then r,
-    then s.  With the idempotents the radical generators generate A as an
-    algebra, so only rho_m(g) F = F rho_n(g) remains to be imposed, for
-    those g.  Each constraint keeps the combinations given by a nullspace,
+    then s.  With the idempotents the arrows generate A as an algebra, so
+    only rho_m(g) F = F rho_n(g) remains to be imposed, one arrow g at a
+    time.  Each constraint keeps the combinations given by a nullspace,
     whose rows are the identity at their last nonzero columns.
     """
     if m.algebra is not n.algebra:
@@ -312,7 +313,7 @@ def _hom_space(m: RightModule, n: RightModule) -> tuple:
     keys = (r * n.dim + s)[np.argsort(vm[r], kind="stable")]
     basis = np.zeros((len(keys), m.dim * n.dim), dtype=np.int64)
     basis[np.arange(len(keys)), keys] = f.one
-    for g in a.radical_generators:
+    for g in a.arrows:
         if basis.shape[0] == 0:
             break
         maps = basis.reshape(-1, m.dim, n.dim)
@@ -360,13 +361,13 @@ class StructureData:
 
 
 def structure(m: RightModule) -> StructureData:
+    """rad M = sum of the M*alpha over the arrows alpha, as MJ^k lies in it
+    plus MJ^(k+1) and J is nilpotent; soc M is where every rho(alpha) is 0."""
     a = m.algebra
     f = a.field
     if m.dim == 0:
         raise ValueError("structure of the zero module")
-    # rad M = MJ is spanned by the rows of the rho(j) over a basis of the
-    # ideal J, so the span needs no closure; soc M is where they all vanish
-    acts = f.matmul(a.jacobson_basis, m.action.reshape(a.dim, -1))
+    acts = f.matmul(a.arrows, m.action.reshape(a.dim, -1))
     rad, rad_inc = submodule_from_rows(m, acts.reshape(-1, m.dim), label="rad")
     top, top_proj = quotient_by_rows(m, rad_inc.matrix, label="top")
     soc_rows = linalg.nullspace(f, acts.reshape(-1, m.dim, m.dim)
@@ -739,15 +740,8 @@ def iso_classes(mods) -> list:
 
 def in_add(gens, x: RightModule) -> bool:
     """Is x a direct sum of copies of summands of the given generators?"""
-    if x.dim == 0:
-        return True
-    gen_summands = []
-    for g in gens:
-        gen_summands.extend(decompose(g))
-    for part in decompose(x):
-        if not any(iso(part, gs) for gs in gen_summands):
-            return False
-    return True
+    classes = iso_classes(gens)
+    return all(any(iso(p, g) for g in classes) for p in decompose(x))
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +761,12 @@ def min_right_approx(addgens, x: RightModule) -> ModuleMap:
     RuntimeError unless :func:`_is_local` certifies every End(G_t) local
     with residue field f.
     """
+    return _approximation(iso_classes(addgens), x)
+
+
+def _approximation(gens, x: RightModule) -> ModuleMap:
+    """:func:`min_right_approx` for gens = iso_classes(addgens)."""
     f = x.algebra.field
-    gens = iso_classes(addgens)
     spaces = [_hom_space(g, x) for g in gens]
     mods, maps = [], [np.zeros((0, x.dim), dtype=np.int64)]
     for t, g in enumerate(gens):
@@ -804,12 +802,13 @@ def resdim(addgens, x: RightModule, cutoff: int = 24) -> HomologicalDim:
     direct summand of a later one: the approximations are minimal, so this
     forces the chain never to terminate.
     """
+    gens = iso_classes(addgens)
     kernels = []     # list of lists of indecomposable summands
-    cur = x
+    cur, parts = x, decompose(x)
     for step in range(cutoff + 1):
-        if in_add(addgens, cur):
+        if all(any(iso(p, g) for g in gens) for p in parts):
             return HomologicalDim.finite(step)
-        ker, _ = kernel_submodule(min_right_approx(addgens, cur))
+        ker, _ = kernel_submodule(_approximation(gens, cur))
         parts = decompose(ker)
         for back, old in enumerate(kernels):
             if not _match_summands(old, parts):

@@ -9,6 +9,7 @@ from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import nakayama as nak
 from gorlab import fixtures as fx
+from gorlab import serialize as ser
 
 F2 = la.PrimeField(2)
 
@@ -63,7 +64,7 @@ def test_validation_rejects_an_ungraded_basis():
         mult=F2.matmul(mult.reshape(-1, a.dim), q_inv).reshape(a.mult.shape),
         unit=F2.matmul(a.unit[None, :], q_inv)[0],
         idempotents=F2.matmul(a.idempotents, q_inv),
-        radical_generators=F2.matmul(a.radical_generators, q_inv))
+        radical_generators=F2.matmul(a.pres.radical_generators, q_inv))
     with pytest.raises(alg.ValidationError) as err:
         alg.validate(bad)
     assert (err.value.code, err.value.witness) == ("NotGraded", 1)
@@ -227,3 +228,71 @@ def test_cartan_matrix_row_sums_are_projective_dims():
     a = _nak455()
     c = a.cartan
     assert [int(r.sum()) for r in c] == [4, 5, 5]
+
+
+def _square(a):
+    """Row basis of J^2, one product of Jacobson basis elements at a time."""
+    jac = a.jacobson_basis
+    return la.row_space_basis(a.field, np.array(
+        [a.elem_mul(x, y) for x in jac for y in jac]).reshape(-1, a.dim))
+
+
+def _assert_arrows_lift_j_mod_j2(a):
+    f, jac = a.field, la.row_space_basis(a.field, a.jacobson_basis)
+    square = _square(a)
+    assert len(a.arrows) == len(jac) - len(square)
+    for g in a.arrows:
+        cells = {(a.peirce[0][j], a.peirce[1][j]) for j in np.flatnonzero(g)}
+        assert len(cells) == 1
+    assert np.array_equal(
+        la.row_space_basis(f, np.concatenate([a.arrows, square])), jac)
+    assert np.array_equal(
+        la.row_space_basis(f, alg._ideal_closure(a, a.arrows)), jac)
+
+
+# dim J/J^2, the number of arrows of the quiver, of each endo fixture's B
+ARROW_COUNTS = {"sym-777-gendo": 5, "penny-farthing-gendo": 5,
+                "gf4-local-gendo": 4, "auslander-22": 4, "two-periodic-demo": 3}
+
+
+@pytest.mark.parametrize("name", fx.FIXTURE_NAMES)
+def test_arrows_lift_a_basis_of_j_mod_j2(name):
+    # on every fixture algebra, its opposite, its corners (as built in
+    # test_every_construction_keeps_modules_graded) and a JSON round trip
+    f = fx.build_fixture(name)
+    if name in ARROW_COUNTS:
+        assert len(f.algebra.arrows) == ARROW_COUNTS[name]
+    for a in (f.algebra, f.base_algebra):
+        if a is None:
+            continue
+        algebras = [ser.algebra_from_json(ser.algebra_to_json(a))]
+        for b in (a, mr.opp(a)):
+            algebras.append(b)
+            for k in range(1, min(a.n_idem, 4) + 1):
+                algebras += [alg.corner_algebra(b, sel).algebra for sel in
+                             itertools.combinations(range(a.n_idem), k)]
+        assert np.array_equal(algebras[0].arrows, a.arrows)
+        for b in algebras:
+            _assert_arrows_lift_j_mod_j2(b)
+    # Kupisch and bound quiver algebras present their arrows already
+    a = f.base_algebra if f.endo is not None else f.algebra
+    assert np.array_equal(a.arrows, a.pres.radical_generators)
+
+
+def test_arrows_split_and_drop_presented_generators():
+    # the sum of the three arrows of (4, 5, 5) splits into them, in their
+    # order; an element of J^2 and a repeated arrow are dropped
+    a = _nak455()
+    arrows = a.pres.radical_generators
+    j2 = _square(a)[0]
+    pres = alg.AlgebraPresentation(
+        F2, list(a.basis_labels), a.mult, a.unit, a.idempotents,
+        np.array([arrows.sum(axis=0) % 2, j2, arrows[1]]))
+    b = alg.validate(pres)
+    assert np.array_equal(b.arrows, arrows)
+    assert np.array_equal(b.jacobson_basis, a.jacobson_basis)
+    _assert_arrows_lift_j_mod_j2(b)
+    for build in (_socle_two, _x2_is_y3, fx.gf4_local_algebra):
+        c = build()
+        assert np.array_equal(c.arrows, c.pres.radical_generators)
+        _assert_arrows_lift_j_mod_j2(c)

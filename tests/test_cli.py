@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlab import cli
 from gorlab import fixtures as fx
@@ -275,3 +278,67 @@ def test_scan_passes_field_cutoff_and_seed(monkeypatch):
     calls.clear()
     run(["scan", "2", "3"])
     assert calls and set(calls) == {(la.PrimeField(2), inv.DEFAULT_BOUND)}
+
+
+# The input grammar of the CLI, in and out of range: every value a user can
+# put in each slot, valid or not.  Fixtures and scan bounds are the cheap
+# ones, so that the examples fit the budget below.
+FIXTURES = ["kupisch-455", "a2-line", "two-periodic-demo", "gf4-local-gendo",
+            "kupisch-s2", "kupisch-s0", "no-such"]
+FLAGS = {"--field": ["2", "3", "gf4", "4", "9", "x"],
+         "--format": ["text", "json", "csv", "xml"],
+         "--cutoff": ["-1", "0", "1", "3", "x"]}
+
+
+@st.composite
+def _module_specs(draw):
+    i, k = draw(st.integers(-1, 3)), draw(st.integers(0, 5))
+    return draw(st.sampled_from(["[%d,%d]" % (i, k)] * 6 + [
+        "[%d]" % i, "[a,b]", "nonsense", "@missing.json", "hom:w", "hom:m11",
+        "hom:nope", "extra:gpi_candidate", "extra:w"]))
+
+
+@st.composite
+def _argvs(draw):
+    argv = []
+    for flag, values in FLAGS.items():
+        # each flag is given one time in three
+        if draw(st.integers(0, 2)) == 0:
+            argv += [flag, draw(st.sampled_from(values))]
+    fixture = draw(st.none() | st.sampled_from(FIXTURES))
+    by_fixture = [] if fixture is None else ["--fixture", fixture]
+    cmd = draw(st.sampled_from(["nakayama", "endo", "module", "scan", "suite"]))
+    if cmd == "nakayama":
+        argv += ["nakayama", draw(st.sampled_from(
+            ["4,5,5", "2,2", "2,1", "3", "1,5", "0", "", "x,2"]))]
+        argv += draw(st.sampled_from([[], ["--linear"], ["--cyclic"]]))
+    elif cmd == "module":
+        argv += ["module", draw(_module_specs())] + by_fixture
+    elif cmd == "scan":
+        argv += ["scan", str(draw(st.integers(-1, 3))),
+                 str(draw(st.integers(-1, 4)))]
+    elif cmd == "suite":
+        # without --fixture the suite runs every fixture, beyond the budget
+        argv += ["suite", "--fixture", fixture or "a2-line"]
+    else:
+        argv += ["endo"] + by_fixture
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argvs())
+def _check_input_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv, out=io.StringIO())
+    assert code in (0, 1), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+def test_every_argv_exits_0_or_1_with_an_error_line():
+    # every argv of the grammar either runs or fails as an input error
+    t0 = time.perf_counter()
+    _check_input_contract()
+    assert time.perf_counter() - t0 < 60.0

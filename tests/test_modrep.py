@@ -62,7 +62,7 @@ def _kronecker_hom_basis(m, n):
     a = m.algebra
     f = a.field
     basis = None
-    for g in np.concatenate([a.idempotents, a.radical_generators]):
+    for g in np.concatenate([a.idempotents, a.pres.radical_generators]):
         block = f.sub(_field_kron(f, m.rho(g), f.eye(n.dim)),
                       _field_kron(f, f.eye(m.dim), n.rho(g).T))
         if basis is None:
@@ -176,7 +176,7 @@ def test_every_construction_keeps_modules_graded(fix):
                     c = alg.corner_algebra(b, sel)
                     got = [c.algebra.mult, c.algebra.unit,
                            c.algebra.idempotents,
-                           c.algebra.radical_generators, c.basis_rows]
+                           c.algebra.pres.radical_generators, c.basis_rows]
                     for x, y in zip(got, _solve_corner(b, sel)):
                         assert np.array_equal(x, y), (name, sel)
         projs, reg = mr.projectives(a)
@@ -199,7 +199,7 @@ def _closure_structure(m):
     a, f = m.algebra, m.algebra.field
     basis = la.row_space_basis(f, np.concatenate(
         [np.zeros((0, m.dim), dtype=np.int64)]
-        + [m.rho(g) for g in a.radical_generators]))
+        + [m.rho(g) for g in a.pres.radical_generators]))
     while len(basis):
         prev = len(basis)
         basis = la.row_space_basis(f, np.concatenate(
@@ -648,7 +648,7 @@ _ENDO_FIXTURES += [("gf4-local-gendo", None),
 def test_endo_algebra_and_hom_functor_match_the_solve_references(name, field):
     fx = fixtures.build_fixture(name, field)
     b = fx.endo.algebra
-    got = [b.mult, b.unit, b.idempotents, b.radical_generators]
+    got = [b.mult, b.unit, b.idempotents, b.pres.radical_generators]
     for x, y in zip(got, _solve_endo(fx.endo)):
         assert np.array_equal(x, y), name
     for x in fx.base_pool:
