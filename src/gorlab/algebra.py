@@ -111,8 +111,6 @@ class BasedAlgebra:
         self.arrows = None           # homogeneous lift of a basis of J/J^2
         self.peirce = None           # (left, right) vertex of each basis element
         self.cartan = None           # integer matrix, entry (i,j) = dim e_i A e_j
-        self.connected = None
-        self.warnings = []
         self.nak_bridge = None       # set by from_kupisch
         self.cache = {}
 
@@ -144,8 +142,8 @@ _VALIDATED = object()
 def validate(pres: AlgebraPresentation) -> BasedAlgebra:
     """Check all presentation axioms; return the algebra with caches filled.
 
-    Non-connected or semisimple input yields a warning, not an error, since
-    those are soundness-of-theory assumptions rather than well-formedness.
+    Connectedness is not checked: it is an assumption of the theory, not of
+    well-formedness, and a semisimple algebra (J = 0) is accepted too.
     """
     f = pres.field
     n = len(pres.basis_labels)
@@ -200,21 +198,6 @@ def validate(pres: AlgebraPresentation) -> BasedAlgebra:
     cart = np.zeros((k, k), dtype=np.int64)
     np.add.at(cart, alg.peirce, 1)
     alg.cartan = cart
-
-    adj = (cart + cart.T) > 0
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in range(k):
-            if adj[v, w] and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    alg.connected = len(seen) == k
-    if not alg.connected:
-        alg.warnings.append("not connected")
-    if jac.shape[0] == 0:
-        alg.warnings.append("semisimple")
     return alg
 
 

@@ -59,11 +59,11 @@ class FieldSpec:
     """Common interface: arithmetic on integer-coded elements.
 
     Subclasses provide vectorised ``add``/``sub``/``mul``/``neg`` on numpy
-    arrays (or scalars) plus scalar inversion.
+    arrays (or scalars), scalar inversion and ``_matmul``, the product that
+    ``matmul`` calls after its shape check.
     """
 
     order: int
-    characteristic: int
     one: int  # code of the multiplicative unit; zero is always code 0
 
     def add(self, a, b):
@@ -96,12 +96,6 @@ class FieldSpec:
             raise FieldError("matmul shape mismatch %s @ %s" % (a.shape, b.shape))
         return self._matmul(a, b)
 
-    def _matmul(self, a, b):
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for k in range(a.shape[1]):
-            out = self.add(out, self.mul(a[:, k : k + 1], b[k : k + 1, :]))
-        return out
-
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.int64)
 
@@ -119,7 +113,6 @@ class PrimeField(FieldSpec):
             raise FieldError("%d is not prime" % p)
         self.p = p
         self.order = p
-        self.characteristic = p
         self.one = 1 % p
 
     def add(self, a, b):
@@ -182,12 +175,6 @@ class SmallTableField(FieldSpec):
             self._inv[x] = int(hits[0])
         rng = np.arange(order)
         self._add_is_xor = np.array_equal(self._add, rng[:, None] ^ rng[None, :])
-        # characteristic: additive order of 1
-        c, acc = 1, self.one
-        while acc != 0:
-            acc = int(self._add[acc, self.one])
-            c += 1
-        self.characteristic = c
 
     def _validate_axioms(self):
         q = self.order

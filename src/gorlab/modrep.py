@@ -12,6 +12,9 @@ v -> v @ F, so composition "f then g" is F @ G.
 Submodule and quotient actions need no solve: the basis of a span is kept in
 reduced echelon form, so a vector of the span has its coordinates at the
 pivot columns, and one matmul checks that the span is action-stable.
+Projective covers need no solve either: the unit vectors at the non-pivot
+columns of the radical's echelon basis lift a basis of the top, so by
+Nakayama's lemma they generate the module minimally.
 
 Modules are kept in graded bases (Auslander-Reiten-Smalo, III.1): each
 basis vector lies in one M e_v, so every rho(e_v) is a 0/1 diagonal.
@@ -77,7 +80,6 @@ __all__ = [
     "IsoResult",
     "decompose",
     "iso_classes",
-    "in_add",
     "min_right_approx",
     "resdim",
     "endo_algebra",
@@ -117,14 +119,6 @@ class ModuleMap:
     source: RightModule
     target: RightModule
     matrix: np.ndarray          # (source.dim, target.dim), v -> v @ matrix
-
-    def then(self, other: "ModuleMap") -> "ModuleMap":
-        if other.source is not self.target:
-            if other.source.dim != self.target.dim:
-                raise AlgebraMismatch("composition shape mismatch")
-        f = self.source.algebra.field
-        return ModuleMap(self.source, other.target,
-                         f.matmul(self.matrix, other.matrix))
 
     def is_iso(self) -> bool:
         return (self.source.dim == self.target.dim
@@ -281,12 +275,19 @@ def _vertices(m: RightModule) -> np.ndarray:
                           ).argmax(axis=0)
 
 
+def _arrow_actions(m: RightModule) -> np.ndarray:
+    """The stack of rho(alpha) over the arrows alpha, from one matmul."""
+    a = m.algebra
+    return a.field.matmul(a.arrows, m.action.reshape(a.dim, -1)).reshape(
+        len(a.arrows), m.dim, m.dim)
+
+
 def fingerprint(m: RightModule) -> tuple:
     """(dimension vector, rank of rho(g) per arrow g): both are isomorphism
     invariants, since rho_n(x) = P^-1 rho_m(x) P."""
     a = m.algebra
     return (tuple(np.bincount(_vertices(m), minlength=a.n_idem).tolist()),
-            tuple(linalg.rank_raw(a.field, m.rho(g)) for g in a.arrows))
+            tuple(linalg.rank_raw(a.field, x) for x in _arrow_actions(m)))
 
 
 def _hom_space(m: RightModule, n: RightModule) -> tuple:
@@ -313,12 +314,12 @@ def _hom_space(m: RightModule, n: RightModule) -> tuple:
     keys = (r * n.dim + s)[np.argsort(vm[r], kind="stable")]
     basis = np.zeros((len(keys), m.dim * n.dim), dtype=np.int64)
     basis[np.arange(len(keys)), keys] = f.one
-    for g in a.arrows:
+    for gm, gn in zip(_arrow_actions(m), _arrow_actions(n)):
         if basis.shape[0] == 0:
             break
         maps = basis.reshape(-1, m.dim, n.dim)
-        after = f.matmul(basis.reshape(-1, n.dim), n.rho(g))
-        cons = f.sub(_images(f, m.rho(g), maps), after.reshape(maps.shape))
+        after = f.matmul(basis.reshape(-1, n.dim), gn)
+        cons = f.sub(_images(f, gm, maps), after.reshape(maps.shape))
         coords = linalg.nullspace(f, cons.reshape(len(maps), -1).T)
         basis = f.matmul(coords, basis)
         keys = keys[coords.shape[1] - 1 - (coords[:, ::-1] != 0).argmax(axis=1)]
@@ -363,15 +364,13 @@ class StructureData:
 def structure(m: RightModule) -> StructureData:
     """rad M = sum of the M*alpha over the arrows alpha, as MJ^k lies in it
     plus MJ^(k+1) and J is nilpotent; soc M is where every rho(alpha) is 0."""
-    a = m.algebra
-    f = a.field
     if m.dim == 0:
         raise ValueError("structure of the zero module")
-    acts = f.matmul(a.arrows, m.action.reshape(a.dim, -1))
+    acts = _arrow_actions(m)
     rad, rad_inc = submodule_from_rows(m, acts.reshape(-1, m.dim), label="rad")
     top, top_proj = quotient_by_rows(m, rad_inc.matrix, label="top")
-    soc_rows = linalg.nullspace(f, acts.reshape(-1, m.dim, m.dim)
-                                .transpose(1, 0, 2).reshape(m.dim, -1).T)
+    soc_rows = linalg.nullspace(m.algebra.field,
+                                acts.transpose(1, 0, 2).reshape(m.dim, -1).T)
     soc, soc_inc = submodule_from_rows(m, soc_rows, label="soc")
     return StructureData(rad, rad_inc, top, top_proj, soc, soc_inc)
 
@@ -405,26 +404,27 @@ def injectives(a: BasedAlgebra) -> list:
 
 
 def projective_cover(m: RightModule) -> ModuleMap:
-    """Minimal surjection from a projective; kernel lies in its radical."""
+    """Minimal surjection from a projective; kernel lies in its radical.
+
+    The basis vectors gens of m at the non-pivot columns of rad m's echelon
+    basis lift a basis of the top, so by Nakayama's lemma they generate m
+    minimally (Auslander-Reiten-Smalo, I.3-4)."""
     a = m.algebra
-    f = a.field
     if m.dim == 0:
         cover = ModuleMap(zero_module(a), m, np.zeros((0, 0), dtype=np.int64))
         cover.summand_idems = []
         return cover
     projs, _ = projectives(a)
-    st = structure(m)
-    # row t: a preimage in m of the top's basis vector t, which lies at
-    # vertex tv[t] and generates one summand e_iA of the cover
-    gens = linalg.solve_raw(f, st.top_projection.matrix.T, f.eye(st.top.dim)).T
-    tv = _vertices(st.top)
+    rad = linalg.row_space_basis(a.field, _arrow_actions(m).reshape(-1, m.dim))
+    gens = np.delete(np.arange(m.dim), _pivots(rad))
+    # gens[t] lies at vertex tv[t] and generates one summand e_iA
+    tv = _vertices(m)[gens]
     idems = np.sort(tv).tolist()
     blocks = []
     for i in sorted(set(idems)):
-        # e_iA's basis is the b = e_i b of A; the summand's generator v is
-        # sent to v * b
-        imgs = _images(f, gens[tv == i],
-                       m.action[np.flatnonzero(a.peirce[0] == i)])
+        # e_iA's basis is the b = e_i b of A; the generator v is sent to
+        # v * b, the row of rho(b) at v
+        imgs = m.action[a.peirce[0] == i][:, gens[tv == i]]
         blocks.append(imgs.transpose(1, 0, 2).reshape(-1, m.dim))
     cover = ModuleMap(direct_sum([projs[i] for i in idems])[0], m,
                       np.concatenate(blocks))
@@ -688,14 +688,21 @@ def _is_local(f, mats) -> bool:
 def decompose(m: RightModule) -> list:
     """Indecomposable summands, by Fitting splits M = Ker x^n + Im x^n:
     on the basis of End(m), then (unless _is_local certifies End(m) local)
-    on random and on all combinations, within a budget."""
+    on random and on all combinations, within a budget.  A module that
+    decompose has already certified indecomposable is returned as it is."""
+    if m.indec_certain:
+        return [m]
     if m.dim == 0:
         return []
     f = m.algebra.field
     # a module with simple top (or simple socle) is local (or colocal),
-    # hence indecomposable; this avoids the endomorphism search entirely
-    st = structure(m)
-    if st.top.dim == 1 or st.socle.dim == 1:
+    # hence indecomposable; this avoids the endomorphism search entirely.
+    # dim top = dim - rank of the rho(alpha) stacked by rows, dim soc =
+    # dim - rank of the rho(alpha) side by side
+    acts = _arrow_actions(m)
+    if (linalg.rank_raw(f, acts.reshape(-1, m.dim)) == m.dim - 1
+            or linalg.rank_raw(f, acts.transpose(1, 0, 2).reshape(m.dim, -1))
+            == m.dim - 1):
         m.indec_certain = True
         return [m]
     mats = np.array([h.matrix for h in hom_basis(m, m)])
@@ -736,12 +743,6 @@ def iso_classes(mods) -> list:
             if not any(iso(part, r) for r in reps):
                 reps.append(part)
     return reps
-
-
-def in_add(gens, x: RightModule) -> bool:
-    """Is x a direct sum of copies of summands of the given generators?"""
-    classes = iso_classes(gens)
-    return all(any(iso(p, g) for g in classes) for p in decompose(x))
 
 
 # ---------------------------------------------------------------------------

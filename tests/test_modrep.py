@@ -217,14 +217,18 @@ def _closure_structure(m):
 
 
 def _loop_cover_matrix(m):
-    """The projective cover's matrix, one generator image per row."""
+    """The projective cover's matrix, one generator image per row.  The top
+    vector u lifts to u @ lift: the unit vector at its t-th coordinate goes
+    to the unit vector at the t-th non-pivot column of the radical's basis."""
     a, f = m.algebra, m.algebra.field
     st = mr.structure(m)
+    pivots = la.row_echelon(f, st.radical_inclusion.matrix)[1]
+    lift = f.eye(m.dim)[[j for j in range(m.dim) if j not in pivots]]
     rows = []
     for i in range(a.n_idem):
         for u in la.row_space_basis(f, st.top.rho(a.idempotents[i])):
-            v = la.solve_raw(f, st.top_projection.matrix.T, u)
-            v = f.matmul(v[None, :], m.rho(a.idempotents[i]))[0]
+            v = f.matmul(u[None, :], lift)
+            v = f.matmul(v, m.rho(a.idempotents[i]))[0]
             rows += [f.matmul(v[None, :], m.rho(b))[0]
                      for b in la.row_space_basis(f, a.L(a.idempotents[i]))]
     return np.array(rows, dtype=np.int64).reshape(-1, m.dim)
@@ -242,6 +246,103 @@ def test_structure_and_cover_match_the_loop_references(name, field):
             assert np.array_equal(x, y)
         assert np.array_equal(mr.projective_cover(m).matrix,
                               _loop_cover_matrix(m))
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def _cover_test_modules(fx):
+    """Every pool module of the fixture with its Omega, Omega^-1 and tau,
+    and per algebra its projectives, simples, one direct sum and 0."""
+    mods = []
+    for pool in (fx.pool, fx.base_pool):
+        for m in pool:
+            mods += [m, mr.syzygy(m), mr.cosyzygy(m), mr.tau(m)]
+    for a in {m.algebra for m in mods}:
+        projs, _ = mr.projectives(a)
+        simple = mr.simples(a)
+        mods += projs + simple + [mr.direct_sum([projs[-1], simple[0]])[0],
+                                  mr.zero_module(a)]
+    return mods
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_projective_cover_is_a_minimal_surjection(fix, name, monkeypatch):
+    # by definition, whichever generators the cover picks: a module map
+    # onto m from one e_iA per basis vector of the top at vertex i
+    for m in _cover_test_modules(fix(name)):
+        a, f = m.algebra, m.algebra.field
+        cov = mr.projective_cover(m)
+        c, p = cov.matrix, cov.source
+        assert c.shape == (p.dim, m.dim)
+        for x, y in zip(p.action, m.action):
+            assert np.array_equal(f.matmul(x, c), f.matmul(c, y))
+        assert la.rank_raw(f, c) == m.dim
+        if m.dim == 0:
+            assert cov.summand_idems == [] and p.dim == 0
+            continue
+        st = mr.structure(m)
+        assert np.array_equal(
+            np.bincount(cov.summand_idems, minlength=a.n_idem),
+            np.bincount(mr._vertices(st.top), minlength=a.n_idem))
+        # decompose's rank test settles exactly the local and colocal
+        # modules, before any Hom space is built
+        fresh = mr.RightModule(a, m.dim, m.action)
+        with monkeypatch.context() as mp:
+            mp.setattr(mr, "_hom_space", _reached)
+            if st.top.dim == 1 or st.socle.dim == 1:
+                assert mr.decompose(fresh) == [fresh] and fresh.indec_certain
+            else:
+                with pytest.raises(_Reached):
+                    mr.decompose(fresh)
+
+
+@pytest.mark.parametrize("name,field", [("kupisch-455", None),
+                                        ("kupisch-455", la.PrimeField(5)),
+                                        ("gf4-local-gendo", None)])
+def test_module_primitives_call_neither_structure_nor_solve(name, field,
+                                                            monkeypatch):
+    fx = fixtures.build_fixture(name, field)
+    a = fx.algebra
+    for b in (a, mr.opp(a)):
+        for warm in (mr.projectives, mr.simples, mr.injectives):
+            warm(b)
+    monkeypatch.setattr(mr, "structure", _reached)
+    monkeypatch.setattr(la, "solve_raw", _reached)
+    fresh = [mr.RightModule(a, m.dim, m.action) for m in fx.pool]
+    for m in fx.pool:
+        for op in (mr.syzygy, mr.cosyzygy):
+            op(m, 2)
+        for op in (mr.tau, mr.tau_inv):
+            op(m)
+        for n in fx.pool[:4]:
+            for i in (1, 2):
+                mr.ext_dim(m, n, i)
+    for m in fresh:
+        assert mr.decompose(m) == [m] and m.indec_certain is True
+    s = mr.direct_sum(fresh[:2])[0]
+    assert len(mr.decompose(s)) == 2
+    for m, n in itertools.combinations(fresh, 2):
+        assert not mr.iso(m, n).isomorphic
+
+
+def test_decompose_returns_a_certified_part_as_it_is(fix, a455, monkeypatch):
+    # a simple-top part, and a part certified by _is_local
+    mods = [mr.direct_sum([mr.bridge_module(a455, 0, 3),
+                           mr.bridge_module(a455, 1, 2)])[0],
+            _gf4_eight_dim_modules(fix("gf4-local-gendo"))[0]]
+    parts = [p for m in mods for p in mr.decompose(m)]
+    assert len(parts) == 3 and all(p.indec_certain for p in parts)
+    monkeypatch.setattr(mr, "_hom_space", _reached)
+    monkeypatch.setattr(mr, "_arrow_actions", _reached)
+    for p in parts:
+        got = mr.decompose(p)
+        assert len(got) == 1 and got[0] is p
 
 
 def test_iso_reflexive_and_distinguishes(a455, monkeypatch):
@@ -363,8 +464,9 @@ def _generated(m, v):
 def _check_spans_of(mods, corners):
     for m in mods:
         mr.structure(m)
-        mr.syzygy(m, 2)
-        mr.cosyzygy(m, 1)
+        for x in (mr.syzygy(m), mr.syzygy(m, 2), mr.cosyzygy(m)):
+            if x.dim:
+                mr.structure(x)
         # a span that is not a coordinate subspace
         v = np.arange(m.dim) % m.algebra.field.order
         mr.quotient_by_rows(m, _generated(m, v))
@@ -673,10 +775,16 @@ def test_hom_functor_on_generator_gives_projective(a455):
     assert any(mr.iso(img, p) for p in bprojs)
 
 
+def _in_add(gens, x):
+    """Is x a direct sum of copies of summands of the given generators?"""
+    classes = mr.iso_classes(gens)
+    return all(any(mr.iso(p, g) for g in classes) for p in mr.decompose(x))
+
+
 def test_in_add(a455):
     projs, reg = mr.projectives(a455)
-    assert mr.in_add(projs, reg)
-    assert not mr.in_add(projs, mr.bridge_module(a455, 0, 3))
+    assert _in_add(projs, reg)
+    assert not _in_add(projs, mr.bridge_module(a455, 0, 3))
 
 
 def _gf4_eight_dim_modules(fx):
