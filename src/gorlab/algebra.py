@@ -140,7 +140,9 @@ _VALIDATED = object()
 
 
 def validate(pres: AlgebraPresentation) -> BasedAlgebra:
-    """Check all presentation axioms; return the algebra with caches filled.
+    """Check all presentation axioms; return the algebra with
+    ``jacobson_basis``, ``peirce``, ``arrows`` and ``cartan`` set.  The
+    ``cache`` starts empty and fills on use.
 
     Connectedness is not checked: it is an assumption of the theory, not of
     well-formedness, and a semisimple algebra (J = 0) is accepted too.
@@ -149,14 +151,11 @@ def validate(pres: AlgebraPresentation) -> BasedAlgebra:
     n = len(pres.basis_labels)
     alg = BasedAlgebra(pres, _token=_VALIDATED)
 
-    # associativity: left and right multiplications commute
-    L = [pres.mult[i] for i in range(n)]
-    R = [pres.mult[:, k, :] for k in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if not np.array_equal(f.matmul(L[i], R[k]), f.matmul(R[k], L[i])):
-                j = _assoc_witness(alg, i, k)
-                raise ValidationError("NonAssociative", (i, j, k))
+    # associativity: the right regular action respects mult; row i of
+    # R(b_j) R(b_k) is (b_i b_j) b_k, that of R(b_j b_k) is b_i (b_j b_k)
+    witness = _action_violation(f, pres.mult, pres.mult.transpose(1, 0, 2))
+    if witness is not None:
+        raise ValidationError("NonAssociative", witness)
 
     if not (np.array_equal(alg.L(pres.unit), f.eye(n))
             and np.array_equal(alg.R(pres.unit), f.eye(n))):
@@ -164,16 +163,14 @@ def validate(pres: AlgebraPresentation) -> BasedAlgebra:
 
     idem = pres.idempotents
     k = idem.shape[0]
-    for a in range(k):
-        for b in range(k):
-            prod = alg.elem_mul(idem[a], idem[b])
-            want = idem[a] if a == b else np.zeros(n, dtype=np.int64)
-            if not np.array_equal(prod, want):
-                raise ValidationError("BadIdempotents", (a, b))
-    total = np.zeros(n, dtype=np.int64)
-    for a in range(k):
-        total = f.add(total, idem[a])
-    if not np.array_equal(total, pres.unit):
+    # rights stacks the R(e_b); e_a times that stack gives prods[a, b] = e_a e_b
+    rights = f.matmul(idem, pres.mult.transpose(1, 0, 2).reshape(n, n * n))
+    prods = f.matmul(idem, rights.reshape(k, n, n).transpose(1, 0, 2).reshape(n, k * n))
+    want = np.where(np.eye(k, dtype=bool)[:, :, None], idem[:, None, :], 0)
+    bad = np.argwhere((prods.reshape(k, k, n) != want).any(axis=2))
+    if len(bad):
+        raise ValidationError("BadIdempotents", tuple(int(x) for x in bad[0]))
+    if not np.array_equal(linalg.combine(f, np.full(k, f.one), idem), pres.unit):
         raise ValidationError("BadIdempotents", None, "idempotents do not sum to the unit")
 
     jac = _ideal_closure(alg, pres.radical_generators)
@@ -232,20 +229,25 @@ def _arrows(alg, square) -> np.ndarray:
     return pieces[[p - len(square) for p in pivots if p >= len(square)]]
 
 
-def _assoc_witness(alg, i, k):
-    f = alg.field
-    for j in range(alg.dim):
-        lhs = alg.elem_mul(alg.mult[i, j], _basis_vec(alg, k, f))
-        rhs = alg.elem_mul(_basis_vec(alg, i, f), alg.mult[j, k])
-        if not np.array_equal(lhs, rhs):
-            return j
-    return -1
+def _action_violation(f: FieldSpec, mult: np.ndarray, action: np.ndarray):
+    """First (x, i, j) where row x of rho(b_i) rho(b_j) differs from row x
+    of rho(b_i b_j), for the stack action[i] = rho(b_i) of d x d matrices
+    and the structure constants mult; None if the action respects mult.
 
-
-def _basis_vec(alg, i, f):
-    v = np.zeros(alg.dim, dtype=np.int64)
-    v[i] = f.one
-    return v
+    One pair of products per b_i: rho(b_i) times all rho(b_j) side by side
+    (d x n*d), and mult[i] times the stack (n x d*d).  The n^2 * d^2 tensor
+    of all products is never formed."""
+    n, d = action.shape[:2]
+    beside = action.transpose(1, 0, 2).reshape(d, n * d)
+    flat = action.reshape(n, d * d)
+    for i in range(n):
+        lhs = f.matmul(action[i], beside).reshape(d, n, d).transpose(1, 0, 2)
+        rhs = f.matmul(mult[i], flat).reshape(n, d, d)
+        bad = np.argwhere((lhs != rhs).any(axis=2))
+        if len(bad):
+            j, x = bad[0]
+            return int(x), i, int(j)
+    return None
 
 
 def _ideal_closure(alg, rows) -> np.ndarray:
@@ -472,9 +474,8 @@ def _socle_test(a: BasedAlgebra) -> bool:
         if len(s) != 1:
             return False
         socles.append(s[0])
-    commutators = [f.sub(a.mult[i, j], a.mult[j, i])
-                   for i in range(n) for j in range(i + 1, n)]
-    central = linalg.nullspace(f, np.array(commutators).reshape(-1, n))
+    commutators = f.sub(a.mult, a.mult.transpose(1, 0, 2)).reshape(-1, n)
+    central = linalg.nullspace(f, commutators)
     values = linalg.row_space_basis(f, f.matmul(central, np.array(socles).T))
     hit, _ = linalg.search_combinations(
         f, len(values),

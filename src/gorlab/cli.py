@@ -218,7 +218,7 @@ def cmd_endo(args, cfg: RunConfig, out) -> int:
     gendo = inv.gendo_symmetric_check(a, cfg.cutoff)
     mueller = chen = None
     if f.endo is not None and f.base_algebra is not None:
-        gen = mr.direct_sum(list(f.endo.summands))[0]
+        gen = mr.direct_sum(list(f.endo.summands))
         try:
             mueller = inv.mueller_domdim(f.base_algebra, gen, cfg.cutoff)
             chen = inv.chen_koenig_injdim(f.base_algebra, gen, cfg.cutoff,
@@ -228,11 +228,7 @@ def cmd_endo(args, cfg: RunConfig, out) -> int:
             chen = {"note": "not applicable: %s" % e}
     fdom = None
     if f.pool:
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", inv.PoolIncomplete)
-            fdom = inv.fdomdim_pool(f.pool, cfg.cutoff,
-                                    certified=f.pool_certified)
+        fdom = inv.fdomdim_pool(f.pool, cfg.cutoff)
     checks = inv.theorem_suite(f, cfg.cutoff)
     rep = {
         "schema_version": ser.SCHEMA_VERSION,

@@ -13,7 +13,6 @@ executable suite of theorem checks run against the named fixtures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "DEFAULT_BOUND",
     "NotSymmetric",
     "NotGenerator",
-    "PoolIncomplete",
     "GpVerdict",
     "CheckResult",
     "module_projdim",
@@ -60,10 +58,6 @@ class NotSymmetric(ValueError):
 
 class NotGenerator(ValueError):
     """The module misses an indecomposable projective summand."""
-
-
-class PoolIncomplete(UserWarning):
-    """The supplied indecomposable pool is not certified exhaustive."""
 
 
 def _dim_plus(d: HomologicalDim, k: int) -> HomologicalDim:
@@ -303,12 +297,12 @@ def gorenstein_dims(a: BasedAlgebra, bound: int = DEFAULT_BOUND) -> tuple:
     return left, right
 
 
-def fdomdim_pool(pool, bound: int = DEFAULT_BOUND,
-                 certified: bool = True) -> HomologicalDim:
-    """Max finite dominant dimension over the supplied indecomposable pool."""
-    if not certified:
-        warnings.warn("pool not certified exhaustive; fdomdim is a lower "
-                      "estimate", PoolIncomplete, stacklevel=2)
+def fdomdim_pool(pool, bound: int = DEFAULT_BOUND) -> HomologicalDim:
+    """Max finite dominant dimension over the indecomposable pool as given.
+
+    It is the algebra's finitistic dominant dimension only when the pool
+    holds every indecomposable; otherwise it may be lower.
+    """
     finite_vals = [0]
     undecided = False
     for m in pool:
@@ -501,7 +495,7 @@ def chen_koenig_injdim(b: BasedAlgebra, m, bound: int = DEFAULT_BOUND,
         if t.dim:
             targets.append(t)
     da = mr.dual(mr.regular_module(mr.opp(b)))
-    tgt = mr.direct_sum(targets + [da])[0]
+    tgt = mr.direct_sum(targets + [da])
     r = mr.resdim(parts, tgt, cutoff=bound)
     rhs = _dim_plus(r, z + 2)
     return {"lhs": lhs, "rhs": rhs, "z": z}
@@ -645,14 +639,15 @@ def _flat_rank(f, mats, size):
     return linalg.rank_raw(f, flats), flats
 
 
-def almost_split_verify(a: BasedAlgebra, seq, indec_pool,
-                        pool_certified: bool = True) -> bool:
+def almost_split_verify(a: BasedAlgebra, seq, indec_pool) -> bool:
     """Verify that 0 -> L -f-> E -g-> M -> 0 is an almost split sequence.
 
     Checks exactness, L iso tau(M), non-splitness, and for every pool
     module N that composition with g reaches exactly the non-retractions
     N -> M (all of Hom(N, M) when N is not iso to M, the radical of the
-    endomorphism ring when it is).
+    endomorphism ring when it is).  The last check is over the pool as
+    given, so it proves almost-splitness only for a pool that holds every
+    indecomposable.
     """
     f_map, g_map = seq
     if f_map.target is not g_map.source:
@@ -676,9 +671,6 @@ def almost_split_verify(a: BasedAlgebra, seq, indec_pool,
         return False
     if L.dim + M.dim != E.dim:
         return False
-    if not pool_certified:
-        warnings.warn("indecomposable pool not certified exhaustive",
-                      PoolIncomplete, stacklevel=2)
     # non-splitness: id_M must not factor through g
     sections = [fl.matmul(u.matrix, g_map.matrix)
                 for u in mr.hom_basis(M, E)]
@@ -902,10 +894,7 @@ def _check_f(fixture, bound):
                            % right)
     g = right.as_int()
     eng, ids = _pool_classes(fixture)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PoolIncomplete)
-        fd = fdomdim_pool([eng.table.reps[c] for c in ids], bound,
-                          certified=fixture.pool_certified)
+    fd = fdomdim_pool([eng.table.reps[c] for c in ids], bound)
     if fd.value > g + 1:
         return CheckResult(name, "fail", "fdomdim %s exceeds g+1 = %d"
                            % (fd, g + 1))

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import BasedAlgebra, AlgebraPresentation, validate, opposite
+from .algebra import (BasedAlgebra, AlgebraPresentation, validate, opposite,
+                      _action_violation)
 from .dims import HomologicalDim, PeriodicityCertificate
 
 __all__ = [
@@ -140,11 +141,9 @@ def make_module(a: BasedAlgebra, action, label: str = "") -> RightModule:
         return m
     if not np.array_equal(m.rho(a.unit), f.eye(dim)):
         raise ValueError("unit does not act as identity")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if not np.array_equal(f.matmul(action[i], action[j]),
-                                  m.rho(a.mult[i, j])):
-                raise ValueError("action violates structure constants at (%d,%d)" % (i, j))
+    bad = _action_violation(f, a.mult, action)
+    if bad is not None:
+        raise ValueError("action violates structure constants at (%d,%d)" % bad[1:])
     idems = f.matmul(a.idempotents, action.reshape(a.dim, -1)).reshape(-1, dim, dim)
     if idems[:, ~np.eye(dim, dtype=bool)].any():
         p = np.concatenate([linalg.row_space_basis(f, r) for r in idems])
@@ -171,8 +170,8 @@ def opp(a: BasedAlgebra) -> BasedAlgebra:
     return a.cached("opp", build)
 
 
-def direct_sum(mods) -> tuple:
-    """(sum, injections, projections)."""
+def direct_sum(mods) -> RightModule:
+    """The direct sum, with the summands' bases in order."""
     mods = list(mods)
     if not mods:
         raise ValueError("empty direct sum")
@@ -181,24 +180,12 @@ def direct_sum(mods) -> tuple:
         raise AlgebraMismatch("summands over different algebras")
     total = sum(m.dim for m in mods)
     action = np.zeros((a.dim, total, total), dtype=np.int64)
-    offs = []
     pos = 0
     for m in mods:
         action[:, pos:pos + m.dim, pos:pos + m.dim] = m.action
-        offs.append(pos)
         pos += m.dim
-    s = RightModule(a, total, action,
-                    "+".join(m.label for m in mods) if all(m.label for m in mods) else "")
-    injs, projs = [], []
-    for m, o in zip(mods, offs):
-        inj = np.zeros((m.dim, total), dtype=np.int64)
-        prj = np.zeros((total, m.dim), dtype=np.int64)
-        for r in range(m.dim):
-            inj[r, o + r] = a.field.one
-            prj[o + r, r] = a.field.one
-        injs.append(ModuleMap(m, s, inj))
-        projs.append(ModuleMap(s, m, prj))
-    return s, injs, projs
+    return RightModule(a, total, action,
+                       "+".join(m.label for m in mods) if all(m.label for m in mods) else "")
 
 
 def _pivots(basis: np.ndarray) -> np.ndarray:
@@ -426,7 +413,7 @@ def projective_cover(m: RightModule) -> ModuleMap:
         # v * b, the row of rho(b) at v
         imgs = m.action[a.peirce[0] == i][:, gens[tv == i]]
         blocks.append(imgs.transpose(1, 0, 2).reshape(-1, m.dim))
-    cover = ModuleMap(direct_sum([projs[i] for i in idems])[0], m,
+    cover = ModuleMap(direct_sum([projs[i] for i in idems]), m,
                       np.concatenate(blocks))
     cover.summand_idems = idems
     return cover
@@ -553,7 +540,7 @@ def _hom_to_regular(m: RightModule) -> ModuleMap:
             mat[h0[s]:h0[s + 1], h1[t]:h1[t + 1]] = \
                 a.R(y)[np.ix_(ae[i], ae[j])]
     op_projs, _ = projectives(op)
-    src, tgt = (direct_sum([op_projs[i] for i in idems])[0] if idems
+    src, tgt = (direct_sum([op_projs[i] for i in idems]) if idems
                 else zero_module(op) for idems in (idems0, idems1))
     return ModuleMap(src, tgt, mat)
 
@@ -792,7 +779,7 @@ def _approximation(gens, x: RightModule) -> ModuleMap:
                          linalg.row_echelon(f, coords)[1])
         mods += [g] * len(free)
         maps.append(spaces[t][0][free].reshape(-1, x.dim))
-    src = direct_sum(mods)[0] if mods else zero_module(x.algebra)
+    src = direct_sum(mods) if mods else zero_module(x.algebra)
     return ModuleMap(src, x, np.concatenate(maps))
 
 

@@ -119,7 +119,7 @@ def test_criterion_3_sym_777():
         assert mr.ext_dim(m, m, 1) == 0
         assert mr.ext_dim(m, m, 2) != 0
 
-        gen = mr.direct_sum(list(f.endo.summands))[0]
+        gen = mr.direct_sum(list(f.endo.summands))
         md = inv.mueller_domdim(b, gen)
         assert md == 3
         assert inv.algebra_domdim(f.algebra) == 3
@@ -138,7 +138,7 @@ def test_criterion_3_recurring_kernels_displayed():
     # e_0 J^4, then e_0 J^4 + e_1 J, exactly as displayed
     f = fx.build_fixture("sym-777-gendo")
     b = f.base_algebra
-    gen = mr.direct_sum(list(f.endo.summands))[0]
+    gen = mr.direct_sum(list(f.endo.summands))
     z = inv.mueller_domdim(b, gen).as_int() - 2
     parts = mr.decompose(gen)
     eng = inv._engine(b)
@@ -152,7 +152,7 @@ def test_criterion_3_recurring_kernels_displayed():
             if t.dim:
                 targets.append(t)
     da = mr.dual(mr.regular_module(mr.opp(b)))
-    cur = mr.direct_sum(targets + [da])[0]
+    cur = mr.direct_sum(targets + [da])
     e0j4 = mr.bridge_module(b, 1, 3)      # e_0 J^4 is uniserial (1, 3)
     e1j = mr.bridge_module(b, 2, 6)       # e_1 J  is uniserial (2, 6)
     kernel_parts = []
@@ -186,11 +186,7 @@ def test_criterion_4_penny_farthing():
         img = mr.hom_functor(f.endo, f.extras["e2j2"])
         assert inv.module_domdim(img) == 4
 
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", inv.PoolIncomplete)
-            fd = inv.fdomdim_pool(f.pool, certified=f.pool_certified)
-        assert fd == 4                          # = g + 1, the bound is tight
+        assert inv.fdomdim_pool(f.pool) == 4    # = g + 1, the bound is tight
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +318,6 @@ def test_criterion_9_representatives():
     for m in nonproj:
         assert_iso(mr.tau(m), mr.syzygy(m, 2))
         assert_iso(mr.dual(mr.dual(m)), m)
-    gen = mr.direct_sum(list(f.endo.summands))[0]
+    gen = mr.direct_sum(list(f.endo.summands))
     assert str(inv.mueller_domdim(b, gen)) == str(
         inv.algebra_domdim(f.algebra))

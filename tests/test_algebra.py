@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -34,8 +35,32 @@ def test_validation_rejects_broken_associativity():
         field=pres.field, basis_labels=list(pres.basis_labels), mult=mult,
         unit=pres.unit.copy(), idempotents=pres.idempotents.copy(),
         radical_generators=pres.radical_generators.copy())
-    with pytest.raises(alg.ValidationError):
+    with pytest.raises(alg.ValidationError) as err:
         alg.validate(bad)
+    assert err.value.code == "NonAssociative"
+    # the witness (i, j, k) has (b_i b_j) b_k != b_i (b_j b_k) in the bad table
+    broken = copy.copy(a)
+    broken.mult = mult
+    b = [F2.eye(a.dim)[x] for x in err.value.witness]
+    assert not np.array_equal(broken.elem_mul(broken.elem_mul(b[0], b[1]), b[2]),
+                              broken.elem_mul(b[0], broken.elem_mul(b[1], b[2])))
+
+
+def test_validation_locates_a_non_orthogonal_idempotent_pair():
+    a = _nak455()
+    pres = a.pres
+    idem = pres.idempotents.copy()
+    # e_1 + x for the arrow x: 1 -> 2 is idempotent, but (e_1 + x) e_2 = x
+    idem[1, a.nak_bridge["path_index"][(1, 1)]] = 1
+    bad = alg.AlgebraPresentation(
+        field=pres.field, basis_labels=list(pres.basis_labels),
+        mult=pres.mult.copy(), unit=pres.unit.copy(), idempotents=idem,
+        radical_generators=pres.radical_generators.copy())
+    with pytest.raises(alg.ValidationError) as err:
+        alg.validate(bad)
+    assert (err.value.code, err.value.witness) == ("BadIdempotents", (1, 2))
+    assert a.elem_mul(idem[1], idem[2]).any()
+    assert np.array_equal(a.elem_mul(idem[1], idem[1]), idem[1])
 
 
 def test_validation_rejects_nonidempotent():

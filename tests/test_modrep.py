@@ -33,6 +33,17 @@ def test_projectives_and_simples_counts(a455):
     assert [s.dim for s in mr.simples(a455)] == [1, 1, 1]
 
 
+def test_make_module_rejects_an_action_off_the_structure_constants(a455):
+    # e_0 and the arrow a: 0 -> 1 both act by 1 on a line: the unit acts
+    # as 1, but rho(a) rho(e_0) = 1 while a e_0 = 0
+    action = np.zeros((a455.dim, 1, 1), dtype=np.int64)
+    action[[0, a455.nak_bridge["path_index"][(0, 1)]]] = 1
+    with pytest.raises(ValueError, match=r"structure constants at \(1,0\)"):
+        mr.make_module(a455, action)
+    action[1] = 0
+    assert mr.make_module(a455, action).dim == 1
+
+
 def test_bridge_module_dims(a455):
     for i, k in [(0, 1), (0, 3), (1, 5), (2, 2)]:
         assert mr.bridge_module(a455, i, k).dim == k
@@ -183,7 +194,7 @@ def test_every_construction_keeps_modules_graded(fix):
         mods = fx.pool + projs + [reg] + mr.injectives(a) + mr.simples(a)
         for m in fx.pool:
             mods += [mr.syzygy(m), mr.cosyzygy(m), mr.tau(m), mr.tau_inv(m),
-                     mr.dual(m), mr.direct_sum([m, fx.pool[0]])[0]]
+                     mr.dual(m), mr.direct_sum([m, fx.pool[0]])]
         if fx.endo is not None:
             mods += [mr.hom_functor(fx.endo, x) for x in fx.base_pool]
         corner = alg.corner_algebra(a, [a.n_idem - 1])
@@ -266,7 +277,7 @@ def _cover_test_modules(fx):
     for a in {m.algebra for m in mods}:
         projs, _ = mr.projectives(a)
         simple = mr.simples(a)
-        mods += projs + simple + [mr.direct_sum([projs[-1], simple[0]])[0],
+        mods += projs + simple + [mr.direct_sum([projs[-1], simple[0]]),
                                   mr.zero_module(a)]
     return mods
 
@@ -325,7 +336,7 @@ def test_module_primitives_call_neither_structure_nor_solve(name, field,
                 mr.ext_dim(m, n, i)
     for m in fresh:
         assert mr.decompose(m) == [m] and m.indec_certain is True
-    s = mr.direct_sum(fresh[:2])[0]
+    s = mr.direct_sum(fresh[:2])
     assert len(mr.decompose(s)) == 2
     for m, n in itertools.combinations(fresh, 2):
         assert not mr.iso(m, n).isomorphic
@@ -334,7 +345,7 @@ def test_module_primitives_call_neither_structure_nor_solve(name, field,
 def test_decompose_returns_a_certified_part_as_it_is(fix, a455, monkeypatch):
     # a simple-top part, and a part certified by _is_local
     mods = [mr.direct_sum([mr.bridge_module(a455, 0, 3),
-                           mr.bridge_module(a455, 1, 2)])[0],
+                           mr.bridge_module(a455, 1, 2)]),
             _gf4_eight_dim_modules(fix("gf4-local-gendo"))[0]]
     parts = [p for m in mods for p in mr.decompose(m)]
     assert len(parts) == 3 and all(p.indec_certain for p in parts)
@@ -351,7 +362,7 @@ def test_iso_reflexive_and_distinguishes(a455, monkeypatch):
     assert_iso(m, m)
     assert_not_iso(m, n)
     # decomposable sides are compared summand by summand
-    mm, mn, nm, mm2 = (mr.direct_sum(p)[0]
+    mm, mn, nm, mm2 = (mr.direct_sum(p)
                          for p in ((m, m), (m, n), (n, m), (m, m)))
     assert_iso(mn, nm)
     assert mr.hom_dim(mm, mn) == mr.hom_dim(mn, mm)     # equal Hom dimensions
@@ -511,7 +522,7 @@ def test_submodule_rejects_unstable_rows(a455, fix):
 def test_direct_sum_decompose_round_trip(a455):
     parts = [mr.bridge_module(a455, 0, 3), mr.bridge_module(a455, 1, 2),
              mr.bridge_module(a455, 0, 3)]
-    total = mr.direct_sum(parts)[0]
+    total = mr.direct_sum(parts)
     got = mr.decompose(total)
     assert sorted(p.dim for p in got) == [2, 3, 3]
     # multiset of iso classes is preserved
@@ -631,7 +642,7 @@ def test_right_minimality_is_exact():
         assert check_right_minimal(cover)
         # (cover, 0) and (cover, cover) from P + P are approximations with a
         # redundant copy of P: the projection onto it kills the map
-        two = mr.direct_sum([p, p])[0]
+        two = mr.direct_sum([p, p])
         zero = np.zeros_like(cover.matrix)
         for second in (zero, cover.matrix):
             redundant = mr.ModuleMap(two, cover.target, np.concatenate(
@@ -821,7 +832,7 @@ def test_direct_sums_fail_the_certificate_and_split(fix, a455):
                if m.label == "Hom(X,rad)")
     m03, m12 = mr.bridge_module(a455, 0, 3), mr.bridge_module(a455, 1, 2)
     for x, y in ((gf4, gf4), (gf4, rad), (m03, m03), (m03, m12)):
-        s = mr.direct_sum([x, y])[0]
+        s = mr.direct_sum([x, y])
         f = s.algebra.field
         assert mr._is_local(f, np.array([h.matrix for h in mr.hom_basis(x, x)]))
         assert not mr._is_local(f, np.array([h.matrix
@@ -867,7 +878,7 @@ def test_sum_without_a_splitting_basis_element_still_splits(monkeypatch):
     # module and a wrong "indecomposable"
     b = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), la.PrimeField(3))
     m = mr.bridge_module(b, 0, 3)
-    s = mr.direct_sum([m, m])[0]
+    s = mr.direct_sum([m, m])
     m2 = [np.eye(2, dtype=np.int64), np.array([[0, 1], [0, 0]]),
           np.array([[0, 0], [1, 0]]), np.array([[1, 1], [2, 2]])]
     basis = [np.kron(u, h.matrix) % 3 for u in m2

@@ -150,7 +150,7 @@ def test_duality_involutive_on_455(a455, mi, mk):
 @pytest.mark.parametrize("name", ENDO_FIXTURES)
 def test_mueller_consistency(name):
     f = fx.build_fixture(name)
-    gen = mr.direct_sum(list(f.endo.summands))[0]
+    gen = mr.direct_sum(list(f.endo.summands))
     dd = inv.algebra_domdim(f.algebra)
     try:
         md = inv.mueller_domdim(f.base_algebra, gen)

@@ -63,6 +63,27 @@ echo '[1, 2]' > "$specs/list.json"
 echo '{"algebra_ref": "kupisch-455", "label": "x"}' > "$specs/no-dim.json"
 echo '{"algebra_ref": "kupisch-455", "dim": 2, "action": [[1, 0], [0, 1]]}' \
     > "$specs/bad-shape.json"
+# module files that go through make_module (and validate, for an algebra
+# file): the simple S_0 over kupisch-455 (basis 0 is e_0, basis 1 the arrow
+# out of vertex 0); a line where e_0 and that arrow both act by 1, which
+# breaks the structure constants; S_0 over a copy of the kupisch-455
+# algebra with one structure constant corrupted, which is not associative
+zeros12='0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0'
+echo "{\"algebra_ref\": \"kupisch-455\", \"dim\": 1, \"action\": [1, 0, $zeros12]}" \
+    > "$specs/s0.json"
+echo "{\"algebra_ref\": \"kupisch-455\", \"dim\": 1, \"action\": [1, 1, $zeros12]}" \
+    > "$specs/off-mult.json"
+PYTHONPATH="$src" python3 -c '
+import sys
+from gorlab import fixtures, serialize as ser
+d = ser.algebra_to_json(fixtures.build_fixture("kupisch-455").algebra)
+d["mult"][3][3][0] = 1
+ser.dump_json(d, sys.argv[1])' "$specs/nonassoc-455.json"
+echo "{\"algebra_ref\": \"$specs/nonassoc-455.json\", \"dim\": 1, \"action\": [1, 0, $zeros12]}" \
+    > "$specs/nonassoc.json"
+call module-file-s0-kupisch-455.json --format json module "@$specs/s0.json"
+call module-error-file-off-mult.text module "@$specs/off-mult.json"
+call module-error-file-nonassoc-algebra.text module "@$specs/nonassoc.json"
 call module-error-1-3-no-fixture.text module '[1,3]'
 call module-error-hom-w-no-fixture.text module hom:w
 call module-error-9-9-kupisch-455.text module '[9,9]' --fixture kupisch-455
