@@ -81,7 +81,8 @@ class AlgebraPresentation:
 class BasedAlgebra:
     """A validated presentation with derived caches.
 
-    Not built directly; use :func:`validate` or one of the builders.
+    Not built directly; use :func:`validate` or one of the builders, or
+    :func:`opposite`, which derives its data from a validated algebra.
 
     Basis element j lies in e_u A e_v for u, v = ``peirce[0][j], peirce[1][j]``.
     ``arrows`` is a homogeneous lift of a basis of J/J^2, chosen by
@@ -440,10 +441,19 @@ def from_kupisch(series, field: FieldSpec) -> BasedAlgebra:
 
 
 def opposite(a: BasedAlgebra) -> BasedAlgebra:
-    """Same basis, transposed structure constants; an involution."""
-    return validate(AlgebraPresentation(
+    """Same basis, transposed structure constants; an involution.
+
+    Every axiom of A^op is one of A read the other way, so nothing is
+    re-validated: associativity, the unit and the idempotents carry over;
+    J(A^op) is the same two-sided nilpotent ideal (the same reduced rows),
+    and J^2 the same set, so the arrows are a's; e_u A^op e_v = e_v A e_u
+    swaps the Peirce vertices and transposes the Cartan matrix."""
+    op = BasedAlgebra(AlgebraPresentation(
         a.field, list(a.basis_labels), a.mult.transpose(1, 0, 2).copy(),
-        a.unit.copy(), a.idempotents.copy(), a.arrows.copy()))
+        a.unit.copy(), a.idempotents.copy(), a.arrows.copy()), _token=_VALIDATED)
+    op.jacobson_basis, op.arrows = a.jacobson_basis, a.arrows
+    op.peirce, op.cartan = (a.peirce[1], a.peirce[0]), a.cartan.T
+    return op
 
 
 def is_symmetric(a: BasedAlgebra) -> bool:

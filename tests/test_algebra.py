@@ -234,12 +234,55 @@ def test_nakayama_permutation_must_be_the_identity(series, cyclic):
     assert alg.is_symmetric(a) is False
 
 
+def _opposite_fields(b):
+    return [b.mult, b.unit, b.idempotents, b.jacobson_basis, b.peirce[0],
+            b.peirce[1], b.arrows, b.cartan, b.pres.radical_generators]
+
+
 def test_opposite_is_involutive_on_multiplication():
     a = _nak455()
     aop = alg.opposite(a)
     aopop = alg.opposite(aop)
-    assert np.array_equal(aopop.mult, a.mult)
     assert aop.dim == a.dim
+    for x, y in zip(_opposite_fields(aopop), _opposite_fields(a)):
+        assert np.array_equal(x, y)
+
+
+def test_opposite_matches_full_validation():
+    # opposite derives J, the Peirce vertices, the arrows and the Cartan
+    # matrix from a; validate on the transposed table must find the same
+    fixtures = [fx.build_fixture(name) for name in fx.FIXTURE_NAMES]
+    algebras = [a for f in fixtures for a in (f.algebra, f.base_algebra)
+                if a is not None]
+    algebras += [alg.opposite(a) for a in algebras]
+    algebras += [alg.from_kupisch(nak.validate_kupisch(s), la.PrimeField(p))
+                 for p in (2, 5) for s in cli._cyclic_series(3, 7)]
+    algebras += [alg.from_kupisch(nak.validate_kupisch(s, cyclic=False), F2)
+                 for s in ((2, 1), (3, 2, 1), (2, 3, 2, 1), (3, 3, 2, 1))]
+    algebras += [_socle_two(), _x2_is_y3()]
+    # a transposition that is left out shows only on a non-symmetric Cartan
+    assert any(not np.array_equal(a.cartan, a.cartan.T) for a in algebras)
+    for a in algebras:
+        want = alg.validate(alg.AlgebraPresentation(
+            a.field, list(a.basis_labels), a.mult.transpose(1, 0, 2).copy(),
+            a.unit.copy(), a.idempotents.copy(), a.arrows.copy()))
+        for x, y in zip(_opposite_fields(alg.opposite(a)),
+                        _opposite_fields(want)):
+            assert np.array_equal(x, y), a
+
+
+def _reached(*args, **kwargs):
+    raise AssertionError("reached")
+
+
+def test_opposite_calls_neither_validate_nor_the_action_check(monkeypatch):
+    a = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), F2)
+    _, reg = mr.projectives(a)
+    b = mr.endo_algebra([reg, mr.bridge_module(a, 1, 2)]).algebra
+    monkeypatch.setattr(alg, "validate", _reached)
+    monkeypatch.setattr(alg, "_action_violation", _reached)
+    for x in (a, b):
+        assert mr.opp(mr.opp(x)) is x
 
 
 def test_corner_algebra_at_vertex_zero_of_455():

@@ -24,6 +24,8 @@ def test_per_algebra_data_lives_in_the_declared_cache():
     a = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), F2)
     op = mr.opp(a)
     assert mr.opp(op) is a
+    # the opposite is derived, not validated, and carries no extra attribute
+    assert set(vars(op)) == set(vars(alg.validate(op.pres)))
     before = set(vars(a)), set(vars(op))
     m = mr.bridge_module(a, 2, 1)
     inv.gp_test(a, m)

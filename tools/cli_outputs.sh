@@ -54,6 +54,10 @@ call endo-f5-two-periodic-demo.json --field 5 --format json endo --fixture two-p
 call module-f5-hom-w-two-periodic-demo.json --field 5 --format json module hom:w --fixture two-periodic-demo
 call module-hom-domdim4-penny-farthing-gendo.json --format json module hom:domdim4_module --fixture penny-farthing-gendo
 call module-extra-base-series-sym-777-gendo.json --format json module extra:base_series --fixture sym-777-gendo
+# codominant dimension, injective dimension and GI run through the
+# opposite algebra; these two have non-symmetric Cartan matrices
+call module-0-1-a2-line.json --format json module '[0,1]' --fixture a2-line
+call module-1-2-kupisch-455.json --format json module '[1,2]' --fixture kupisch-455
 # malformed module specs: each must exit 1 with an error message, never a
 # traceback (the message goes to stderr, which is not recorded)
 specs=$(mktemp -d)
