@@ -1,9 +1,13 @@
 """Algebra-level homological invariants over the generic engine.
 
-Per-module projective/injective/dominant/codominant dimensions are computed
-by depth-first search over isomorphism classes of indecomposables, with
-periodicity-certified Infinite values and explicit AtLeast values when the
-degree budget runs out.  On top of these sit Gorenstein-projectivity
+Per-module projective/injective/dominant/codominant dimensions are read off
+the graph of isomorphism classes of indecomposables whose edges are the
+summands of (co)syzygies: projective dimension is the longest syzygy path to
+a projective class, dominant dimension the shortest cosyzygy path to a class
+whose injective hull is not projective.  Each answer is a function of the
+module and the bound only, not of earlier queries.  Infinite values carry a
+periodicity certificate, and AtLeast values name the bound that cut the
+search.  On top of these sit Gorenstein-projectivity
 certification (Ext-vanishing windows closed by syzygy-orbit periodicity),
 dominant-dimension formulas for endomorphism algebras of generators over
 symmetric algebras, the gendo-symmetric test, the nearly-Gorenstein check
@@ -21,7 +25,7 @@ from . import linalg
 from . import modrep as mr
 from . import nakayama as nak
 from .algebra import BasedAlgebra, corner_algebra, is_symmetric
-from .dims import HomologicalDim, PeriodicityCertificate, dim_max, dim_min
+from .dims import HomologicalDim, PeriodicityCertificate, dim_max
 
 __all__ = [
     "DEFAULT_BOUND",
@@ -98,7 +102,12 @@ class _ClassTable:
 
 
 class _DimEngine:
-    """Dimension DFS over iso classes, memoized per algebra."""
+    """The class graph of one algebra and the dimensions read off it.
+
+    The memos hold only facts that no query order can change: class ids,
+    (co)syzygy summands, injective hulls, Ext^1 values and GP verdicts keyed
+    on (classes, bound).  Each dimension is searched afresh per query.
+    """
 
     def __init__(self, a: BasedAlgebra):
         self.a = a
@@ -111,8 +120,6 @@ class _DimEngine:
         self._syz = {}
         self._cos = {}
         self._hull_proj = {}
-        self.projdim_memo = {}
-        self.domdim_memo = {}
         self._parts_memo = {}
         self._ext1_memo = {}
         self.gp_memo = {}
@@ -166,81 +173,63 @@ class _DimEngine:
             self._hull_proj[ci] = all(p in self.proj_ids for p in parts)
         return self._hull_proj[ci]
 
-    def _cycle_cert(self, op: str, stack: list, ci: int) -> PeriodicityCertificate:
-        start = stack.index(ci)
-        states = tuple(self.table.label(c) for c in stack[start:]) + (
+    def _cycle_cert(self, op: str, path: tuple, ci: int) -> PeriodicityCertificate:
+        start = path.index(ci)
+        states = tuple(self.table.label(c) for c in path[start:]) + (
             self.table.label(ci),)
-        return PeriodicityCertificate(op, start, len(stack) - start, states)
+        return PeriodicityCertificate(op, start, len(path) - start, states)
 
-    def projdim(self, ci: int, stack: list, bound: int):
-        """Returns (dimension, taint-set).
+    def projdim(self, ci: int, bound: int, path: tuple = ()) -> HomologicalDim:
+        """The longest syzygy path from ci to a projective class.
 
-        Results that depended on an on-stack back edge to another class, or
-        on the budget, are not memoized: the value is correct for the class
-        that owns the cycle but may overshoot for intermediate classes.
+        ``path`` is the chain of classes that led to ci.  A class met again
+        on it closes a cycle, so the dimension is infinite; a class that the
+        bound cuts off is nonprojective, so it adds at least 1.
         """
-        if ci in self.projdim_memo:
-            return self.projdim_memo[ci], set()
         if ci in self.proj_ids:
-            res = HomologicalDim.finite(0)
-            self.projdim_memo[ci] = res
-            return res, set()
-        if ci in stack:
-            return (HomologicalDim.infinite(
-                self._cycle_cert("syzygy", stack, ci)), {ci})
-        if len(stack) >= bound:
-            return (HomologicalDim.at_least(
-                0, "syzygy depth budget %d" % bound), {"budget"})
+            return HomologicalDim.finite(0)
+        if ci in path:
+            return HomologicalDim.infinite(self._cycle_cert("syzygy", path, ci))
+        if len(path) >= bound:
+            return HomologicalDim.at_least(1, "syzygy depth budget %d" % bound)
         parts = self.syzygy_parts(ci)
         if not parts:
-            res = HomologicalDim.finite(0)
-            self.projdim_memo[ci] = res
-            return res, set()
-        stack.append(ci)
-        vals, taint = [], set()
-        for p in parts:
-            v, t = self.projdim(p, stack, bound)
-            vals.append(v)
-            taint |= t
-        stack.pop()
-        res = _dim_plus(dim_max(vals), 1)
-        taint.discard(ci)
-        if not taint:
-            self.projdim_memo[ci] = res
-        return res, taint
+            return HomologicalDim.finite(0)
+        path += (ci,)
+        return _dim_plus(dim_max([self.projdim(p, bound, path)
+                                  for p in parts]), 1)
 
-    def domdim(self, ci: int, stack: list, bound: int):
-        if ci in self.domdim_memo:
-            return self.domdim_memo[ci], set()
-        if not self.hull_projective(ci):
-            res = HomologicalDim.finite(0)
-            self.domdim_memo[ci] = res
-            return res, set()
-        parts = self.cosyzygy_parts(ci)
-        if not parts:
-            cert = PeriodicityCertificate(
-                "cosyzygy-terminates", 1, 0, (self.table.label(ci),))
-            res = HomologicalDim.infinite(cert)
-            self.domdim_memo[ci] = res
-            return res, set()
-        if ci in stack:
-            return (HomologicalDim.infinite(
-                self._cycle_cert("cosyzygy", stack, ci)), {ci})
-        if len(stack) >= bound:
-            return (HomologicalDim.at_least(
-                1, "cosyzygy depth budget %d" % bound), {"budget"})
-        stack.append(ci)
-        vals, taint = [], set()
-        for p in parts:
-            v, t = self.domdim(p, stack, bound)
-            vals.append(v)
-            taint |= t
-        stack.pop()
-        res = _dim_plus(dim_min(vals), 1)
-        taint.discard(ci)
-        if not taint:
-            self.domdim_memo[ci] = res
-        return res, taint
+    def domdim(self, classes: list, bound: int) -> HomologicalDim:
+        """The shortest cosyzygy path from classes to a class whose injective
+        hull is not projective, breadth first over levels t = 0..bound.
+
+        A level that adds no new class closes the reachable set, so the
+        dimension is infinite; its certificate follows the first cosyzygy
+        part from classes[0] until a class repeats or has no cosyzygy.
+        """
+        level, seen = classes, set(classes)
+        for t in range(bound + 1):
+            if not all(self.hull_projective(c) for c in level):
+                return HomologicalDim.finite(t)
+            level = list(dict.fromkeys(p for c in level
+                                       for p in self.cosyzygy_parts(c)
+                                       if p not in seen))
+            seen.update(level)
+            if not level:
+                return HomologicalDim.infinite(self._cosyzygy_cert(classes[0]))
+        return HomologicalDim.at_least(bound + 1,
+                                       "cosyzygy depth budget %d" % bound)
+
+    def _cosyzygy_cert(self, ci: int) -> PeriodicityCertificate:
+        path = ()
+        while ci not in path:
+            parts = self.cosyzygy_parts(ci)
+            if not parts:
+                return PeriodicityCertificate(
+                    "cosyzygy-terminates", 1, 0, (self.table.label(ci),))
+            path += (ci,)
+            ci = parts[0]
+        return self._cycle_cert("cosyzygy", path, ci)
 
 
 def _engine(a: BasedAlgebra) -> _DimEngine:
@@ -255,8 +244,7 @@ def module_projdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
     if m.dim == 0:
         return HomologicalDim.infinite_by_convention()
     eng = _engine(m.algebra)
-    vals = [eng.projdim(ci, [], bound)[0] for ci in eng.canon_parts(m)]
-    return dim_max(vals)
+    return dim_max([eng.projdim(ci, bound) for ci in eng.canon_parts(m)])
 
 
 def module_injdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
@@ -269,8 +257,7 @@ def module_domdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
     if m.dim == 0:
         return HomologicalDim.infinite_by_convention()
     eng = _engine(m.algebra)
-    vals = [eng.domdim(ci, [], bound)[0] for ci in eng.canon_parts(m)]
-    return dim_min(vals)
+    return eng.domdim(eng.canon_parts(m), bound)
 
 
 def module_codomdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
@@ -286,7 +273,7 @@ def module_codomdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
 def algebra_domdim(a: BasedAlgebra, bound: int = DEFAULT_BOUND) -> HomologicalDim:
     """Min over indecomposable projectives of their dominant dimension."""
     eng = _engine(a)
-    return dim_min(eng.domdim(ci, [], bound)[0] for ci in sorted(eng.proj_ids))
+    return eng.domdim(sorted(eng.proj_ids), bound)
 
 
 def gorenstein_dims(a: BasedAlgebra, bound: int = DEFAULT_BOUND) -> tuple:

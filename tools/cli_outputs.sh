@@ -58,6 +58,11 @@ call module-extra-base-series-sym-777-gendo.json --format json module extra:base
 # opposite algebra; these two have non-symmetric Cartan matrices
 call module-0-1-a2-line.json --format json module '[0,1]' --fixture a2-line
 call module-1-2-kupisch-455.json --format json module '[1,2]' --fixture kupisch-455
+# small cutoffs, where the bound cuts the dimension searches and the
+# answers are AtLeast values
+call module-cutoff1-2-4-kupisch-455.text --cutoff 1 module '[2,4]' --fixture kupisch-455
+call endo-cutoff2-sym-777-gendo.text --cutoff 2 endo --fixture sym-777-gendo
+call module-cutoff2-e2j2-penny-farthing-gendo.json --cutoff 2 --format json module hom:e2j2 --fixture penny-farthing-gendo
 # malformed module specs: each must exit 1 with an error message, never a
 # traceback (the message goes to stderr, which is not recorded)
 specs=$(mktemp -d)
