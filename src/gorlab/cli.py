@@ -246,7 +246,7 @@ def cmd_endo(args, cfg: RunConfig, out) -> int:
         "fdomdim_pool_certified": bool(f.pool_certified) if f.pool else None,
         "mueller_domdim": None if mueller is None else ser.dim_to_json(mueller),
         "mueller_consistent": (None if mueller is None
-                               else str(mueller) == str(dd)),
+                               else mueller.consistent_with(dd)),
         "chen_koenig": None if chen is None else {
             k: (ser.dim_to_json(v) if hasattr(v, "kind") else v)
             for k, v in chen.items()},
@@ -484,7 +484,8 @@ def cmd_scan(args, cfg: RunConfig, out) -> int:
     series = list(_cyclic_series(args.n_max, args.c_max))
     row = functools.partial(_scan_row, field=cfg.field, cutoff=cfg.cutoff)
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool starts all its workers at once: no more than there is work
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(series))) as pool:
             rows = list(pool.map(row, series, chunksize=8))
     else:
         rows = [row(s) for s in series]

@@ -68,6 +68,17 @@ class HomologicalDim:
             return True
         return self.value >= n
 
+    def consistent_with(self, other: "HomologicalDim") -> bool:
+        """Whether some dimension satisfies both values: two finite values
+        are equal, a finite value is >= an AtLeast bound, and Infinite
+        contradicts only a finite value."""
+        fin, rest = (self, other) if self.kind == "finite" else (other, self)
+        if fin.kind != "finite":
+            return True
+        if rest.kind == "finite":
+            return fin.value == rest.value
+        return rest.kind == "atleast" and fin.value >= rest.value
+
     def as_int(self) -> int:
         if self.kind != "finite":
             raise ValueError("not a finite dimension: %s" % (self,))

@@ -4,8 +4,13 @@ Field elements are represented by integer codes.  For a prime field F_p the
 codes are 0..p-1 with modular arithmetic; for a table field the codes index
 the addition/multiplication tables.  All matrix routines take an explicit
 field and 2-D numpy arrays of codes, and are pure functions:
-``row_echelon`` is the one elimination kernel, and ``nullspace``,
-``row_space_basis``, ``solve_raw`` and ``rank_raw`` are built on it.
+``nullspace``, ``row_space_basis``, ``solve_raw`` and ``rank_raw`` are built
+on ``row_echelon``.  It has two kernels, chosen by the matrix size alone: up
+to ``LIST_KERNEL_MAX_CELLS`` cells it reduces Python lists of codes with the
+fields' row operations (``_scale_row``, ``_sub_multiple``), above that numpy
+arrays; the reduced form is unique, so the kernel never changes a result.
+``rank_raw`` needs only the pivots and calls the list kernel itself, without
+rebuilding the array.
 ``combine`` forms a linear combination of a stack of arrays (one matmul), and
 ``search_combinations`` is the bounded search for a coefficient vector whose
 combination passes a test (a Fitting split, a central form that is nonzero
@@ -59,8 +64,10 @@ class FieldSpec:
     """Common interface: arithmetic on integer-coded elements.
 
     Subclasses provide vectorised ``add``/``sub``/``mul``/``neg`` on numpy
-    arrays (or scalars), scalar inversion and ``_matmul``, the product that
-    ``matmul`` calls after its shape check.
+    arrays (or scalars), scalar inversion, ``_matmul``, the product that
+    ``matmul`` calls after its shape check, and the two row operations of
+    the list kernel on Python lists of codes: ``_scale_row(row, c)`` is
+    c * row and ``_sub_multiple(row, c, piv)`` is row - c * piv.
     """
 
     order: int
@@ -137,6 +144,14 @@ class PrimeField(FieldSpec):
         # products bounded by p^2 * inner-dim, far below int64 overflow
         return (a @ b) % self.p
 
+    def _scale_row(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def _sub_multiple(self, row, c, piv):
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(row, piv)]
+
     def __repr__(self):
         return "GF(%d)" % self.p
 
@@ -175,6 +190,9 @@ class SmallTableField(FieldSpec):
             self._inv[x] = int(hits[0])
         rng = np.arange(order)
         self._add_is_xor = np.array_equal(self._add, rng[:, None] ^ rng[None, :])
+        self._add_rows = self._add.tolist()
+        self._mul_rows = self._mul.tolist()
+        self._neg_rows = self._neg.tolist()
 
     def _validate_axioms(self):
         q = self.order
@@ -235,6 +253,16 @@ class SmallTableField(FieldSpec):
     def neg(self, a):
         return self._neg[np.asarray(a, dtype=np.int64)]
 
+    def _scale_row(self, row, c):
+        times = self._mul_rows[c]
+        return [times[x] for x in row]
+
+    def _sub_multiple(self, row, c, piv):
+        # row - c * piv = row + (-c) * piv
+        times = self._mul_rows[self._neg_rows[c]]
+        add = self._add_rows
+        return [add[x][times[y]] for x, y in zip(row, piv)]
+
     def inv(self, x: int) -> int:
         if int(x) == 0:
             raise ZeroDivisionError("0 has no inverse")
@@ -265,8 +293,65 @@ def GF4() -> SmallTableField:
     return SmallTableField(4, add, mul)
 
 
+# The largest matrix, in cells, that row_echelon reduces on Python lists.
+LIST_KERNEL_MAX_CELLS = 256
+
+
 def row_echelon(field: FieldSpec, m: np.ndarray):
-    """Reduced row echelon form.  Returns (rref matrix, pivot column list)."""
+    """Reduced row echelon form.  Returns (rref matrix, pivot column list).
+
+    The kernel is chosen by size alone.  A matrix of at most
+    ``LIST_KERNEL_MAX_CELLS`` cells is reduced on Python lists of codes
+    (``_row_echelon_lists``): most systems here are that small, with one or
+    two pivots, and on them a numpy call costs more than its arithmetic.  A
+    larger one goes to ``_row_echelon_numpy``, whose few array operations per
+    pivot cost little next to a Python loop over every entry.  The reduced
+    row echelon form is unique, so both return the same array and pivots.
+    The cut is near the crossover on dense matrices, where the list kernel
+    loses soonest.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    rows, cols = m.shape
+    if rows * cols > LIST_KERNEL_MAX_CELLS:
+        return _row_echelon_numpy(field, m)
+    red, pivots = _row_echelon_lists(field, m.tolist())
+    return np.array(red, dtype=np.int64).reshape(rows, cols), pivots
+
+
+def _row_echelon_lists(field: FieldSpec, r: list):
+    """Reduce the rows ``r`` (lists of codes) in place; returns (r, pivots).
+    The pivots and row operations are those of ``_row_echelon_numpy``."""
+    scale, sub_multiple = field._scale_row, field._sub_multiple
+    one = field.one
+    rows = len(r)
+    pivots = []
+    lead = 0
+    for col in range(len(r[0]) if rows else 0):
+        if lead == rows:
+            break
+        for p in range(lead, rows):
+            if r[p][col]:
+                break
+        else:
+            continue
+        row = r[p]
+        if p != lead:
+            r[p] = r[lead]
+        if row[col] != one:
+            row = scale(row, field.inv(row[col]))
+        r[lead] = row
+        # whole rows: the pivot row vanishes before `col`, so subtracting a
+        # multiple of it leaves the leading entries as they are
+        for i, other in enumerate(r):
+            c = other[col]
+            if c and i != lead:
+                r[i] = sub_multiple(other, c, row)
+        pivots.append(col)
+        lead += 1
+    return r, pivots
+
+
+def _row_echelon_numpy(field: FieldSpec, m: np.ndarray):
     r = np.array(m, dtype=np.int64, copy=True)
     rows, cols = r.shape
     pivots = []
@@ -353,8 +438,10 @@ def rank_raw(field: FieldSpec, arr: np.ndarray) -> int:
     arr = np.asarray(arr, dtype=np.int64)
     if arr.size == 0:
         return 0
-    _, pivots = row_echelon(field, arr)
-    return len(pivots)
+    if arr.size <= LIST_KERNEL_MAX_CELLS:
+        # the list kernel without the array rebuild: only pivots are needed
+        return len(_row_echelon_lists(field, arr.tolist())[1])
+    return len(row_echelon(field, arr)[1])
 
 
 def combine(field: FieldSpec, coeffs, stack: np.ndarray) -> np.ndarray:

@@ -82,6 +82,32 @@ def test_declared_formats_and_scan_jobs():
     assert code == 0 and text.startswith("schema_version,module,")
 
 
+def test_scan_starts_no_more_workers_than_series(monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so
+    # that no worker is ever started
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    n_series = len(list(cli._cyclic_series(2, 3)))
+    serial = run(["scan", "2", "3"])
+    for jobs in (2, n_series, n_series + 1, 10 ** 6):
+        assert run(["--jobs", str(jobs), "scan", "2", "3"]) == serial
+    assert sizes == [2, n_series, n_series, n_series]
+
+
 def test_module_coordinate_spec():
     code, text = run(["module", "[0,3]", "--fixture", "kupisch-455"])
     assert code == 0

@@ -10,7 +10,7 @@ from gorlab import nakayama as nak
 from gorlab import invariants as inv
 from gorlab import fixtures
 from gorlab import serialize as ser
-from gorlab.dims import HomologicalDim
+from gorlab.dims import HomologicalDim, PeriodicityCertificate
 
 F2 = la.PrimeField(2)
 
@@ -95,6 +95,24 @@ def test_domdim_of_sum_sound_after_warm_engine():
     inv.module_domdim(mr.bridge_module(a, 0, 3), bound=24)
     d = sum_domdim(a)
     assert (d.kind, d.value) == (fresh.kind, fresh.value) == ("atleast", 2)
+
+
+def test_dimensions_are_consistent_when_one_value_satisfies_both():
+    fin = HomologicalDim.finite
+
+    def low(n):
+        return HomologicalDim.at_least(n, "bound")
+
+    inf = HomologicalDim.infinite(PeriodicityCertificate("syzygy", 0, 1))
+    conv = HomologicalDim.infinite_by_convention()
+    cases = [(fin(3), fin(3), True), (fin(3), fin(2), False),
+             (fin(3), low(3), True), (fin(3), low(2), True),
+             (fin(2), low(3), False), (low(2), low(5), True),
+             (low(4), inf, True), (inf, conv, True), (inf, inf, True),
+             (fin(3), inf, False), (fin(0), conv, False)]
+    for a, b, want in cases:
+        assert a.consistent_with(b) is want, (a, b)
+        assert b.consistent_with(a) is want, (b, a)
 
 
 def test_algebra_domdim_455(a455):

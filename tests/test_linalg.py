@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlab import linalg as la
 
@@ -108,6 +109,88 @@ def test_nullspace_rows_are_the_identity_at_their_last_nonzero_columns(f):
             last = ker.shape[1] - 1 - (ker[:, ::-1] != 0).argmax(axis=1)
             assert np.array_equal(ker[:, last], f.eye(len(ker)))
             assert la.rank_raw(f, arr) + len(ker) == shape[1]
+
+
+# the fields of both kernels' arithmetic: GF(2), small odd primes, the
+# largest prime field, and table fields of characteristic 2 and 3 (where
+# negation is not the identity)
+KERNEL_FIELDS = [la.PrimeField(2), la.PrimeField(3), la.PrimeField(5),
+                 la.PrimeField(65521), la.GF4(),
+                 la.SmallTableField(3, [[(x + y) % 3 for y in range(3)]
+                                        for x in range(3)],
+                                    [[x * y % 3 for y in range(3)]
+                                     for x in range(3)])]
+
+
+@st.composite
+def _echelon_inputs(draw):
+    """A field and a matrix of codes: empty, zero, identity, repeated rows,
+    sparse or dense, with up to about twice the list kernel's cells."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    kind = draw(st.sampled_from(["empty", "zero", "identity", "repeated",
+                                 "sparse", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "empty":
+        k = draw(st.integers(0, 6))
+        return f, np.zeros(draw(st.sampled_from([(0, k), (k, 0)])),
+                           dtype=np.int64)
+    if kind == "identity":
+        return f, f.eye(draw(st.integers(1, 24)))
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 2 * la.LIST_KERNEL_MAX_CELLS // rows + 1))
+    m = rng.integers(0, f.order, size=(rows, cols))
+    if kind == "zero":
+        m[:] = 0
+    elif kind == "repeated":
+        m = m[rng.integers(0, min(rows, 3), size=rows)]
+    elif kind == "sparse":
+        m[rng.random(m.shape) < 0.7] = 0
+    return f, m
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_echelon_inputs())
+def test_list_and_numpy_kernels_agree(case):
+    f, m = case
+    want, want_pivots = la._row_echelon_numpy(f, m)
+    red, pivots = la._row_echelon_lists(f, m.tolist())
+    assert np.array_equal(np.array(red, dtype=np.int64).reshape(m.shape),
+                          want)
+    assert pivots == want_pivots
+    got, got_pivots = la.row_echelon(f, m)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got_pivots == want_pivots
+    assert la.rank_raw(f, m) == len(want_pivots)
+
+
+def test_row_echelon_picks_the_kernel_by_size(monkeypatch):
+    used = []
+
+    def recording(name, kernel):
+        def run(*args):
+            used.append(name)
+            return kernel(*args)
+        return run
+
+    monkeypatch.setattr(la, "_row_echelon_lists",
+                        recording("lists", la._row_echelon_lists))
+    monkeypatch.setattr(la, "_row_echelon_numpy",
+                        recording("numpy", la._row_echelon_numpy))
+    cap = la.LIST_KERNEL_MAX_CELLS
+    f = la.PrimeField(5)
+    for shape, kernel in [((0, 4), "lists"), ((4, 0), "lists"),
+                          ((1, 1), "lists"), ((cap, 1), "lists"),
+                          ((1, cap), "lists"), ((16, cap // 16), "lists"),
+                          ((cap + 1, 1), "numpy"), ((1, cap + 1), "numpy"),
+                          ((16, cap // 16 + 1), "numpy")]:
+        m = np.ones(shape, dtype=np.int64)
+        used.clear()
+        la.row_echelon(f, m)
+        assert used == [kernel], shape
+        # rank_raw takes the same kernel; an empty array needs none
+        used.clear()
+        la.rank_raw(f, m)
+        assert used == ([kernel] if m.size else []), shape
 
 
 def test_solve_reports_inconsistent_system():

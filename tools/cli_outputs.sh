@@ -58,6 +58,8 @@ call module-extra-base-series-sym-777-gendo.json --format json module extra:base
 # opposite algebra; these two have non-symmetric Cartan matrices
 call module-0-1-a2-line.json --format json module '[0,1]' --fixture a2-line
 call module-1-2-kupisch-455.json --format json module '[1,2]' --fixture kupisch-455
+# the largest prime field, through the small elimination kernel's arithmetic
+call module-f65521-1-3-kupisch-455.json --field 65521 --format json module '[1,3]' --fixture kupisch-455
 # small cutoffs, where the bound cuts the dimension searches and the
 # answers are AtLeast values
 call module-cutoff1-2-4-kupisch-455.text --cutoff 1 module '[2,4]' --fixture kupisch-455
