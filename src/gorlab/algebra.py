@@ -92,8 +92,9 @@ class BasedAlgebra:
     only, under the keys ``"opp"`` (the opposite algebra, stored both ways
     so that ``modrep.opp(modrep.opp(a)) is a``), ``"projectives"`` (the e_iA
     and A_A), ``"simples"``, ``"injectives"``, ``"symmetric"``
-    (:func:`is_symmetric`) and ``"dim_engine"`` (the dimension engine of
-    ``invariants``).
+    (:func:`is_symmetric`), ``"dim_engine"`` (the dimension engine of
+    ``invariants``) and ``"projinj_corner"`` (the corner on the e_i with
+    e_iA injective, or None).
     """
 
     def __init__(self, pres: AlgebraPresentation, *, _token=None):

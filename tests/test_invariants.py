@@ -1,9 +1,11 @@
 import random
+import types
 
 import numpy as np
 import pytest
 
 from gorlab import algebra as alg
+from gorlab import cli
 from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import nakayama as nak
@@ -34,9 +36,11 @@ def test_per_algebra_data_lives_in_the_declared_cache():
     mr.injectives(a)
     mr.simples(a)
     alg.is_symmetric(a)
+    inv.gendo_symmetric_check(a)
     assert (set(vars(a)), set(vars(op))) == before
     documented = {"opp", "projectives", "simples", "injectives", "symmetric",
-                  "dim_engine"}
+                  "dim_engine", "projinj_corner"}
+    assert "projinj_corner" in a.cache
     for key in list(a.cache) + list(op.cache):
         assert key in documented
     # one dimension engine per algebra
@@ -191,6 +195,74 @@ def test_nearly_gorenstein_nak():
     assert inv.nearly_gorenstein_check_nak(nak.validate_kupisch((4, 5, 5)))
 
 
+def _nak_window(a, m) -> int:
+    """Steps after which the syzygy orbit of m dies or repeats."""
+    seen, t = set(), 0
+    while m is not nak.ZERO and m not in seen:
+        seen.add(m)
+        m = nak.syzygy_nak(a, m)
+        t += 1
+    return t
+
+
+def _ext_degrees_nak(a, x, n, low):
+    """ext_dim_nak(x, n, i), one degree at a time, for i in low..window."""
+    return [inv.ext_dim_nak(a, x, n, i)
+            for i in range(low, _nak_window(a, x) + 1)]
+
+
+def test_nak_ext_walk_matches_ext_per_degree():
+    # per module, not per algebra: every series here is nearly Gorenstein,
+    # so only the modules show both verdicts on each side
+    seen = set()
+    for s in cli._cyclic_series(3, 7):
+        a = nak.validate_kupisch(s)
+        projs, injs = nak.projective_indecs(a), nak.injective_indecs(a)
+        left_ok = right_ok = strong = True
+        for m in nak.indecomposables(a):
+            perp_a = not any(any(_ext_degrees_nak(a, m, p, 1)) for p in projs)
+            da_perp = not any(any(_ext_degrees_nak(a, j, m, 1)) for j in injs)
+            assert inv._ext_vanishes_nak(a, m, projs) == perp_a, (s, m)
+            assert all(inv._ext_vanishes_nak(a, j, [m])
+                       for j in injs) == da_perp, (s, m)
+            seen |= {("left", perp_a), ("right", da_perp)}
+            left_ok &= perp_a == (m in nak.gp_indecs(a))
+            right_ok &= da_perp == (m in nak.gi_indecs(a))
+            strong &= any(any(_ext_degrees_nak(a, m, p, 0)) for p in projs)
+        ng = inv.nearly_gorenstein_check_nak(a)
+        assert (ng.left_ok, ng.right_ok) == (left_ok, right_ok), s
+        want = ("pass" if strong else "fail") if ng else "skip"
+        fixture = types.SimpleNamespace(nak=a)
+        assert inv._check_j(fixture, inv.DEFAULT_BOUND).status == want, s
+    assert seen == {("left", True), ("left", False),
+                    ("right", True), ("right", False)}
+
+
+@pytest.mark.parametrize("reverse,want", [
+    (None, "pass"), ((None, None, None), "skip"), ((2, None, None), "fail")])
+def test_corner_check_decides_both_ext_directions(fix, monkeypatch, reverse,
+                                                  want):
+    # check (g) tests Ext^i(corner gen, y e) and Ext^i(y e, corner gen);
+    # the second walk here finds no window, or a nonzero Ext^2
+    f = fix("gf4-local-gendo")
+    corner = inv._projinj_corner(f.algebra).algebra
+    real = inv._DimEngine.ext_window
+    sources, reversed_calls = [], []
+
+    def ext_window(self, m, n, bound):
+        if self.a is corner:
+            sources.append(m)
+            if n is sources[0]:
+                reversed_calls.append(m)
+                if reverse is not None:
+                    return reverse
+        return real(self, m, n, bound)
+
+    monkeypatch.setattr(inv._DimEngine, "ext_window", ext_window)
+    assert inv._check_g(f, inv.DEFAULT_BOUND).status == want
+    assert reversed_calls
+
+
 def test_mueller_requires_symmetric_base(a455):
     projs, reg = mr.projectives(a455)
     with pytest.raises(inv.NotSymmetric):
@@ -203,10 +275,64 @@ def test_mueller_requires_generator(fix):
         inv.mueller_domdim(f.base_algebra, f.extras["s2"])
 
 
+def _window_by_walk(eng, m, bound):
+    """(window, certificate) of the syzygy orbit of m's sorted class
+    multiset, walked on its own: the step at which the multiset dies or
+    repeats, or (None, None) at the bound."""
+    state = tuple(sorted(eng.canon_parts(m)))
+    seen = [state]
+    for t in range(1, bound + 1):
+        state = tuple(sorted(p for ci in state for p in eng.syzygy_parts(ci)))
+        if not state:
+            return t, PeriodicityCertificate("syzygy-terminates", t, 0)
+        if state in seen:
+            p = seen.index(state)
+            return t, PeriodicityCertificate(
+                "syzygy", p, t - p, tuple(eng.table.label(c) for c in state))
+        seen.append(state)
+    return None, None
+
+
+def _gp_by_degree(a, m, bound):
+    """gp_test by one ext_dim per degree on m and then on Tr m, each up to
+    its own window (up to the bound when there is none)."""
+    windows, certs = [], []
+    for x, cond in ((m, "Ext^i(m, A)"),
+                    (mr.transpose_tr(m), "Ext^i(Tr m, A^op)")):
+        if x.dim == 0:
+            break
+        eng = inv._engine(x.algebra)
+        w, cert = _window_by_walk(eng, x, bound)
+        for i in range(1, (w or bound) + 1):
+            if mr.ext_dim(x, eng.reg, i):
+                return inv.GpVerdict("no", i, cond)
+        if w is None:
+            return inv.GpVerdict("unknown", bound=bound)
+        windows.append(w)
+        certs.append(cert)
+    return inv.GpVerdict("yes", window=max(windows),
+                         certificate=tuple(certs))
+
+
+@pytest.mark.parametrize("name,p", [
+    ("penny-farthing-gendo", None), ("gf4-local-gendo", None),
+    ("two-periodic-demo", None), ("kupisch-455", None), ("kupisch-455", 5)])
+def test_gp_matches_ext_per_degree(name, p):
+    # fixtures come over their own field (F2, GF(4)) unless p is given
+    f = fixtures.build_fixture(name, la.PrimeField(p) if p else None)
+    eng, ids = inv._pool_classes(f)
+    for bound in (1, 2, 3, inv.DEFAULT_BOUND):
+        for ci in ids:
+            m = eng.table.reps[ci]
+            got = inv.gp_test(f.algebra, m, bound)
+            want = _gp_by_degree(f.algebra, m, bound)
+            assert got == want, (name, p, bound, eng.table.label(ci))
+
+
 def _mueller_by_degree(b, m, bound):
     """mueller_domdim by one ext_dim per degree on the nonprojective part."""
     eng = inv._require_symmetric_generator(b, m)
-    w, cert = inv._syzygy_window(m, bound)
+    w, cert = _window_by_walk(eng, m, bound)
     nonproj = [p for p in mr.decompose(m)
                if eng.table.canon(p) not in eng.proj_ids]
     if not nonproj:

@@ -36,6 +36,13 @@ done
 for fx in gf4-local-gendo penny-farthing-gendo auslander-22; do
     call "endo-seed7-$fx.text" --seed 7 endo --fixture "$fx"
 done
+# closed-form Nakayama reports: a cyclic series, a symmetric one and a
+# linear one, in every format
+for fmt in text json csv; do
+    call "nakayama-4-5-5.$fmt" --format "$fmt" nakayama 4,5,5
+    call "nakayama-4-4-4.$fmt" --format "$fmt" nakayama 4,4,4
+    call "nakayama-linear-3-2-1.$fmt" --format "$fmt" nakayama 3,2,1 --linear
+done
 call suite.json --format json suite
 call suite-seed7.text --seed 7 suite
 call scan-3-7.csv scan 3 7
