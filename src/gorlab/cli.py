@@ -86,8 +86,6 @@ def _parse_series(text: str) -> tuple:
 
 
 def _dim_str(d) -> str:
-    if d is None:
-        return "unknown"
     s = str(d)
     if d.kind == "infinite" and d.certificate is not None:
         s += " [%s]" % d.certificate
@@ -117,7 +115,7 @@ def _nakayama_report(series, cyclic, cfg: RunConfig) -> dict:
         rq = nak.resolution_quiver(a)
     except nak.NotApplicable:
         rq = None
-    ng = inv.nearly_gorenstein_check_nak(a) if cyclic else None
+    ng = nak.nearly_gorenstein_check_nak(a) if cyclic else None
     return {
         "schema_version": ser.SCHEMA_VERSION,
         "seed": cfg.seed,
@@ -424,7 +422,7 @@ def _scan_row(series, field=None, cutoff=inv.DEFAULT_BOUND) -> dict:
     viol_gplus1 = bool(gendo and gl.kind == "finite" and fd.kind == "finite"
                        and fd.value > gl.value + 1)
     viol_gd = not bool(core["is_gorenstein_dominant"])
-    ng = inv.nearly_gorenstein_check_nak(a)
+    ng = nak.nearly_gorenstein_check_nak(a)
     return {
         "series": "-".join(str(c) for c in series),
         "domdim": str(core["domdim"]),

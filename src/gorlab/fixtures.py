@@ -5,7 +5,9 @@ validated algebra together with the side data the theorem checks need:
 the underlying Nakayama series where applicable, the base algebra and
 generator for endomorphism-algebra fixtures, and a pool of modules with a
 flag saying whether the pool is a certified-complete list of
-indecomposables.
+indecomposables.  A fixture declares only what the program cannot compute:
+its field is ``algebra.field``, and the theorem checks decide symmetry and
+gendo-symmetry from the algebra itself.
 """
 
 from __future__ import annotations
@@ -35,15 +37,12 @@ FIXTURE_NAMES = [
 class Fixture:
     name: str
     algebra: alg.BasedAlgebra
-    field: linalg.FieldSpec
     nak: nak.NakAlgebra | None = None
     base_algebra: alg.BasedAlgebra | None = None
     endo: mr.EndoData | None = None
     base_pool: list = dc_field(default_factory=list)   # modules over base_algebra
     pool: list = dc_field(default_factory=list)        # modules over algebra
     pool_certified: bool = False
-    symmetric: bool = False
-    gendo_symmetric: bool | None = None
     cm_finite: bool | None = None
     extras: dict = dc_field(default_factory=dict)
 
@@ -91,16 +90,14 @@ def _kupisch_fixture(c, field, cyclic=True, name=None) -> Fixture:
     pool = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
     return Fixture(
         name=name or "kupisch-" + "".join(str(x) for x in c),
-        algebra=a, field=field, nak=series,
+        algebra=a, nak=series,
         pool=pool, pool_certified=True,
-        symmetric=series.symmetric,
-        gendo_symmetric=False,
         cm_finite=True,
     )
 
 
-def _endo_fixture(name, base, summand_specs, field,
-                  base_pool, pool_certified=False, cm_finite=None,
+def _endo_fixture(name, base, summand_specs, base_pool,
+                  pool_certified=False, cm_finite=None,
                   extras=None) -> Fixture:
     _, reg = mr.projectives(base)
     endo = mr.endo_algebra([reg] + list(summand_specs))
@@ -110,11 +107,10 @@ def _endo_fixture(name, base, summand_specs, field,
         if hx.dim:
             pool.append(hx)
     return Fixture(
-        name=name, algebra=endo.algebra, field=field,
+        name=name, algebra=endo.algebra,
         base_algebra=base, endo=endo,
         base_pool=list(base_pool), pool=pool,
-        pool_certified=pool_certified,
-        symmetric=False, gendo_symmetric=True, cm_finite=cm_finite,
+        pool_certified=pool_certified, cm_finite=cm_finite,
         extras=extras or {},
     )
 
@@ -124,7 +120,7 @@ def _sym_777_gendo(field) -> Fixture:
     a = alg.from_kupisch(series, field)
     m = mr.bridge_module(a, 2, 5)       # e_0 J^2
     base_pool = [mr.bridge_module(a, x.i, x.k) for x in nak.indecomposables(series)]
-    fx = _endo_fixture("sym-777-gendo", a, [m], field, base_pool,
+    fx = _endo_fixture("sym-777-gendo", a, [m], base_pool,
                        extras={"base_series": series, "generator_extra": m})
     fx.extras["base_pool_certified"] = True
     return fx
@@ -165,9 +161,8 @@ def _penny_farthing_gendo(field) -> Fixture:
     raw += _orbit(s[1], mr.syzygy, 3) + _orbit(s[1], mr.cosyzygy, 3)
     raw += _orbit(e2j2, mr.syzygy, 3) + _orbit(e2j2, mr.cosyzygy, 3)
     base_pool = mr.iso_classes(m for m in raw if m.dim <= 12)
-    fx = _endo_fixture("penny-farthing-gendo", a, [s[1]], field,
-                       base_pool, cm_finite=True,
-                       extras={"s2": s[1], "e2j2": e2j2})
+    fx = _endo_fixture("penny-farthing-gendo", a, [s[1]], base_pool,
+                       cm_finite=True, extras={"s2": s[1], "e2j2": e2j2})
     fx.extras["domdim4_module"] = mr.hom_functor(fx.endo, e2j2)
     return fx
 
@@ -201,7 +196,6 @@ def m_ab(a: alg.BasedAlgebra, ca: int, cb: int) -> mr.RightModule:
 
 
 def _gf4_gendo() -> Fixture:
-    f = linalg.GF4()
     a = gf4_local_algebra()
     m11 = m_ab(a, 1, 1)
     m1w = m_ab(a, 1, 2)
@@ -211,7 +205,7 @@ def _gf4_gendo() -> Fixture:
     raw = [reg, m11, m1w, m1w2, m_ab(a, 1, 0), m_ab(a, 0, 1), s,
            mr.structure(reg).radical]
     base_pool = mr.iso_classes(m for m in raw if m.dim <= 8)
-    fx = _endo_fixture("gf4-local-gendo", a, [m11], f, base_pool,
+    fx = _endo_fixture("gf4-local-gendo", a, [m11], base_pool,
                        cm_finite=False,
                        extras={"m11": m11, "m1w": m1w, "m1w2": m1w2})
     fx.extras["gpi_candidate"] = mr.hom_functor(fx.endo, m1w)
@@ -226,10 +220,9 @@ def _auslander_22(field) -> Fixture:
     endo = mr.endo_algebra(indecs)
     pool = [mr.hom_functor(endo, x) for x in indecs]
     return Fixture(
-        name="auslander-22", algebra=endo.algebra, field=field,
+        name="auslander-22", algebra=endo.algebra,
         base_algebra=a, endo=endo, base_pool=indecs, pool=pool,
-        pool_certified=False, symmetric=False,
-        gendo_symmetric=False, cm_finite=True,
+        pool_certified=False, cm_finite=True,
         extras={"base_series": series},
     )
 
@@ -239,7 +232,7 @@ def _two_periodic_demo(field) -> Fixture:
     a = alg.from_kupisch(series, field)
     w = mr.bridge_module(a, 0, 1)      # the simple module, 2-periodic
     base_pool = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
-    fx = _endo_fixture("two-periodic-demo", a, [w], field, base_pool,
+    fx = _endo_fixture("two-periodic-demo", a, [w], base_pool,
                        extras={"w": w, "base_series": series})
     fx.extras["base_pool_certified"] = True
     return fx

@@ -4,20 +4,20 @@ Per-module projective/injective/dominant/codominant dimensions are read off
 the graph of isomorphism classes of indecomposables whose edges are the
 summands of (co)syzygies: projective dimension is the longest syzygy path to
 a projective class, dominant dimension the shortest cosyzygy path to a class
-whose injective hull is not projective.  Each answer is a function of the
-module and the bound only, not of earlier queries.  Infinite values carry a
+whose injective hull is not projective.  The classes are those of one
+``modrep.ClassTable`` per algebra.  Each answer is a function of the module
+and the bound only, not of earlier queries.  Infinite values carry a
 periodicity certificate, and AtLeast values name the bound that cut the
 search.
 
-Whether Ext^i(X, Y) = 0 for all i >= 1 is decided in one walk of the
-syzygy orbit of X, testing Ext^1 at each state until the orbit dies or
-repeats: ``_DimEngine.ext_window`` over iso-class multisets for the generic
-engine, ``_ext_vanishes_nak`` over Kupisch coordinates for the closed
-forms.  On these sit Gorenstein-projectivity certification, Müller's
-dominant-dimension formula for endomorphism algebras of generators over
-symmetric algebras, the gendo-symmetric test, the nearly-Gorenstein check
-for Nakayama algebras, almost-split-sequence verification, and an
-executable suite of theorem checks run against the named fixtures.
+Whether Ext^i(X, Y) = 0 for all i >= 1 is decided by
+``_DimEngine.ext_window`` in one walk of the syzygy orbit of X's iso-class
+multiset, testing Ext^1 at each state until the orbit dies or repeats.  On
+it sit Gorenstein-projectivity certification, Müller's dominant-dimension
+formula for endomorphism algebras of generators over symmetric algebras,
+the gendo-symmetric test, almost-split-sequence verification, and an
+executable suite of theorem checks run against the named fixtures; the
+Nakayama checks of the suite call the closed forms of ``nakayama``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ __all__ = [
     "mueller_domdim",
     "chen_koenig_injdim",
     "gendo_symmetric_check",
-    "hom_dim_nak",
-    "ext_dim_nak",
-    "nearly_gorenstein_check_nak",
     "almost_split_verify",
     "theorem_suite",
 ]
@@ -81,29 +78,8 @@ def _dim_plus(d: HomologicalDim, k: int) -> HomologicalDim:
 # Iso-class bookkeeping and the per-algebra dimension engine
 
 
-class _ClassTable:
-    """Canonical indices for iso classes of modules over one algebra.
-
-    ``buckets`` groups the class ids by ``mr.fingerprint``, an isomorphism
-    invariant, so ``iso`` runs only against classes in the module's bucket.
-    """
-
-    def __init__(self):
-        self.reps = []
-        self.buckets = {}
-
-    def canon(self, m) -> int:
-        bucket = self.buckets.setdefault(mr.fingerprint(m), [])
-        for i in bucket:
-            if mr.iso(m, self.reps[i]):
-                return i
-        self.reps.append(m)
-        bucket.append(len(self.reps) - 1)
-        return len(self.reps) - 1
-
-    def label(self, ci: int) -> str:
-        r = self.reps[ci]
-        return r.label or "class%d(dim %d)" % (ci, r.dim)
+# the benchmark wraps ``invariants._ClassTable.canon``
+_ClassTable = mr.ClassTable
 
 
 class _DimEngine:
@@ -116,37 +92,23 @@ class _DimEngine:
 
     def __init__(self, a: BasedAlgebra):
         self.a = a
-        self.table = _ClassTable()
+        self.table = mr.ClassTable()
         projs, self.reg = mr.projectives(a)
-        self.proj_ids = set()
-        for p in projs:
-            for part in mr.decompose(p):
-                self.proj_ids.add(self.table.canon(part))
+        self.proj_ids = {ci for p in projs for ci in self.table.parts(p)}
         self._syz = {}
         self._cos = {}
         self._hull_proj = {}
-        self._parts_memo = {}
         self._ext1_memo = {}
         self.gp_memo = {}
 
-    # Modules hash by identity (RightModule is eq=False), so the memos
-    # below key on the module object itself.
-    def canon_parts(self, m) -> list:
-        if m.dim == 0:
-            return []
-        if m not in self._parts_memo:
-            self._parts_memo[m] = [self.table.canon(p)
-                                   for p in mr.decompose(m)]
-        return self._parts_memo[m]
-
     def syzygy_parts(self, ci: int) -> list:
         if ci not in self._syz:
-            self._syz[ci] = self.canon_parts(mr.syzygy(self.table.reps[ci]))
+            self._syz[ci] = self.table.parts(mr.syzygy(self.table.reps[ci]))
         return self._syz[ci]
 
     def cosyzygy_parts(self, ci: int) -> list:
         if ci not in self._cos:
-            self._cos[ci] = self.canon_parts(mr.cosyzygy(self.table.reps[ci]))
+            self._cos[ci] = self.table.parts(mr.cosyzygy(self.table.reps[ci]))
         return self._cos[ci]
 
     def ext1_against(self, ci: int, n) -> int:
@@ -165,7 +127,7 @@ class _DimEngine:
         window t, which the certificate records.  (None, None, None) at the
         bound.
         """
-        state = tuple(sorted(self.canon_parts(m)))
+        state = tuple(sorted(self.table.parts(m)))
         seen = {state: 0}
         for t in range(1, bound + 1):
             if any(self.ext1_against(ci, n) for ci in state):
@@ -186,7 +148,7 @@ class _DimEngine:
     def hull_projective(self, ci: int) -> bool:
         if ci not in self._hull_proj:
             hull = mr.injective_hull(self.table.reps[ci])
-            parts = self.canon_parts(hull.target)
+            parts = self.table.parts(hull.target)
             self._hull_proj[ci] = all(p in self.proj_ids for p in parts)
         return self._hull_proj[ci]
 
@@ -261,7 +223,7 @@ def module_projdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
     if m.dim == 0:
         return HomologicalDim.infinite_by_convention()
     eng = _engine(m.algebra)
-    return dim_max([eng.projdim(ci, bound) for ci in eng.canon_parts(m)])
+    return dim_max([eng.projdim(ci, bound) for ci in eng.table.parts(m)])
 
 
 def module_injdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
@@ -274,7 +236,7 @@ def module_domdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
     if m.dim == 0:
         return HomologicalDim.infinite_by_convention()
     eng = _engine(m.algebra)
-    return eng.domdim(eng.canon_parts(m), bound)
+    return eng.domdim(eng.table.parts(m), bound)
 
 
 def module_codomdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
@@ -351,7 +313,7 @@ def gp_test(a: BasedAlgebra, m, bound: int = DEFAULT_BOUND) -> GpVerdict:
     if m.dim == 0:
         return GpVerdict("yes", window=0)
     eng = _engine(a)
-    key = (tuple(sorted(eng.canon_parts(m))), bound)
+    key = (tuple(sorted(eng.table.parts(m))), bound)
     hit = eng.gp_memo.get(key)
     if hit is None:
         hit = _gp_test_impl(a, m, eng, bound)
@@ -406,7 +368,7 @@ def _require_symmetric_generator(b: BasedAlgebra, m):
     if not is_symmetric(b):
         raise NotSymmetric("base algebra is not symmetric")
     eng = _engine(b)
-    mclasses = set(eng.canon_parts(m))
+    mclasses = set(eng.table.parts(m))
     missing = eng.proj_ids - mclasses
     if missing:
         raise NotGenerator("module misses projective class(es) %s" %
@@ -433,22 +395,17 @@ def mueller_domdim(b: BasedAlgebra, m,
 
 
 def chen_koenig_injdim(b: BasedAlgebra, m, bound: int = DEFAULT_BOUND,
-                       compute_lhs: bool = True,
                        dd: HomologicalDim | None = None) -> dict:
     """Both sides of injdim(B_B) = z+2 + resdim_add(m)(tau Omega^z(m) + D(b))
     for B = End(m), z = domdim(B) - 2.
 
     lhs is the directly computed injective dimension of the regular module
     of the endomorphism algebra; rhs is the relative-resolution formula over
-    the base algebra.
+    the base algebra, on the classes of m's summands.
     """
     eng = _require_symmetric_generator(b, m)
-    lhs = None
-    if compute_lhs:
-        endo = mr.endo_algebra([m])
-        B = endo.algebra
-        projs_b, _ = mr.projectives(B)
-        lhs = dim_max(module_injdim(p, bound) for p in projs_b)
+    B = mr.endo_algebra([m]).algebra
+    lhs = dim_max(module_injdim(p, bound) for p in mr.projectives(B)[0])
     if dd is None:
         dd = mueller_domdim(b, m, bound)
     if dd.kind != "finite":
@@ -456,12 +413,12 @@ def chen_koenig_injdim(b: BasedAlgebra, m, bound: int = DEFAULT_BOUND,
                 "note": "domdim not finite; formula degenerate, "
                         "rhs reported equal to lhs"}
     z = dd.as_int() - 2
-    parts = mr.decompose(m)
+    ids = eng.table.parts(m)
     targets = []
-    for p in parts:
-        if eng.table.canon(p) in eng.proj_ids:
+    for ci in ids:
+        if ci in eng.proj_ids:
             continue
-        shifted = mr.syzygy(p, z) if z else p
+        shifted = mr.syzygy(eng.table.reps[ci], z)
         if shifted.dim == 0:
             continue
         t = mr.tau(shifted)
@@ -469,7 +426,7 @@ def chen_koenig_injdim(b: BasedAlgebra, m, bound: int = DEFAULT_BOUND,
             targets.append(t)
     da = mr.dual(mr.regular_module(mr.opp(b)))
     tgt = mr.direct_sum(targets + [da])
-    r = mr.resdim(parts, tgt, cutoff=bound)
+    r = mr.resdim([eng.table.reps[ci] for ci in ids], tgt, cutoff=bound)
     rhs = _dim_plus(r, z + 2)
     return {"lhs": lhs, "rhs": rhs, "z": z}
 
@@ -492,99 +449,6 @@ def _projinj_corner(a: BasedAlgebra):
                if mr.injective_hull(p).is_iso()]
         return corner_algebra(a, sel) if sel else None
     return a.cached("projinj_corner", build)
-
-
-# ---------------------------------------------------------------------------
-# Nakayama combinatorics: hom, ext, nearly Gorenstein
-
-
-def hom_dim_nak(a: nak.NakAlgebra, m: nak.NakModule, n: nak.NakModule) -> int:
-    """dim Hom((i,k), (j,l)) counts t in 1..min(k,l) with i = j+l-t as
-    vertices: the length-t quotient of the source must match the length-t
-    submodule of the target."""
-    if m is nak.ZERO or n is nak.ZERO:
-        return 0
-    count = 0
-    for t in range(1, min(m.k, n.k) + 1):
-        if a.cyclic:
-            if m.i % a.n == (n.i + n.k - t) % a.n:
-                count += 1
-        else:
-            if m.i == n.i + n.k - t:
-                count += 1
-    return count
-
-
-def _ext1_nak(a, x, n) -> int:
-    if x is nak.ZERO or n is nak.ZERO or nak.is_projective(a, x):
-        return 0
-    p = nak.projective_cover(a, x)
-    om = nak.syzygy_nak(a, x)
-    return (hom_dim_nak(a, om, n) - hom_dim_nak(a, p, n)
-            + hom_dim_nak(a, x, n))
-
-
-def ext_dim_nak(a: nak.NakAlgebra, m, n, i: int) -> int:
-    """dim Ext^i((i,k), (j,l)) via the Euler identity on minimal covers."""
-    if i == 0:
-        return hom_dim_nak(a, m, n)
-    x = m
-    for _ in range(i - 1):
-        if x is nak.ZERO:
-            return 0
-        x = nak.syzygy_nak(a, x)
-    return _ext1_nak(a, x, n)
-
-
-def _ext_vanishes_nak(a, m, targets) -> bool:
-    """Ext^i(m, n) = 0 for all i >= 1 and every n in targets.
-
-    Ext^i(m, n) = Ext^1(Omega^(i-1) m, n), tested along the syzygy orbit of
-    m until it dies or repeats; the orbit is finite, so this always ends.
-    """
-    seen = set()
-    while m is not nak.ZERO and m not in seen:
-        if any(_ext1_nak(a, m, n) for n in targets):
-            return False
-        seen.add(m)
-        m = nak.syzygy_nak(a, m)
-    return True
-
-
-@dataclass
-class NearlyGorensteinResult:
-    ok: bool
-    left_ok: bool
-    right_ok: bool
-    witness: object = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def nearly_gorenstein_check_nak(a: nak.NakAlgebra) -> NearlyGorensteinResult:
-    """Left: perp-of-A membership == Gorenstein projectivity; right: the
-    dual statement with D(A)-perpendicularity and Gorenstein injectivity."""
-    gp = nak.gp_indecs(a)
-    gi = nak.gi_indecs(a)
-    projs = nak.projective_indecs(a)
-    injs = nak.injective_indecs(a)
-    witness = None
-    left_ok = True
-    right_ok = True
-    for m in nak.indecomposables(a):
-        if _ext_vanishes_nak(a, m, projs) != (m in gp):
-            left_ok = False
-            witness = ("left", m)
-            break
-    for m in nak.indecomposables(a):
-        if all(_ext_vanishes_nak(a, j, [m]) for j in injs) != (m in gi):
-            right_ok = False
-            if witness is None:
-                witness = ("right", m)
-            break
-    return NearlyGorensteinResult(left_ok and right_ok, left_ok, right_ok,
-                                  witness)
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +541,8 @@ class CheckResult:
 def _classes(a, pool):
     """(engine of a, iso-class ids of the summands of pool, in order)."""
     eng = _engine(a)
-    ids = []
-    for m in pool:
-        for ci in eng.canon_parts(m):
-            if ci not in ids:
-                ids.append(ci)
-    return eng, ids
+    ids = (ci for m in pool for ci in eng.table.parts(m))
+    return eng, list(dict.fromkeys(ids))
 
 
 def _pool_classes(fixture, _unused=None):
@@ -694,7 +554,7 @@ def _pool_classes(fixture, _unused=None):
 def _sym_target(fixture):
     """(algebra, indec modules) of the symmetric member of the fixture."""
     base = fixture.base_algebra
-    if fixture.symmetric:
+    if is_symmetric(fixture.algebra):
         a, pool = fixture.algebra, fixture.pool
     elif base is not None and is_symmetric(base):
         a, pool = base, fixture.base_pool
@@ -746,7 +606,7 @@ def _check_a(fixture, bound):
 
 def _check_b(fixture, bound):
     name = "codomdim2-iff-tau-omega2"
-    if not fixture.gendo_symmetric:
+    if not gendo_symmetric_check(fixture.algebra, bound):
         return CheckResult(name, "skip", "not gendo-symmetric")
     eng, ids = _pool_classes(fixture)
     checked, undecided = 0, 0
@@ -777,7 +637,7 @@ def _check_b(fixture, bound):
 
 def _check_c(fixture, bound):
     name = "gpi-iff-infinite-dom-and-codom"
-    if not fixture.gendo_symmetric:
+    if not gendo_symmetric_check(fixture.algebra, bound):
         return CheckResult(name, "skip", "not gendo-symmetric")
     eng, ids = _pool_classes(fixture)
     checked, undecided = 0, 0
@@ -802,7 +662,7 @@ def _check_c(fixture, bound):
 
 def _check_d(fixture, bound):
     name = "gpi-closed-under-translates"
-    if not fixture.gendo_symmetric:
+    if not gendo_symmetric_check(fixture.algebra, bound):
         return CheckResult(name, "skip", "not gendo-symmetric")
     gpis = _nonproj_gpis(fixture, bound)
     if not gpis:
@@ -827,7 +687,8 @@ def _check_d(fixture, bound):
 
 def _check_e(fixture, bound):
     name = "cm-finite-gendo-symmetric-no-nonproj-gpi"
-    if not (fixture.cm_finite and fixture.gendo_symmetric):
+    if not (fixture.cm_finite
+            and gendo_symmetric_check(fixture.algebra, bound)):
         return CheckResult(name, "skip", "needs CM-finite gendo-symmetric")
     eng, ids = _pool_classes(fixture)
     for ci in ids:
@@ -843,7 +704,8 @@ def _check_e(fixture, bound):
 
 def _check_f(fixture, bound):
     name = "fdomdim-at-most-g-plus-1"
-    if not (fixture.cm_finite and fixture.gendo_symmetric):
+    if not (fixture.cm_finite
+            and gendo_symmetric_check(fixture.algebra, bound)):
         return CheckResult(name, "skip", "needs CM-finite gendo-symmetric")
     _, right = gorenstein_dims(fixture.algebra, bound)
     if right.kind != "finite":
@@ -860,7 +722,7 @@ def _check_f(fixture, bound):
 
 def _check_g(fixture, bound):
     name = "corner-restriction-into-perp"
-    if not fixture.gendo_symmetric:
+    if not gendo_symmetric_check(fixture.algebra, bound):
         return CheckResult(name, "skip", "not gendo-symmetric")
     a = fixture.algebra
     corner = _projinj_corner(a)
@@ -882,13 +744,12 @@ def _check_g(fixture, bound):
                                    % (hit, what % m.label))
             undecided += w is None
         images.append(y)
-    for s in range(len(images)):
-        for t in range(s + 1, len(images)):
-            if (images[s].dim == images[t].dim
-                    and mr.iso(images[s], images[t])):
-                return CheckResult(name, "fail",
-                                   "corner restriction not injective on "
-                                   "classes %d, %d" % (s, t))
+    first = {}
+    for t, y in enumerate(images):
+        s = first.setdefault(tuple(sorted(ce.table.parts(y))), t)
+        if s != t:
+            return CheckResult(name, "fail", "corner restriction not "
+                               "injective on classes %d, %d" % (s, t))
     if undecided:
         return CheckResult(name, "skip", "no Ext window in %d of %d "
                            "directions at bound %d"
@@ -898,7 +759,7 @@ def _check_g(fixture, bound):
 
 def _check_h(fixture, bound):
     name = "ext-comparison-through-corner"
-    if not fixture.gendo_symmetric:
+    if not gendo_symmetric_check(fixture.algebra, bound):
         return CheckResult(name, "skip", "not gendo-symmetric")
     a = fixture.algebra
     corner = _projinj_corner(a)
@@ -983,12 +844,12 @@ def _check_j(fixture, bound):
     if fixture.nak is None:
         return CheckResult(name, "skip", "needs a Nakayama fixture")
     a = fixture.nak
-    if not nearly_gorenstein_check_nak(a):
+    if not nak.nearly_gorenstein_check_nak(a):
         return CheckResult(name, "skip", "fixture not nearly Gorenstein")
     projs = nak.projective_indecs(a)
     for m in nak.indecomposables(a):
-        if (not any(hom_dim_nak(a, m, p) for p in projs)
-                and _ext_vanishes_nak(a, m, projs)):
+        if (not any(nak.hom_dim_nak(a, m, p) for p in projs)
+                and nak._ext_vanishes_nak(a, m, projs)):
             return CheckResult(name, "fail",
                                "%s has Ext^i(m, A)=0 for all certified i" % (m,))
     return CheckResult(name, "pass",

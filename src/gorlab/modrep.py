@@ -35,6 +35,10 @@ Hom(e_iA, A) = Ae_i (h -> h(e_i)), valid for any finite-dimensional algebra
 (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, II/IV):
 Hom(g, A) is read off the components of g, with no Hom-space solve.
 
+Iso classes of indecomposables are numbered by a :class:`ClassTable`: a
+module meets ``iso`` only against the classes in its fingerprint bucket, and
+a module is read as the multiset of its summands' class ids, so the
+Krull-Schmidt matching of ``iso`` and ``resdim`` compares multisets.
 ``iso`` draws nothing: the random stage of ``linalg.search_combinations``
 serves only the fallback of ``decompose``.
 """
@@ -42,6 +46,7 @@ serves only the fallback of ``decompose``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +85,7 @@ __all__ = [
     "iso",
     "IsoResult",
     "decompose",
+    "ClassTable",
     "iso_classes",
     "min_right_approx",
     "resdim",
@@ -607,8 +613,8 @@ class IsoResult:
 def iso(m: RightModule, n: RightModule) -> IsoResult:
     """Isomorphism test.  Between indecomposables the non-isomorphisms form
     the radical, a proper subspace, so a basis of Hom(m, n) holds an
-    isomorphism if there is one; other modules are decomposed and their
-    summands matched (Krull-Schmidt)."""
+    isomorphism if there is one; other modules are decomposed and the
+    multisets of their summands' classes compared (Krull-Schmidt)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     f = m.algebra.field
@@ -624,7 +630,9 @@ def iso(m: RightModule, n: RightModule) -> IsoResult:
             return IsoResult(False, True)
         ms, ns = decompose(m), decompose(n)
         if len(ms) > 1 or len(ns) > 1:
-            same = len(ms) == len(ns) and _match_summands(ms, ns)
+            table = ClassTable()
+            same = len(ms) == len(ns) and (sorted(map(table.canon, ms))
+                                           == sorted(map(table.canon, ns)))
             return IsoResult(same, all(p.indec_certain for p in ms + ns))
     # both sides single modules, flagged by decompose
     for h in hb:
@@ -721,15 +729,48 @@ def decompose(m: RightModule) -> list:
     return [m]
 
 
+class ClassTable:
+    """Canonical indices for the iso classes of indecomposables over one
+    algebra, numbered in the order first seen; ``reps[ci]`` represents
+    class ci.
+
+    ``buckets`` groups the class ids by :func:`fingerprint`, an isomorphism
+    invariant, so ``iso`` runs only against classes in the module's bucket.
+    ``parts(m)`` lists the classes of m's summands, memoised on the module
+    object (RightModule hashes by identity).
+    """
+
+    def __init__(self):
+        self.reps = []
+        self.buckets = {}
+        self._parts = {}
+
+    def canon(self, m) -> int:
+        bucket = self.buckets.setdefault(fingerprint(m), [])
+        for i in bucket:
+            if iso(m, self.reps[i]):
+                return i
+        self.reps.append(m)
+        bucket.append(len(self.reps) - 1)
+        return len(self.reps) - 1
+
+    def label(self, ci: int) -> str:
+        r = self.reps[ci]
+        return r.label or "class%d(dim %d)" % (ci, r.dim)
+
+    def parts(self, m) -> list:
+        if m not in self._parts:
+            self._parts[m] = [self.canon(p) for p in decompose(m)]
+        return self._parts[m]
+
+
 def iso_classes(mods) -> list:
     """One indecomposable summand per iso class among the summands of the
     given modules, in the order first seen."""
-    reps = []
+    table = ClassTable()
     for m in mods:
-        for part in decompose(m):
-            if not any(iso(part, r) for r in reps):
-                reps.append(part)
-    return reps
+        table.parts(m)
+    return table.reps
 
 
 # ---------------------------------------------------------------------------
@@ -786,40 +827,31 @@ def _approximation(gens, x: RightModule) -> ModuleMap:
 def resdim(addgens, x: RightModule, cutoff: int = 24) -> HomologicalDim:
     """add(M)-resolution dimension with iso-certified infinity detection.
 
-    Infinite is certified when an earlier approximation kernel recurs as a
-    direct summand of a later one: the approximations are minimal, so this
-    forces the chain never to terminate.
+    Summands are compared as multisets of class ids in one
+    :class:`ClassTable`, whose first classes are those of add(M).  Infinite
+    is certified when an earlier approximation kernel recurs as a direct
+    summand of a later one: the approximations are minimal, so this forces
+    the chain never to terminate.
     """
-    gens = iso_classes(addgens)
-    kernels = []     # list of lists of indecomposable summands
-    cur, parts = x, decompose(x)
+    table = ClassTable()
+    for m in addgens:
+        table.parts(m)
+    gens = list(table.reps)
+    kernels = []     # Counters of the class ids of the kernels' summands
+    cur, parts = x, Counter(table.parts(x))
     for step in range(cutoff + 1):
-        if all(any(iso(p, g) for g in gens) for p in parts):
+        if all(ci < len(gens) for ci in parts):
             return HomologicalDim.finite(step)
         ker, _ = kernel_submodule(_approximation(gens, cur))
-        parts = decompose(ker)
+        parts = Counter(table.parts(ker))
         for back, old in enumerate(kernels):
-            if not _match_summands(old, parts):
-                continue
-            cert = PeriodicityCertificate("approximation-kernel",
-                                          back + 1, step - back)
-            return HomologicalDim.infinite(cert)
+            if old <= parts:
+                cert = PeriodicityCertificate("approximation-kernel",
+                                              back + 1, step - back)
+                return HomologicalDim.infinite(cert)
         kernels.append(parts)
         cur = ker
     return HomologicalDim.at_least(cutoff, "cutoff %d exhausted" % cutoff)
-
-
-def _match_summands(old_parts, new_parts) -> bool:
-    """Whether every old summand matches a distinct iso-copy among the new
-    summands; matching greedily is exact because iso is an equivalence."""
-    used = set()
-    for op_ in old_parts:
-        found = next((idx for idx, np_ in enumerate(new_parts)
-                      if idx not in used and iso(op_, np_)), None)
-        if found is None:
-            return False
-        used.add(found)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,18 @@ linear-algebra engine): for m with socle S_x,
 
 i.e. the d subscript in the cosyzygy formula is evaluated at the socle
 vertex x of the module being resolved, not at the shifted vertex.
+
+Every resolution, and the resolution quiver, is a walk by ``_orbit`` that
+stops at ZERO or at the first repeated state, so each walk is finite.  On it
+sit the dimensions with their periodicity certificates, Hom and Ext
+dimensions, the test Ext^i(m, n) = 0 for all i >= 1 and the
+nearly-Gorenstein check (perp A = GP and D(A) perp = GI).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -46,11 +53,15 @@ __all__ = [
     "cosyzygy_nak",
     "tau_nak",
     "dims_nak",
+    "hom_dim_nak",
+    "ext_dim_nak",
     "resolution_quiver",
     "gp_indecs",
     "gi_indecs",
     "gpi_indecs",
     "gorenstein_core",
+    "NearlyGorensteinResult",
+    "nearly_gorenstein_check_nak",
     "algebra_invariants_nak",
 ]
 
@@ -252,52 +263,51 @@ def tau_nak(a: NakAlgebra, m: NakModule):
 
 # -- dimensions --------------------------------------------------------------
 
-def _orbit_count(a, m, step, stop):
-    """Steps of ``step`` from m until ``stop`` holds; Infinite on a cycle."""
-    seen = {}
-    states = []
-    cur = m
-    t = 0
-    while True:
-        if stop(cur):
-            return HomologicalDim.finite(t)
-        if cur in seen:
-            cert = PeriodicityCertificate(step.__name__, seen[cur],
-                                          t - seen[cur], tuple(states))
-            return HomologicalDim.infinite(cert)
-        seen[cur] = t
-        states.append((cur.i, cur.k))
-        cur = step(a, cur)
-        t += 1
+def _orbit(step, m) -> tuple:
+    """(states, back): the orbit m, step(m), step(step(m)), ... up to ZERO
+    or the first repeat, and the index in states of the repeated state
+    (None when the orbit reaches ZERO)."""
+    index = {}
+    while m is not ZERO and m not in index:
+        index[m] = len(index)
+        m = step(m)
+    return list(index), index.get(m)
+
+
+def _coords(states) -> tuple:
+    return tuple((x.i, x.k) for x in states)
+
+
+def _orbit_count(a, m, step):
+    """Steps of ``step`` from m to its last nonzero term; Infinite on a
+    cycle.  step(x) is ZERO exactly at the x that end a resolution, so
+    projdim and injdim are the lengths of the syzygy and cosyzygy orbits."""
+    states, back = _orbit(partial(step, a), m)
+    if back is None:
+        return HomologicalDim.finite(len(states) - 1)
+    return HomologicalDim.infinite(PeriodicityCertificate(
+        step.__name__, back, len(states) - back, _coords(states)))
 
 
 def _initial_run(a, m, step, term_good):
     """Initial count of resolution terms satisfying term_good.
 
-    Follows ``step`` (syzygy or cosyzygy); a terminating or periodic
-    resolution all of whose terms are good yields Infinite (period 0 marks
-    termination).
+    Follows ``step`` (syzygy or cosyzygy) from step(m); a terminating or
+    periodic resolution all of whose terms are good yields Infinite (period
+    0 marks termination).  The orbit starts one step after m, so its
+    preperiod counts from m and a return to m itself is seen one step late.
     """
-    seen = {}
-    states = []
-    cur = m
-    t = 0
-    while True:
-        if not term_good(cur):
+    states, back = _orbit(partial(step, a), step(a, m))
+    for t, x in enumerate([m] + states):
+        if not term_good(x):
             return HomologicalDim.finite(t)
-        t += 1
-        nxt = step(a, cur)
-        if nxt is ZERO:
-            cert = PeriodicityCertificate(step.__name__ + "-terminates",
-                                          t, 0, tuple(states))
-            return HomologicalDim.infinite(cert)
-        if nxt in seen:
-            cert = PeriodicityCertificate(step.__name__, seen[nxt],
-                                          t - seen[nxt], tuple(states))
-            return HomologicalDim.infinite(cert)
-        seen[nxt] = t
-        states.append((nxt.i, nxt.k))
-        cur = nxt
+    if back is None:
+        cert = PeriodicityCertificate(step.__name__ + "-terminates",
+                                      len(states) + 1, 0, _coords(states))
+    else:
+        cert = PeriodicityCertificate(step.__name__, back + 1,
+                                      len(states) - back, _coords(states))
+    return HomologicalDim.infinite(cert)
 
 
 def dims_nak(a: NakAlgebra, m) -> dict:
@@ -311,10 +321,8 @@ def dims_nak(a: NakAlgebra, m) -> dict:
         return a._dim_cache[key]
     _check(a, m)
     out = {
-        "projdim": _orbit_count(a, m, syzygy_nak,
-                                lambda x: is_projective(a, x)),
-        "injdim": _orbit_count(a, m, cosyzygy_nak,
-                               lambda x: is_injective(a, x)),
+        "projdim": _orbit_count(a, m, syzygy_nak),
+        "injdim": _orbit_count(a, m, cosyzygy_nak),
         # domdim: initial injective-coresolution terms that are projective
         "domdim": _initial_run(a, m, cosyzygy_nak,
                                lambda x: is_projective(a, injective_hull(a, x))),
@@ -324,6 +332,48 @@ def dims_nak(a: NakAlgebra, m) -> dict:
     }
     a._dim_cache[key] = out
     return out
+
+
+# -- Hom and Ext ---------------------------------------------------------------
+
+def hom_dim_nak(a: NakAlgebra, m: NakModule, n: NakModule) -> int:
+    """dim Hom((i,k), (j,l)) counts t in 1..min(k,l) with i = j+l-t as
+    vertices: the length-t quotient of the source must match the length-t
+    submodule of the target."""
+    if m is ZERO or n is ZERO:
+        return 0
+    return sum(m.i == a.v(n.i + n.k - t)
+               for t in range(1, min(m.k, n.k) + 1))
+
+
+def _ext1_nak(a, x, n) -> int:
+    if x is ZERO or n is ZERO or is_projective(a, x):
+        return 0
+    return (hom_dim_nak(a, syzygy_nak(a, x), n)
+            - hom_dim_nak(a, projective_cover(a, x), n)
+            + hom_dim_nak(a, x, n))
+
+
+def ext_dim_nak(a: NakAlgebra, m, n, i: int) -> int:
+    """dim Ext^i((i,k), (j,l)) via the Euler identity on minimal covers."""
+    if i == 0:
+        return hom_dim_nak(a, m, n)
+    x = m
+    for _ in range(i - 1):
+        if x is ZERO:
+            return 0
+        x = syzygy_nak(a, x)
+    return _ext1_nak(a, x, n)
+
+
+def _ext_vanishes_nak(a, m, targets) -> bool:
+    """Ext^i(m, n) = 0 for all i >= 1 and every n in targets.
+
+    Ext^i(m, n) = Ext^1(Omega^(i-1) m, n), tested on each state of the
+    syzygy orbit of m, which is finite: it dies or repeats.
+    """
+    states, _ = _orbit(partial(syzygy_nak, a), m)
+    return not any(_ext1_nak(a, x, n) for x in states for n in targets)
 
 
 # -- resolution quiver and Gorenstein classification --------------------------
@@ -348,23 +398,12 @@ def resolution_quiver(a: NakAlgebra) -> ResolutionQuiver:
         succ[i] = t.i
     black = {i for i in range(a.n)
              if dims_nak(a, NakModule(i, 1))["projdim"].ge(2)}
-    on_cycle = set()
-    for start in range(a.n):
-        seen = []
-        cur = start
-        while cur not in seen:
-            seen.append(cur)
-            cur = succ[cur]
-        on_cycle.update(seen[seen.index(cur):])
     cyc_black = set()
-    for v in on_cycle:
-        cycle = [v]
-        cur = succ[v]
-        while cur != v:
-            cycle.append(cur)
-            cur = succ[cur]
+    for start in range(a.n):
+        states, back = _orbit(succ.__getitem__, start)
+        cycle = states[back:]
         if all(w in black for w in cycle):
-            cyc_black.add(v)
+            cyc_black.update(cycle)
     return ResolutionQuiver(succ, black, cyc_black)
 
 
@@ -410,6 +449,42 @@ def gorenstein_core(a: NakAlgebra) -> set:
     nonproj = {m for m in gp_indecs(a) if not is_projective(a, m)}
     covers = {projective_cover(a, m) for m in nonproj}
     return nonproj | covers
+
+
+@dataclass
+class NearlyGorensteinResult:
+    ok: bool
+    left_ok: bool
+    right_ok: bool
+    witness: object = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def nearly_gorenstein_check_nak(a: NakAlgebra) -> NearlyGorensteinResult:
+    """Left: perp-of-A membership == Gorenstein projectivity; right: the
+    dual statement with D(A)-perpendicularity and Gorenstein injectivity."""
+    gp = gp_indecs(a)
+    gi = gi_indecs(a)
+    projs = projective_indecs(a)
+    injs = injective_indecs(a)
+    witness = None
+    left_ok = True
+    right_ok = True
+    for m in indecomposables(a):
+        if _ext_vanishes_nak(a, m, projs) != (m in gp):
+            left_ok = False
+            witness = ("left", m)
+            break
+    for m in indecomposables(a):
+        if all(_ext_vanishes_nak(a, j, [m]) for j in injs) != (m in gi):
+            right_ok = False
+            if witness is None:
+                witness = ("right", m)
+            break
+    return NearlyGorensteinResult(left_ok and right_ok, left_ok, right_ok,
+                                  witness)
 
 
 def algebra_invariants_nak(a: NakAlgebra) -> dict:

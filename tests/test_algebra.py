@@ -95,6 +95,57 @@ def test_validation_rejects_an_ungraded_basis():
     assert (err.value.code, err.value.witness) == ("NotGraded", 1)
 
 
+def _corrupt_455(**fields):
+    """Validate kupisch-455's presentation with the given fields replaced."""
+    pres = _nak455().pres
+    kw = dict(field=pres.field, basis_labels=list(pres.basis_labels),
+              mult=pres.mult, unit=pres.unit, idempotents=pres.idempotents,
+              radical_generators=pres.radical_generators)
+    kw.update(fields)
+    return alg.validate(alg.AlgebraPresentation(**kw))
+
+
+def _penny_farthing_quiver(relations):
+    """from_quiver on the penny-farthing quiver (a loop a at vertex 0,
+    b1: 0 -> 1, b2: 1 -> 0) with the given relations."""
+    q = alg.QuiverPresentation(vertices=["1", "2"], arrows=[
+        (0, 0, "a"), (0, 1, "b1"), (1, 0, "b2")], relations=relations)
+    return alg.from_quiver(q, F2)
+
+
+@pytest.mark.parametrize("build, code, message", [
+    # a structure-constant table of the wrong shape is refused as soon as
+    # the presentation is built, before validate runs
+    (lambda: _corrupt_455(mult=_nak455().mult[:-1]), "BadShape",
+     "structure constant dimensions"),
+    (lambda: _corrupt_455(unit=np.zeros(14, dtype=np.int64)), "BadUnit", ""),
+    # the ideal generated by the unit is all of A
+    (lambda: _corrupt_455(radical_generators=_nak455().unit[None, :]),
+     "RadicalNotIdeal", "radical ideal contains the unit"),
+    # the ideal A e_0 A is proper (e_1 misses it) but holds the idempotent e_0
+    (lambda: _corrupt_455(radical_generators=_nak455().idempotents[:1]),
+     "RadicalNotNilpotent", ""),
+    # J = 0 leaves A/J of dimension 14, not the 3 of the idempotents
+    (lambda: _corrupt_455(radical_generators=np.zeros((0, 14), dtype=np.int64)),
+     "QuotientNotSemisimple", ""),
+    (lambda: _penny_farthing_quiver([[]]), "BadRelation", "empty relation"),
+    # a a ends at vertex 0, a b1 at vertex 1
+    (lambda: _penny_farthing_quiver([[(1, (0, 0)), (1, (0, 1))]]),
+     "BadRelation", "paths not parallel"),
+    (lambda: _penny_farthing_quiver([[(1, (0,))]]), "BadRelation",
+     "path of length < 2"),
+    (lambda: alg.corner_algebra(_nak455(), []), "BadIdempotents",
+     "empty idempotent subset"),
+], ids=["bad-shape", "bad-unit", "radical-not-ideal", "radical-not-nilpotent",
+        "quotient-not-semisimple", "empty-relation", "nonparallel-relation",
+        "short-relation", "empty-corner"])
+def test_every_rejection_raises_its_code(build, code, message):
+    with pytest.raises(alg.ValidationError) as err:
+        build()
+    assert err.value.code == code
+    assert message in str(err.value)
+
+
 def test_penny_farthing_projective_dimensions():
     b = fx.penny_farthing_algebra(F2)
     projs, _ = mr.projectives(b)

@@ -76,6 +76,30 @@ def test_matmul_empty_inner_dimension():
     assert np.array_equal(f.matmul(a, b), np.zeros((3, 2), dtype=np.int64))
 
 
+def _table_field(p):
+    """GF(p) given by its addition and multiplication tables."""
+    return la.SmallTableField(p, [[(x + y) % p for y in range(p)]
+                                  for x in range(p)],
+                              [[x * y % p for y in range(p)] for x in range(p)])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_table_field_matmul_matches_prime_field(p):
+    # addition mod 3 or 5 is not XOR, so the table field sums the products
+    # one inner index at a time; inner dimensions 0 and 1 and empty row or
+    # column counts are the edge cases of that loop
+    f, ref = _table_field(p), la.PrimeField(p)
+    assert not f._add_is_xor
+    rng = np.random.default_rng(p)
+    for m, k, n in [(4, 3, 5), (1, 7, 1), (3, 1, 2), (2, 0, 3), (0, 3, 2),
+                    (3, 2, 0), (0, 0, 0)]:
+        a = rng.integers(0, p, size=(m, k))
+        b = rng.integers(0, p, size=(k, n))
+        got = f.matmul(a, b)
+        assert got.shape == (m, n)
+        assert np.array_equal(got, ref.matmul(a, b))
+
+
 @pytest.mark.parametrize("f", SMALL_FIELDS, ids=lambda f: "order%d" % f.order)
 def test_kernel_rank_and_solve(f):
     rng = np.random.default_rng(2)
@@ -115,11 +139,7 @@ def test_nullspace_rows_are_the_identity_at_their_last_nonzero_columns(f):
 # largest prime field, and table fields of characteristic 2 and 3 (where
 # negation is not the identity)
 KERNEL_FIELDS = [la.PrimeField(2), la.PrimeField(3), la.PrimeField(5),
-                 la.PrimeField(65521), la.GF4(),
-                 la.SmallTableField(3, [[(x + y) % 3 for y in range(3)]
-                                        for x in range(3)],
-                                    [[x * y % 3 for y in range(3)]
-                                     for x in range(3)])]
+                 la.PrimeField(65521), la.GF4(), _table_field(3)]
 
 
 @st.composite
