@@ -14,7 +14,9 @@ reduced echelon form, so a vector of the span has its coordinates at the
 pivot columns, and one matmul checks that the span is action-stable.
 Projective covers need no solve either: the unit vectors at the non-pivot
 columns of the radical's echelon basis lift a basis of the top, so by
-Nakayama's lemma they generate the module minimally.
+Nakayama's lemma they generate the module minimally.  No injective hull is
+built: the hull of m is D of the projective cover of D m, a sum of D(Ae_v)
+over the socle vertices v of m, so the cosyzygy of m is D Omega D m.
 
 Modules are kept in graded bases (Auslander-Reiten-Smalo, III.1): each
 basis vector lies in one M e_v, so every rho(e_v) is a 0/1 diagonal.
@@ -73,7 +75,6 @@ __all__ = [
     "fingerprint",
     "structure",
     "projective_cover",
-    "injective_hull",
     "syzygy",
     "cosyzygy",
     "ext_dim",
@@ -341,7 +342,7 @@ def hom_dim(m: RightModule, n: RightModule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Radical / top / socle, covers and hulls
+# Radical / top / socle and covers
 
 
 @dataclass
@@ -437,21 +438,10 @@ def dual_map(mp: ModuleMap) -> ModuleMap:
     return ModuleMap(dual(mp.target), dual(mp.source), mp.matrix.T.copy())
 
 
-def injective_hull(m: RightModule) -> ModuleMap:
-    cov = projective_cover(dual(m))
-    h = dual_map(cov)
-    # dual(dual(m)) has the same action matrices as m; keep m as the source
-    return ModuleMap(m, h.target, h.matrix)
-
-
 def kernel_submodule(mp: ModuleMap) -> tuple:
     f = mp.source.algebra.field
     rows = linalg.nullspace(f, mp.matrix.T)
     return submodule_from_rows(mp.source, rows)
-
-
-def cokernel_quotient(mp: ModuleMap) -> tuple:
-    return quotient_by_rows(mp.target, mp.matrix)
 
 
 def syzygy(m: RightModule, steps: int = 1) -> RightModule:
@@ -464,12 +454,8 @@ def syzygy(m: RightModule, steps: int = 1) -> RightModule:
 
 
 def cosyzygy(m: RightModule, steps: int = 1) -> RightModule:
-    cur = m
-    for _ in range(steps):
-        if cur.dim == 0:
-            return cur
-        cur, _ = cokernel_quotient(injective_hull(cur))
-    return cur
+    """D Omega^steps D m: the injective hull of m is D P(D m)."""
+    return dual(syzygy(dual(m), steps))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +555,8 @@ def nu_map(m: RightModule):
 
 def transpose_tr(m: RightModule) -> RightModule:
     """Tr(m): cokernel of Hom(g, A) over the opposite algebra."""
-    tr, _ = cokernel_quotient(_hom_to_regular(m))
+    g = _hom_to_regular(m)
+    tr, _ = quotient_by_rows(g.target, g.matrix)
     tr.label = "Tr(%s)" % m.label if m.label else ""
     return tr
 
@@ -681,7 +668,7 @@ def _is_local(f, mats) -> bool:
 
 
 def decompose(m: RightModule) -> list:
-    """Indecomposable summands, by Fitting splits M = Ker x^n + Im x^n:
+    """Indecomposable summands, by Fitting splits M = Ker x^n (+) Im x^n:
     on the basis of End(m), then (unless _is_local certifies End(m) local)
     on random and on all combinations, within a budget.  A module that
     decompose has already certified indecomposable is returned as it is."""
@@ -706,13 +693,9 @@ def decompose(m: RightModule) -> list:
         p = _fitting_power(f, linalg.combine(f, coeffs, mats))
         r = linalg.rank_raw(f, p)
         if 0 < r < m.dim:
-            ker_rows = linalg.nullspace(f, p.T)
-            im_rows = linalg.row_space_basis(f, p)
-            stacked = np.concatenate([ker_rows, im_rows], axis=0)
-            if linalg.rank_raw(f, stacked) == m.dim:
-                a, _ = submodule_from_rows(m, ker_rows)
-                b, _ = submodule_from_rows(m, im_rows)
-                return a, b
+            a, _ = submodule_from_rows(m, linalg.nullspace(f, p.T))
+            b, _ = submodule_from_rows(m, linalg.row_space_basis(f, p))
+            return a, b
         return None
 
     sp, exhausted = linalg.search_combinations(

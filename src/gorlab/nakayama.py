@@ -497,12 +497,7 @@ def algebra_invariants_nak(a: NakAlgebra) -> dict:
     finite_vals = [d.value for d in finite_doms if d.is_finite]
     fdomdim = HomologicalDim.finite(max(finite_vals) if finite_vals else 0)
     core = gorenstein_core(a) if (a.cyclic and not a.selfinjective) else set()
-    if a.selfinjective:
-        gdom = True
-    elif not a.cyclic:
-        gdom = True
-    else:
-        gdom = all(dims_nak(a, m)["domdim"].ge(2) for m in core)
+    gdom = all(dims_nak(a, m)["domdim"].ge(2) for m in core)
     gp = gp_indecs(a)
     return {
         "domdim": domdim,

@@ -411,6 +411,14 @@ def test_theorem_suite_auslander(fix):
     assert all(c.status in ("pass", "skip") for c in checks)
 
 
+def test_check_k_skips_an_undecided_algebra_domdim(fix):
+    f = fix("auslander-22")
+    assert str(inv.algebra_domdim(f.algebra, 1)) == ">=2"
+    c = inv._check_k(f, 1)
+    assert (c.status, c.detail) == ("skip", "algebra domdim >=2 undecided")
+    assert inv._check_k(f, 2).status == "pass"
+
+
 def test_theorem_suite_never_fails_on_nakayama_fixtures(fix):
     for name in ("kupisch-455", "kupisch-56", "a2-line"):
         for c in inv.theorem_suite(fix(name)):

@@ -540,12 +540,55 @@ def test_syzygy_cosyzygy_stable_inverse_on_selfinjective(a777):
         assert_iso(mr.syzygy(mr.cosyzygy(m, 1), 1), m)
 
 
-def test_projective_cover_and_injective_hull(a455):
-    m = mr.bridge_module(a455, 0, 3)
-    pc = mr.projective_cover(m)
-    assert pc.source.dim == 4          # cover of top S_0 is e_0A
-    ih = mr.injective_hull(m)
-    assert ih.target.dim >= m.dim
+def _reference_hull(m):
+    """The injective hull m -> D P(D m), built as a map: D of the projective
+    cover of D m."""
+    return mr.dual_map(mr.projective_cover(mr.dual(m)))
+
+
+def _warm_engines(fx):
+    """The engines of the fixture's algebra and of its opposite, after the
+    theorem suite and the (co)dominant dimensions of the pool."""
+    inv.theorem_suite(fx)
+    for m in fx.pool:
+        inv.module_domdim(m)
+        inv.module_codomdim(m)
+    return inv._engine(fx.algebra), inv._engine(mr.opp(fx.algebra))
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_hull_projective_matches_the_reference_hull(fix, name):
+    for eng in _warm_engines(fix(name)):
+        assert len(eng.table.reps) > len(mr.projectives(eng.a)[0])
+        for ci, m in enumerate(eng.table.reps):
+            hull = _reference_hull(m).target
+            want = all(mr.projective_cover(p).is_iso()
+                       for p in mr.decompose(hull))
+            assert eng.hull_projective(ci) == want, (name, eng.table.label(ci))
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_projinj_matches_the_reference_hull(fix, name):
+    a = fix(name).algebra
+    for b in (a, mr.opp(a)):
+        eng = inv._engine(b)
+        projs, _ = mr.projectives(b)
+        assert sorted(eng.projinj.values()) == [
+            i for i, p in enumerate(projs) if _reference_hull(p).is_iso()]
+        # e_iA is the injective D(Ae_v) with socle S_v
+        for v, i in eng.projinj.items():
+            assert_iso(projs[i], mr.injectives(b)[v])
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_cosyzygy_is_the_cokernel_of_the_reference_hull(fix, name):
+    fx = fix(name)
+    for m in fx.pool + [mr.dual(x) for x in fx.pool]:
+        h = _reference_hull(m)
+        coker, _ = mr.quotient_by_rows(h.target, h.matrix)
+        got = mr.cosyzygy(m)
+        assert got.algebra is m.algebra
+        assert_iso(got, coker)
 
 
 def test_ext_degree_zero_is_hom(a455):
