@@ -9,7 +9,7 @@ on ``row_echelon``.  It has two kernels, chosen by the matrix size alone: up
 to ``LIST_KERNEL_MAX_CELLS`` cells it reduces Python lists of codes with the
 fields' row operations (``_scale_row``, ``_sub_multiple``), above that numpy
 arrays; the reduced form is unique, so the kernel never changes a result.
-``rank_raw`` needs only the pivots and calls the list kernel itself, without
+``rank_raw`` and ``nullspace`` call the list kernel themselves, without
 rebuilding the array.
 ``combine`` forms a linear combination of a stack of arrays (one matmul), and
 ``search_combinations`` is the bounded search for a coefficient vector whose
@@ -389,10 +389,20 @@ def nullspace(field: FieldSpec, arr: np.ndarray):
     column and the rows restricted to the free columns are the identity."""
     arr = np.asarray(arr, dtype=np.int64)
     cols = arr.shape[1]
-    if arr.shape[0] == 0 or arr.size == 0:
-        return field.eye(cols) if cols else np.zeros((0, 0), dtype=np.int64)
+    if arr.size <= LIST_KERNEL_MAX_CELLS:
+        # built as Python rows: row j is one at j and -red[i][j] at pivots[i]
+        red, pivots = _row_echelon_lists(field, arr.tolist())
+        minus = [field._scale_row(row, int(field.neg(field.one)))
+                 for row in red[:len(pivots)]]
+        out = []
+        for j in sorted(set(range(cols)) - set(pivots)):
+            out.append([0] * cols)
+            out[-1][j] = field.one
+            for pc, row in zip(pivots, minus):
+                out[-1][pc] = row[j]
+        return np.array(out, dtype=np.int64).reshape(len(out), cols)
     r, pivots = row_echelon(field, arr)
-    free = [j for j in range(cols) if j not in pivots]
+    free = sorted(set(range(cols)) - set(pivots))
     out = np.zeros((len(free), cols), dtype=np.int64)
     out[np.arange(len(free)), free] = field.one
     out[:, pivots] = field.neg(r[:len(pivots)][:, free].T)

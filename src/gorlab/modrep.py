@@ -21,15 +21,13 @@ over the socle vertices v of m, so the cosyzygy of m is D Omega D m.
 Modules are kept in graded bases (Auslander-Reiten-Smalo, III.1): each
 basis vector lies in one M e_v, so every rho(e_v) is a 0/1 diagonal.
 ``make_module`` regrades its input; every other construction keeps the
-grading.  A map sends M e_v into N e_v, so a Hom space starts from the unit
-maps E_rs with r and s at one vertex, and only the arrows (a lift of a basis
-of J/J^2) impose equations.  Each equation keeps the rows of a nullspace,
-which are the identity at known columns, so every Hom basis is the identity
-at a set of keys: the coordinates of a map are its entries there, checked by
-one matmul.
-Endomorphism algebras and the Hom functor read their structure constants this
-way.  Likewise e_iA is spanned by the basis elements b = e_i b of A, so the
-action of each projective is a submatrix of that of A_A.
+grading.  A Hom space is the kernel of one linear system over the unit maps
+that keep the vertices, a block of rows per arrow (:func:`_hom_space`); its
+basis is the identity at a set of keys, so the coordinates of a map are its
+entries there, checked by one matmul, and endomorphism algebras and the Hom
+functor read their structure constants this way.  Likewise e_iA is spanned
+by the basis elements b = e_i b of A, so the action of each projective is a
+submatrix of that of A_A.
 
 The Nakayama functor nu, the transpose Tr and the AR translate tau all come
 from the minimal presentation g: P_1 -> P_0 of a module and the closed form
@@ -293,31 +291,33 @@ def _hom_space(m: RightModule, n: RightModule) -> tuple:
     rho(e_v) iff F = sum_v rho_m(e_v) F rho_n(e_v): in graded bases, a span of
     the unit maps E_rs with r and s at one vertex, listed by vertex, then r,
     then s.  With the idempotents the arrows generate A as an algebra, so
-    only rho_m(g) F = F rho_n(g) remains to be imposed, one arrow g at a
-    time.  Each constraint keeps the combinations given by a nullspace,
-    whose rows are the identity at their last nonzero columns.
+    only rho_m(g) F = F rho_n(g) remains: one system (Assem-Simson-Skowronski
+    I, III.1) with a block of rows (g, x, y) per arrow g in e_u A e_v, x in
+    m e_u, y in n e_v, whose entry at E_rs is
+    rho_m(g)[x, r] [y = s] - [x = r] rho_n(g)[s, y].  Its nullspace rows are
+    the identity at their last nonzero columns.
     """
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     a = m.algebra
     f = a.field
-    if m.dim == 0 or n.dim == 0:
+    vm, vn = _vertices(m), _vertices(n)
+    r, s = np.nonzero(vm[:, None] == vn[None, :])
+    if len(r) == 0:
         return np.zeros((0, m.dim * n.dim), dtype=np.int64), np.zeros(0, int)
-    vm = _vertices(m)
-    r, s = np.nonzero(vm[:, None] == _vertices(n)[None, :])
-    keys = (r * n.dim + s)[np.argsort(vm[r], kind="stable")]
-    basis = np.zeros((len(keys), m.dim * n.dim), dtype=np.int64)
-    basis[np.arange(len(keys)), keys] = f.one
-    for gm, gn in zip(_arrow_actions(m), _arrow_actions(n)):
-        if basis.shape[0] == 0:
-            break
-        maps = basis.reshape(-1, m.dim, n.dim)
-        after = f.matmul(basis.reshape(-1, n.dim), gn)
-        cons = f.sub(_images(f, gm, maps), after.reshape(maps.shape))
-        coords = linalg.nullspace(f, cons.reshape(len(maps), -1).T)
-        basis = f.matmul(coords, basis)
-        keys = keys[coords.shape[1] - 1 - (coords[:, ::-1] != 0).argmax(axis=1)]
-    return basis, keys
+    order = np.argsort(vm[r], kind="stable")
+    r, s = r[order], s[order]
+    ends = (a.arrows != 0).argmax(axis=1)
+    g, x, y = np.nonzero((vm == a.peirce[0][ends][:, None])[:, :, None]
+                         & (vn == a.peirce[1][ends][:, None])[:, None, :])
+    g, x, y = g[:, None], x[:, None], y[:, None]
+    cons = f.sub(np.where(y == s, _arrow_actions(m)[g, x, r], 0),
+                 np.where(x == r, _arrow_actions(n)[g, s, y], 0))
+    coords = linalg.nullspace(f, cons)
+    unit = r * n.dim + s
+    basis = np.zeros((len(coords), m.dim * n.dim), dtype=np.int64)
+    basis[:, unit] = coords
+    return basis, unit[len(unit) - 1 - (coords[:, ::-1] != 0).argmax(axis=1)]
 
 
 def _coords(f, space: tuple, flats: np.ndarray, what: str) -> np.ndarray:
@@ -338,7 +338,7 @@ def hom_basis(m: RightModule, n: RightModule) -> list:
 
 
 def hom_dim(m: RightModule, n: RightModule) -> int:
-    return len(hom_basis(m, n))
+    return len(_hom_space(m, n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +613,7 @@ def iso(m: RightModule, n: RightModule) -> IsoResult:
     hb = hom_basis(m, n)
     # between certified indecomposables the basis stage decides on its own
     if not (m.indec_certain and n.indec_certain):
-        if len(hb) != len(hom_basis(n, m)):
+        if len(hb) != hom_dim(n, m):
             return IsoResult(False, True)
         ms, ns = decompose(m), decompose(n)
         if len(ms) > 1 or len(ns) > 1:
@@ -687,7 +687,7 @@ def decompose(m: RightModule) -> list:
             == m.dim - 1):
         m.indec_certain = True
         return [m]
-    mats = np.array([h.matrix for h in hom_basis(m, m)])
+    mats = _hom_space(m, m)[0].reshape(-1, m.dim, m.dim)
 
     def try_split(coeffs):
         p = _fitting_power(f, linalg.combine(f, coeffs, mats))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +183,14 @@ def test_list_and_numpy_kernels_agree(case):
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert got_pivots == want_pivots
     assert la.rank_raw(f, m) == len(want_pivots)
+    # nullspace on each kernel: a cap of 0 cells sends every input to numpy
+    with mock.patch.object(la, "LIST_KERNEL_MAX_CELLS", 0):
+        kernel = la.nullspace(f, m)
+    with mock.patch.object(la, "LIST_KERNEL_MAX_CELLS", m.size):
+        got = la.nullspace(f, m)
+    assert (got.dtype, kernel.dtype) == (np.int64, np.int64)
+    assert np.array_equal(got, kernel)
+    assert not f.matmul(m, kernel.T).any()
 
 
 def test_row_echelon_picks_the_kernel_by_size(monkeypatch):

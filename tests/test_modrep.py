@@ -1,8 +1,10 @@
 import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorlab import algebra as alg
 from gorlab import linalg as la
@@ -83,6 +85,19 @@ def _kronecker_hom_basis(m, n):
     return basis
 
 
+def _twisted(fx):
+    """The largest pool module in the basis given by the rows of
+    P = I + (ones above the diagonal), regraded by make_module."""
+    f = fx.algebra.field
+    big = max(fx.pool, key=lambda m: m.dim)
+    p = np.triu(np.ones((big.dim, big.dim), dtype=np.int64))
+    p_inv = la.solve_raw(f, p, f.eye(big.dim))
+    twist = np.array([f.matmul(f.matmul(p, x), p_inv) for x in big.action])
+    assert any(not np.array_equal(x, x.T) for x in
+               (la.combine(f, e, twist) for e in fx.algebra.idempotents))
+    return mr.make_module(fx.algebra, twist)
+
+
 @pytest.mark.parametrize("name,field", [
     ("kupisch-455", None), ("kupisch-455", la.PrimeField(5)),
     ("gf4-local-gendo", None), ("penny-farthing-gendo", None),
@@ -91,18 +106,10 @@ def test_hom_basis_spans_the_kronecker_hom_space(name, field):
     # the closed form on the idempotents leaves only the radical generators
     # to solve for; it must span the space the full constraint systems cut
     # out, also on a module given in a basis where the rho(e_v) are not
-    # symmetric: the largest pool module in the basis given by the rows of
-    # P = I + (ones above the diagonal), which make_module regrades
+    # symmetric (_twisted)
     fx = fixtures.build_fixture(name, field)
     f = fx.algebra.field
-    big = max(fx.pool, key=lambda m: m.dim)
-    p = np.triu(np.ones((big.dim, big.dim), dtype=np.int64))
-    p_inv = la.solve_raw(f, p, f.eye(big.dim))
-    twist = np.array([f.matmul(f.matmul(p, x), p_inv) for x in big.action])
-    assert any(not np.array_equal(x, x.T) for x in
-               (la.combine(f, e, twist) for e in fx.algebra.idempotents))
-    twisted = mr.make_module(fx.algebra, twist)
-    pool = fx.pool + [twisted]
+    pool = fx.pool + [_twisted(fx)]
     dims = []
     for m, n in itertools.product(pool, repeat=2):
         got = mr.hom_basis(m, n)
@@ -118,6 +125,132 @@ def test_hom_basis_spans_the_kronecker_hom_space(name, field):
     assert max(dims) > 1
     if name == "penny-farthing-gendo":
         assert fx.algebra.n_idem > 1 and 0 in dims
+
+
+def _per_arrow_hom_space(m, n):
+    """_hom_space by one elimination per arrow: the unit maps E_rs with r
+    and s at one vertex, cut down by rho_m(g) F = F rho_n(g) one arrow g at
+    a time, each step keeping the combinations given by a nullspace."""
+    f = m.algebra.field
+    if m.dim == 0 or n.dim == 0:
+        return np.zeros((0, m.dim * n.dim), dtype=np.int64), np.zeros(0, int)
+    vm = mr._vertices(m)
+    r, s = np.nonzero(vm[:, None] == mr._vertices(n)[None, :])
+    keys = (r * n.dim + s)[np.argsort(vm[r], kind="stable")]
+    basis = np.zeros((len(keys), m.dim * n.dim), dtype=np.int64)
+    basis[np.arange(len(keys)), keys] = f.one
+    for gm, gn in zip(mr._arrow_actions(m), mr._arrow_actions(n)):
+        if basis.shape[0] == 0:
+            break
+        maps = basis.reshape(-1, m.dim, n.dim)
+        after = f.matmul(basis.reshape(-1, n.dim), gn)
+        cons = f.sub(mr._images(f, gm, maps), after.reshape(maps.shape))
+        coords = la.nullspace(f, cons.reshape(len(maps), -1).T)
+        basis = f.matmul(coords, basis)
+        keys = keys[coords.shape[1] - 1 - (coords[:, ::-1] != 0).argmax(axis=1)]
+    return basis, keys
+
+
+def _assert_per_arrow_hom_spaces(mods):
+    """_hom_space gives the bytes of the per-arrow reference on mods^2."""
+    for m, n in itertools.product(mods, repeat=2):
+        for got, want in zip(mr._hom_space(m, n), _per_arrow_hom_space(m, n)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (m, n)
+            assert got.tobytes() == want.tobytes(), (m, n)
+
+
+def _arrow_ends(a):
+    """(u, v) per arrow g, with g in e_u A e_v."""
+    ends = (a.arrows != 0).argmax(axis=1)
+    return set(zip(a.peirce[0][ends].tolist(), a.peirce[1][ends].tolist()))
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_hom_space_matches_the_per_arrow_reference(fix, name):
+    # the pool, the regraded twist, and modules with empty vertex blocks:
+    # the simples and the zero module; then their duals over A^op
+    fx = fix(name)
+    a = fx.algebra
+    mods = fx.pool + [_twisted(fx), mr.zero_module(a)] + mr.simples(a)
+    _assert_per_arrow_hom_spaces(mods)
+    _assert_per_arrow_hom_spaces([mr.dual(m) for m in mods])
+    if name == "gf4-local-gendo":
+        assert any(u == v for u, v in _arrow_ends(a))
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_hom_space_matches_the_per_arrow_reference_on_bridges(p):
+    a = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), la.PrimeField(p))
+    _assert_per_arrow_hom_spaces([mr.bridge_module(a, i, k) for i in range(3)
+                                  for k in range(1, (4, 5, 5)[i] + 1)])
+
+
+def test_hom_space_without_arrows_is_every_graded_map():
+    # J = 0: k x k, where Hom is every map that keeps the vertices
+    q = alg.QuiverPresentation(vertices=["0", "1"], arrows=[], relations=[])
+    a = alg.validate(alg.from_quiver(q, F2))
+    assert len(a.arrows) == 0
+    s0, s1 = mr.simples(a)
+    mods = [s0, s1, mr.direct_sum([s0, s1, s0]), mr.zero_module(a)]
+    _assert_per_arrow_hom_spaces(mods)
+    assert [mr.hom_dim(mods[2], x) for x in mods] == [2, 1, 5, 0]
+
+
+@functools.cache
+def _kronecker(field):
+    """The Kronecker algebra: two arrows a, b: 0 -> 1, no relations."""
+    q = alg.QuiverPresentation(vertices=["0", "1"],
+                               arrows=[(0, 1, "a"), (0, 1, "b")], relations=[])
+    return alg.validate(alg.from_quiver(q, field))
+
+
+def _kronecker_module(a, ra, rb):
+    """The representation k^d0 => k^d1 whose arrows act by the d0 x d1
+    matrices ra and rb."""
+    f = a.field
+    d0, d1 = ra.shape
+    at = {label: i for i, label in enumerate(a.basis_labels)}
+    action = np.zeros((a.dim, d0 + d1, d0 + d1), dtype=np.int64)
+    action[at["e0"], :d0, :d0] = f.eye(d0)
+    action[at["e1"], d0:, d0:] = f.eye(d1)
+    action[at["a"], :d0, d0:] = ra
+    action[at["b"], :d0, d0:] = rb
+    return mr.make_module(a, action)
+
+
+@st.composite
+def _kronecker_pairs(draw):
+    f = draw(st.sampled_from([F2, la.PrimeField(3), la.GF4()]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = _kronecker(f)
+    mods = []
+    for _ in range(2):
+        d0, d1 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        ra, rb = rng.integers(0, f.order, size=(2, d0, d1))
+        if draw(st.booleans()):
+            rb[:] = 0
+        mods.append(_kronecker_module(a, ra, rb))
+    return mods
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_kronecker_pairs())
+def test_hom_space_matches_the_per_arrow_reference_on_kronecker(mods):
+    _assert_per_arrow_hom_spaces(mods)
+
+
+def test_hom_space_of_a_large_kronecker_sum_within_budget():
+    # M = (F2^17 => F2^17) with the arrows acting by I and by the companion
+    # matrix of x^17 + x^3 + 1, irreducible, so End(M) = GF(2^17) and
+    # End(M + M) = M_2(GF(2^17)) has dimension 68 over F2
+    c = np.zeros((17, 17), dtype=np.int64)
+    c[np.arange(1, 17), np.arange(16)] = 1
+    c[[0, 3], 16] = 1
+    m = _kronecker_module(_kronecker(F2), F2.eye(17), c)
+    mm = mr.direct_sum([m, m])
+    t0 = time.perf_counter()
+    assert len(mr.hom_basis(mm, mm)) == 68
+    assert time.perf_counter() - t0 < 10.0
 
 
 _POOLS = [("kupisch-455", None), ("kupisch-455", la.PrimeField(5)),

@@ -56,6 +56,9 @@ call scan-2-3.text --format text scan 2 3
 call endo-jobs2-kupisch-455.text --jobs 2 endo --fixture kupisch-455
 call module-gpi-gf4-local-gendo.json --format json module extra:gpi_candidate --fixture gf4-local-gendo
 call module-e2j2-penny-farthing-gendo.json --format json module hom:e2j2 --fixture penny-farthing-gendo
+# a hom_functor image over the 33-dimensional B: pins the Hom-basis order
+# over the largest fixture
+call module-hom-generator-extra-sym-777-gendo.json --format json module hom:generator_extra --fixture sym-777-gendo
 call endo-f3-penny-farthing-gendo.json --field 3 --format json endo --fixture penny-farthing-gendo
 call endo-f5-two-periodic-demo.json --field 5 --format json endo --fixture two-periodic-demo
 call module-f5-hom-w-two-periodic-demo.json --field 5 --format json module hom:w --fixture two-periodic-demo
