@@ -84,17 +84,25 @@ def _dim_plus(d: HomologicalDim, k: int) -> HomologicalDim:
 _ClassTable = mr.ClassTable
 
 
-def _socle_vertices(m) -> list:
-    """The v with S_v a summand of soc m, with multiplicity: the top of D m."""
-    return mr.projective_cover(mr.dual(m)).summand_idems
+def _cover_record(m) -> tuple:
+    """(summand idempotents of the projective cover P -> m, its kernel)."""
+    cov = mr.projective_cover(m)
+    return cov.summand_idems, mr.kernel_submodule(cov)[0]
 
 
 class _DimEngine:
     """The class graph of one algebra and the dimensions read off it.
 
     The memos hold only facts that no query order can change: class ids,
-    (co)syzygy summands, hull projectivity, Ext^1 values and GP verdicts
-    keyed on (classes, bound).  Each dimension is searched afresh per query.
+    two cover records per class, Hom dimensions and Ext^1 values keyed on
+    (class, target), and GP verdicts keyed on (classes, bound).  Each
+    dimension is searched afresh per query.
+
+    ``_omega(ci)`` keeps, from the projective cover P -> X of X = reps[ci],
+    the summand idempotents of P and Omega X; ``_coomega(ci)`` keeps the
+    same for D X: the socle vertices of X and, dualised back, the cosyzygy
+    D Omega D X.  A kernel's classes are read through the table's
+    content-keyed memo when first asked for.
 
     ``projinj`` maps v to i when e_iA is injective with socle S_v.  The hull
     of S_v is D(Ae_v), and e_iA with simple socle S_v embeds in it, so e_iA is
@@ -104,30 +112,51 @@ class _DimEngine:
     def __init__(self, a: BasedAlgebra):
         self.a = a
         self.table = mr.ClassTable()
-        projs, self.reg = mr.projectives(a)
-        self.proj_ids = {ci for p in projs for ci in self.table.parts(p)}
-        socs = [_socle_vertices(p) for p in projs]
-        self.projinj = {s[0]: i for i, (p, s) in enumerate(zip(projs, socs))
-                        if len(s) == 1 and p.dim == a.cartan[:, s[0]].sum()}
-        self._syz = {}
-        self._cos = {}
-        self._hull_proj = {}
+        self._omega_memo = {}
+        self._coomega_memo = {}
+        self._hom_memo = {}
         self._ext1_memo = {}
         self.gp_memo = {}
+        projs, self.reg = mr.projectives(a)
+        ids = [self.table.parts(p)[0] for p in projs]
+        self.proj_ids = set(ids)
+        socs = [self._coomega(ci)[0] for ci in ids]
+        self.projinj = {s[0]: i for i, (p, s) in enumerate(zip(projs, socs))
+                        if len(s) == 1 and p.dim == a.cartan[:, s[0]].sum()}
+
+    def _omega(self, ci: int) -> tuple:
+        """(summand idempotents of P, Omega X) for X = reps[ci]."""
+        if ci not in self._omega_memo:
+            self._omega_memo[ci] = _cover_record(self.table.reps[ci])
+        return self._omega_memo[ci]
+
+    def _coomega(self, ci: int) -> tuple:
+        """(socle vertices of X, D Omega D X) for X = reps[ci]."""
+        if ci not in self._coomega_memo:
+            idems, k = _cover_record(mr.dual(self.table.reps[ci]))
+            self._coomega_memo[ci] = idems, mr.dual(k)
+        return self._coomega_memo[ci]
 
     def syzygy_parts(self, ci: int) -> list:
-        if ci not in self._syz:
-            self._syz[ci] = self.table.parts(mr.syzygy(self.table.reps[ci]))
-        return self._syz[ci]
+        return self.table.parts(self._omega(ci)[1])
 
     def cosyzygy_parts(self, ci: int) -> list:
-        if ci not in self._cos:
-            self._cos[ci] = self.table.parts(mr.cosyzygy(self.table.reps[ci]))
-        return self._cos[ci]
+        return self.table.parts(self._coomega(ci)[1])
+
+    def _hom_dim(self, ci: int, n) -> int:
+        if (ci, n) not in self._hom_memo:
+            self._hom_memo[ci, n] = mr.hom_dim(self.table.reps[ci], n)
+        return self._hom_memo[ci, n]
 
     def ext1_against(self, ci: int, n) -> int:
+        """The formula of ``mr.ext_dim`` on ``_omega(ci)``, with
+        dim Hom(Omega X, n) summed over the classes of Omega X."""
         if (ci, n) not in self._ext1_memo:
-            self._ext1_memo[ci, n] = mr.ext_dim(self.table.reps[ci], n, 1)
+            idems = self._omega(ci)[0]
+            hk = sum(self._hom_dim(p, n) for p in self.syzygy_parts(ci))
+            hp = np.bincount(mr._vertices(n), minlength=self.a.n_idem)[idems]
+            self._ext1_memo[ci, n] = hk and int(hk - hp.sum()
+                                                + self._hom_dim(ci, n))
         return self._ext1_memo[ci, n]
 
     def ext_window(self, m, n, bound: int):
@@ -161,10 +190,7 @@ class _DimEngine:
 
     def hull_projective(self, ci: int) -> bool:
         """Whether the injective hull of class ci is projective."""
-        if ci not in self._hull_proj:
-            socle = _socle_vertices(self.table.reps[ci])
-            self._hull_proj[ci] = all(v in self.projinj for v in socle)
-        return self._hull_proj[ci]
+        return all(v in self.projinj for v in self._coomega(ci)[0])
 
     def _cycle_cert(self, op: str, path: tuple, ci: int) -> PeriodicityCertificate:
         start = path.index(ci)
@@ -591,9 +617,9 @@ def _is_proj_module(m, _unused=None):
 def _nonproj_gpis(fixture, bound):
     """The nonprojective GPI class representatives of the fixture's pool."""
     eng, ids = _pool_classes(fixture)
-    mods = [eng.table.reps[ci] for ci in ids]
-    return [m for m in mods if not _is_proj_module(m)
-            and gpi_test(fixture.algebra, m, bound).status == "yes"]
+    mods = [eng.table.reps[ci] for ci in ids if ci not in eng.proj_ids]
+    return [m for m in mods
+            if gpi_test(fixture.algebra, m, bound).status == "yes"]
 
 
 def _check_a(fixture, bound):
@@ -623,9 +649,9 @@ def _check_b(fixture, bound):
     eng, ids = _pool_classes(fixture)
     checked, undecided = 0, 0
     for ci in ids:
-        m = eng.table.reps[ci]
-        if _is_proj_module(m):
+        if ci in eng.proj_ids:
             continue
+        m = eng.table.reps[ci]
         cd = module_codomdim(m, bound)
         if cd.kind == "atleast" and cd.value < 2:
             undecided += 1
@@ -704,9 +730,9 @@ def _check_e(fixture, bound):
         return CheckResult(name, "skip", "needs CM-finite gendo-symmetric")
     eng, ids = _pool_classes(fixture)
     for ci in ids:
-        m = eng.table.reps[ci]
-        if _is_proj_module(m):
+        if ci in eng.proj_ids:
             continue
+        m = eng.table.reps[ci]
         v = gpi_test(fixture.algebra, m, bound)
         if v.status == "yes":
             return CheckResult(name, "fail",
@@ -794,19 +820,25 @@ def _check_h(fixture, bound):
                                          "one-sided dimensions >= 1")
     pairs_checked = 0
     for x, dx in sources:
+        # chain[k] = (Omega^k x, Omega^k xe), grown as deep as a target
+        # needs: Ext^n(x, y) = Ext^1(Omega^(n-1) x, y)
+        xe = mr.corner_restrict(corner, x)
+        chain = [(x, xe)]
         for y, dy in targets:
             gx = 99 if dx.is_infinite else dx.value
             gy = 99 if dy.is_infinite else dy.value
             top_n = min(gx + gy - 2, 3)
             if top_n < 0:
                 continue
-            xe = mr.corner_restrict(corner, x)
             ye = mr.corner_restrict(corner, y)
+            while len(chain) < top_n:
+                chain.append(tuple(mr.syzygy(z) for z in chain[-1]))
             for n in range(0, top_n + 1):
-                lhs = (mr.hom_dim(x, y) if n == 0
-                       else mr.ext_dim(x, y, n))
-                rhs = (mr.hom_dim(xe, ye) if n == 0
-                       else mr.ext_dim(xe, ye, n))
+                if n == 0:
+                    lhs, rhs = mr.hom_dim(x, y), mr.hom_dim(xe, ye)
+                else:
+                    ox, oxe = chain[n - 1]
+                    lhs, rhs = mr.ext_dim(ox, y, 1), mr.ext_dim(oxe, ye, 1)
                 if lhs != rhs:
                     return CheckResult(
                         name, "fail",

@@ -719,8 +719,11 @@ class ClassTable:
 
     ``buckets`` groups the class ids by :func:`fingerprint`, an isomorphism
     invariant, so ``iso`` runs only against classes in the module's bucket.
-    ``parts(m)`` lists the classes of m's summands, memoised on the module
-    object (RightModule hashes by identity).
+    ``parts(m)`` lists the classes of m's summands, memoised on m's content,
+    the pair (algebra, action bytes): equal actions over one algebra are one
+    module, not merely isomorphic ones, so a fresh object with a known action
+    (a dual, a syzygy) is not decomposed again.  BasedAlgebra hashes by
+    identity, so modules over two algebra objects never share an entry.
     """
 
     def __init__(self):
@@ -742,9 +745,10 @@ class ClassTable:
         return r.label or "class%d(dim %d)" % (ci, r.dim)
 
     def parts(self, m) -> list:
-        if m not in self._parts:
-            self._parts[m] = [self.canon(p) for p in decompose(m)]
-        return self._parts[m]
+        key = (m.algebra, m.action.tobytes())
+        if key not in self._parts:
+            self._parts[key] = [self.canon(p) for p in decompose(m)]
+        return self._parts[key]
 
 
 def iso_classes(mods) -> list:

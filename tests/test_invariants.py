@@ -372,6 +372,37 @@ def test_mueller_matches_ext_per_degree(fix, name, bounds):
         assert ser.dim_to_json(got) == ser.dim_to_json(want), (name, bound)
 
 
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_cover_records_match_the_reference_routes(name, monkeypatch):
+    # a fresh build, so that the classes this test adds stay in its engines
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    fx = fixtures.build_fixture(name)
+    inv.theorem_suite(fx)
+    for m in fx.pool:
+        inv.module_domdim(m)
+        inv.module_codomdim(m)
+    for a, pool in ((fx.algebra, fx.pool),
+                    (mr.opp(fx.algebra), [mr.dual(m) for m in fx.pool])):
+        eng = inv._engine(a)
+        reps = list(eng.table.reps)
+        assert len(reps) > len(mr.projectives(a)[0]), name
+
+        def classes(m):
+            # iso against the table's classes, not its memo
+            return sorted(eng.table.canon(p) for p in mr.decompose(m))
+
+        for ci, rep in enumerate(reps):
+            where = (name, a is fx.algebra, eng.table.label(ci))
+            assert sorted(eng.syzygy_parts(ci)) == classes(mr.syzygy(rep)), where
+            assert (sorted(eng.cosyzygy_parts(ci))
+                    == classes(mr.cosyzygy(rep))), where
+            socle = mr.projective_cover(mr.dual(rep)).summand_idems
+            assert eng.hull_projective(ci) == all(v in eng.projinj
+                                                  for v in socle), where
+            for n in [eng.reg] + pool:
+                assert eng.ext1_against(ci, n) == mr.ext_dim(rep, n, 1), where
+
+
 def test_fdomdim_pool_warns_when_uncertified(fix):
     f = fix("penny-farthing-gendo")
     assert inv.fdomdim_pool(f.pool) == 4

@@ -666,6 +666,39 @@ def test_direct_sum_decompose_round_trip(a455):
     assert not remaining
 
 
+def test_class_table_memo_is_keyed_on_the_action(a455, monkeypatch):
+    # D D m is a fresh object with m's action over the same algebra: the
+    # table reads its classes off m's entry instead of decomposing again
+    m = mr.direct_sum([mr.bridge_module(a455, 0, 3),
+                       mr.bridge_module(a455, 1, 2)])
+    twin = mr.dual(mr.dual(m))
+    assert twin is not m and twin.algebra is a455
+    assert np.array_equal(twin.action, m.action)
+    real, seen = mr.decompose, []
+
+    def decompose(x):
+        seen.append(x)
+        return real(x)
+
+    monkeypatch.setattr(mr, "decompose", decompose)
+    table = mr.ClassTable()
+    assert table.parts(m) == [0, 1]
+    assert table.parts(twin) == [0, 1]
+    assert [x for x in seen if x is m or x is twin] == [m]
+
+
+def test_class_table_memo_keeps_two_copies_of_an_algebra_apart():
+    # equal action bytes over two separately built copies of one algebra are
+    # modules over different algebras: they must not share a memo entry
+    series = nak.validate_kupisch((4, 5, 5))
+    m1, m2 = (mr.bridge_module(alg.from_kupisch(series, F2), 0, 3)
+              for _ in range(2))
+    assert m1.algebra is not m2.algebra
+    assert m1.action.tobytes() == m2.action.tobytes()
+    with pytest.raises(mr.AlgebraMismatch):
+        mr.iso_classes([m1, m2])
+
+
 def test_syzygy_cosyzygy_stable_inverse_on_selfinjective(a777):
     for i, k in [(0, 2), (1, 4), (2, 6)]:
         m = mr.bridge_module(a777, i, k)
