@@ -290,7 +290,11 @@ def _resolve_fixture(name, cfg: RunConfig):
     if name is None:
         raise _CliError("a --fixture name is required")
     if name.startswith("kupisch-s"):
-        return fx.parametric_kupisch(int(name[len("kupisch-s"):]), cfg.field)
+        s = name[len("kupisch-s"):]
+        if not (s.isascii() and s.isdigit()):
+            raise _CliError("fixture %r: use kupisch-s<N> for a whole number N"
+                            % name)
+        return fx.parametric_kupisch(int(s), cfg.field)
     if name == "gf4-local-gendo" and cfg.field is not None:
         raise _CliError("fixture gf4-local-gendo is defined over GF(4) only; "
                         "drop --field")

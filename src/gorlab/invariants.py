@@ -6,11 +6,12 @@ summands of (co)syzygies: projective dimension is the longest syzygy path to
 a projective class, dominant dimension the shortest cosyzygy path to a class
 whose injective hull is not projective.  That hull is the sum of the
 D(Ae_v) over the socle vertices v of the class, so it is projective iff every
-such v is the socle vertex of an injective e_iA; no hull is built.  The
-classes are those of one ``modrep.ClassTable`` per algebra.  Each answer is
-a function of the module and the bound only, not of earlier queries.
-Infinite values carry a periodicity certificate, and AtLeast values name the
-bound that cut the search.
+such v is the socle vertex of an injective e_iA; no hull is built.  Each
+algebra has one ``modrep.ClassTable`` and covers each class once, reading the
+socle and cosyzygy of X off its opposite's cover of D X.  Each answer is a
+function of the module and the bound only, not of earlier queries.  Infinite
+values carry a periodicity certificate, and AtLeast values name the bound
+that cut the search.
 
 Whether Ext^i(X, Y) = 0 for all i >= 1 is decided by
 ``_DimEngine.ext_window`` in one walk of the syzygy orbit of X's iso-class
@@ -25,6 +26,7 @@ Nakayama checks of the suite call the closed forms of ``nakayama``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,64 +86,69 @@ def _dim_plus(d: HomologicalDim, k: int) -> HomologicalDim:
 _ClassTable = mr.ClassTable
 
 
-def _cover_record(m) -> tuple:
-    """(summand idempotents of the projective cover P -> m, its kernel)."""
-    cov = mr.projective_cover(m)
-    return cov.summand_idems, mr.kernel_submodule(cov)[0]
-
-
 class _DimEngine:
     """The class graph of one algebra and the dimensions read off it.
 
     The memos hold only facts that no query order can change: class ids,
-    two cover records per class, Hom dimensions and Ext^1 values keyed on
-    (class, target), and GP verdicts keyed on (classes, bound).  Each
-    dimension is searched afresh per query.
+    one cover record per class and its dual's class, Hom dimensions and
+    Ext^1 values keyed on (class, target), and GP verdicts keyed on
+    (classes, bound).  Each dimension is searched afresh per query.
 
     ``_omega(ci)`` keeps, from the projective cover P -> X of X = reps[ci],
-    the summand idempotents of P and Omega X; ``_coomega(ci)`` keeps the
-    same for D X: the socle vertices of X and, dualised back, the cosyzygy
-    D Omega D X.  A kernel's classes are read through the table's
-    content-keyed memo when first asked for.
+    the summand idempotents of P and Omega X, whose classes are read when
+    first asked for.  ``op`` is the engine of A^op and ``dual(ci)`` the class
+    of D X there, whose record gives the socle of X and cosyzygy D Omega D X.
 
     ``projinj`` maps v to i when e_iA is injective with socle S_v.  The hull
     of S_v is D(Ae_v), and e_iA with simple socle S_v embeds in it, so e_iA is
-    injective iff dim e_iA = dim Ae_v, a Cartan column sum.
+    injective iff dim e_iA = dim Ae_v, a Cartan column sum.  ``op`` and
+    ``projinj`` are built on first use, once this engine is cached.
     """
 
     def __init__(self, a: BasedAlgebra):
         self.a = a
         self.table = mr.ClassTable()
         self._omega_memo = {}
-        self._coomega_memo = {}
+        self._dual_memo = {}
         self._hom_memo = {}
         self._ext1_memo = {}
         self.gp_memo = {}
         projs, self.reg = mr.projectives(a)
-        ids = [self.table.parts(p)[0] for p in projs]
-        self.proj_ids = set(ids)
-        socs = [self._coomega(ci)[0] for ci in ids]
-        self.projinj = {s[0]: i for i, (p, s) in enumerate(zip(projs, socs))
-                        if len(s) == 1 and p.dim == a.cartan[:, s[0]].sum()}
+        self.proj_ids = {self.table.parts(p)[0] for p in projs}
+
+    @cached_property
+    def op(self) -> "_DimEngine":
+        return _engine(mr.opp(self.a))
+
+    @cached_property
+    def projinj(self) -> dict:
+        projs, _ = mr.projectives(self.a)
+        socs = [self.op._omega(self.dual(self.table.parts(p)[0]))[0]
+                for p in projs]
+        return {s[0]: i for i, (p, s) in enumerate(zip(projs, socs))
+                if len(s) == 1 and p.dim == self.a.cartan[:, s[0]].sum()}
 
     def _omega(self, ci: int) -> tuple:
         """(summand idempotents of P, Omega X) for X = reps[ci]."""
         if ci not in self._omega_memo:
-            self._omega_memo[ci] = _cover_record(self.table.reps[ci])
+            cov = mr.projective_cover(self.table.reps[ci])
+            self._omega_memo[ci] = (cov.summand_idems,
+                                    mr.kernel_submodule(cov)[0])
         return self._omega_memo[ci]
 
-    def _coomega(self, ci: int) -> tuple:
-        """(socle vertices of X, D Omega D X) for X = reps[ci]."""
-        if ci not in self._coomega_memo:
-            idems, k = _cover_record(mr.dual(self.table.reps[ci]))
-            self._coomega_memo[ci] = idems, mr.dual(k)
-        return self._coomega_memo[ci]
+    def dual(self, ci: int) -> int:
+        """The class of D reps[ci] in ``op``."""
+        if ci not in self._dual_memo:
+            # one class: D of an indecomposable is indecomposable
+            [self._dual_memo[ci]] = self.op.table.parts(
+                mr.dual(self.table.reps[ci]))
+        return self._dual_memo[ci]
 
     def syzygy_parts(self, ci: int) -> list:
         return self.table.parts(self._omega(ci)[1])
 
     def cosyzygy_parts(self, ci: int) -> list:
-        return self.table.parts(self._coomega(ci)[1])
+        return [self.op.dual(p) for p in self.op.syzygy_parts(self.dual(ci))]
 
     def _hom_dim(self, ci: int, n) -> int:
         if (ci, n) not in self._hom_memo:
@@ -190,7 +197,8 @@ class _DimEngine:
 
     def hull_projective(self, ci: int) -> bool:
         """Whether the injective hull of class ci is projective."""
-        return all(v in self.projinj for v in self._coomega(ci)[0])
+        socle = self.op._omega(self.dual(ci))[0]
+        return all(v in self.projinj for v in socle)
 
     def _cycle_cert(self, op: str, path: tuple, ci: int) -> PeriodicityCertificate:
         start = path.index(ci)
@@ -354,14 +362,12 @@ def gp_test(a: BasedAlgebra, m, bound: int = DEFAULT_BOUND) -> GpVerdict:
         return GpVerdict("yes", window=0)
     eng = _engine(a)
     key = (tuple(sorted(eng.table.parts(m))), bound)
-    hit = eng.gp_memo.get(key)
-    if hit is None:
-        hit = _gp_test_impl(a, m, eng, bound)
-        eng.gp_memo[key] = hit
-    return hit
+    if key not in eng.gp_memo:
+        eng.gp_memo[key] = _gp_test_impl(m, eng, bound)
+    return eng.gp_memo[key]
 
 
-def _gp_test_impl(a, m, eng, bound) -> GpVerdict:
+def _gp_test_impl(m, eng, bound) -> GpVerdict:
     hit, w1, c1 = eng.ext_window(m, eng.reg, bound)
     if hit is not None:
         return GpVerdict("no", hit, "Ext^i(m, A)")
@@ -370,8 +376,7 @@ def _gp_test_impl(a, m, eng, bound) -> GpVerdict:
     tr = mr.transpose_tr(m)
     if tr.dim == 0:
         return GpVerdict("yes", window=w1, certificate=(c1,))
-    engo = _engine(tr.algebra)
-    hit, w2, c2 = engo.ext_window(tr, engo.reg, bound)
+    hit, w2, c2 = eng.op.ext_window(tr, eng.op.reg, bound)
     if hit is not None:
         return GpVerdict("no", hit, "Ext^i(Tr m, A^op)")
     if w2 is None:
@@ -590,16 +595,13 @@ def _pool_classes(fixture, _unused=None):
 
 
 def _sym_target(fixture):
-    """(algebra, indec modules) of the symmetric member of the fixture."""
+    """``_classes`` of the symmetric member of the fixture, or (None, [])."""
     base = fixture.base_algebra
     if is_symmetric(fixture.algebra):
-        a, pool = fixture.algebra, fixture.pool
-    elif base is not None and is_symmetric(base):
-        a, pool = base, fixture.base_pool
-    else:
-        return None, []
-    eng, ids = _classes(a, pool)
-    return a, [eng.table.reps[c] for c in ids]
+        return _classes(fixture.algebra, fixture.pool)
+    if base is not None and is_symmetric(base):
+        return _classes(base, fixture.base_pool)
+    return None, []
 
 
 def theorem_suite(fixture, bound: int = DEFAULT_BOUND) -> list:
@@ -624,13 +626,11 @@ def _nonproj_gpis(fixture, bound):
 
 def _check_a(fixture, bound):
     name = "tau-iso-omega2-symmetric"
-    a, mods = _sym_target(fixture)
-    if a is None:
+    eng, ids = _sym_target(fixture)
+    if eng is None:
         return CheckResult(name, "skip", "no symmetric member")
     checked, undecided = 0, 0
-    for m in mods:
-        if _is_proj_module(m):
-            continue
+    for m in [eng.table.reps[ci] for ci in ids if ci not in eng.proj_ids]:
         r = mr.iso(mr.tau(m), mr.syzygy(m, 2))
         if not r.certain:
             undecided += 1

@@ -262,7 +262,8 @@ def test_suite_exit_zero_on_clean_fixtures():
 
 
 def test_endo_unknown_fixture_is_input_error():
-    assert run(["endo", "--fixture", "no-such"])[0] == 1
+    for name in ("no-such", "kupisch-sx", "kupisch-s"):
+        assert run(["endo", "--fixture", name])[0] == 1, name
 
 
 def test_reports_never_show_uncertified_infinite():

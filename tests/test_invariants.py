@@ -48,6 +48,13 @@ def test_per_algebra_data_lives_in_the_declared_cache():
     assert a.cache["dim_engine"] is eng and inv._engine(a) is eng
 
 
+def test_an_engine_builds_its_opposite_on_first_use():
+    a = alg.from_kupisch(nak.validate_kupisch((4, 5, 5)), F2)
+    eng = inv._engine(a)
+    assert "dim_engine" not in mr.opp(a).cache
+    assert eng.op is inv._engine(mr.opp(a)) and eng.op.op is eng
+
+
 def _linear_scan_ids(mods) -> list:
     """Class ids by iso against every earlier class of the same dimension."""
     reps, ids = [], []
@@ -401,6 +408,30 @@ def test_cover_records_match_the_reference_routes(name, monkeypatch):
                                                   for v in socle), where
             for n in [eng.reg] + pool:
                 assert eng.ext1_against(ci, n) == mr.ext_dim(rep, n, 1), where
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_dimension_queries_cover_each_module_once(name, monkeypatch):
+    # a fresh build, so that no engine holds records from earlier tests
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    fx = fixtures.build_fixture(name)
+    real = mr.projective_cover
+    covered, counts = [], {}
+
+    def projective_cover(m):
+        covered.append(m)          # every module covered, kept alive
+        key = (m.algebra, m.action.tobytes())
+        counts[key] = counts.get(key, 0) + 1
+        return real(m)
+
+    monkeypatch.setattr(mr, "projective_cover", projective_cover)
+    inv.algebra_domdim(fx.algebra)
+    for m in fx.pool:
+        for query in (inv.module_projdim, inv.module_injdim,
+                      inv.module_domdim, inv.module_codomdim):
+            query(m)
+    twice = sum(c > 1 for c in counts.values())
+    assert counts and not twice, (name, twice, len(covered), len(counts))
 
 
 def test_fdomdim_pool_warns_when_uncertified(fix):
