@@ -237,15 +237,24 @@ def _action_violation(f: FieldSpec, mult: np.ndarray, action: np.ndarray):
     and the structure constants mult; None if the action respects mult.
 
     One pair of products per b_i: rho(b_i) times all rho(b_j) side by side
-    (d x n*d), and mult[i] times the stack (n x d*d).  The n^2 * d^2 tensor
-    of all products is never formed."""
+    (d x n*d), and mult[i] times the stack (n x d*d).  Only the nonzero rows
+    enter them, the x with x b_i != 0 and the j with b_i b_j != 0; the zero
+    rows stay zero in the full (n, d, d) arrays that are compared.  The cost
+    is (A + M) * n * d^2 multiply-adds, for A <= n * d and M <= n^2 the
+    nonzero rows of all rho(b_i) and of all mult[i]; dense products would
+    take A = n * d and M = n^2.  The n^2 * d^2 tensor of all products is
+    never formed."""
     n, d = action.shape[:2]
     beside = action.transpose(1, 0, 2).reshape(d, n * d)
     flat = action.reshape(n, d * d)
+    act_rows, mult_rows = action.any(axis=2), mult.any(axis=2)
     for i in range(n):
-        lhs = f.matmul(action[i], beside).reshape(d, n, d).transpose(1, 0, 2)
-        rhs = f.matmul(mult[i], flat).reshape(n, d, d)
-        bad = np.argwhere((lhs != rhs).any(axis=2))
+        lhs = np.zeros((d, n * d), dtype=np.int64)
+        lhs[act_rows[i]] = f.matmul(action[i][act_rows[i]], beside)
+        rhs = np.zeros((n, d * d), dtype=np.int64)
+        rhs[mult_rows[i]] = f.matmul(mult[i][mult_rows[i]], flat)
+        bad = np.argwhere((lhs.reshape(d, n, d).transpose(1, 0, 2)
+                           != rhs.reshape(n, d, d)).any(axis=2))
         if len(bad):
             j, x = bad[0]
             return int(x), i, int(j)

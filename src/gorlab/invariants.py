@@ -96,13 +96,17 @@ class _DimEngine:
 
     ``_omega(ci)`` keeps, from the projective cover P -> X of X = reps[ci],
     the summand idempotents of P and Omega X, whose classes are read when
-    first asked for.  ``op`` is the engine of A^op and ``dual(ci)`` the class
-    of D X there, whose record gives the socle of X and cosyzygy D Omega D X.
+    first asked for; the class of e_vA gives [v] and 0 with no cover built.
+    ``op`` is the engine of A^op and ``dual(ci)`` the class of D X there,
+    whose record gives the socle of X and cosyzygy D Omega D X.
 
     ``projinj`` maps v to i when e_iA is injective with socle S_v.  The hull
     of S_v is D(Ae_v), and e_iA with simple socle S_v embeds in it, so e_iA is
-    injective iff dim e_iA = dim Ae_v, a Cartan column sum.  ``op`` and
-    ``projinj`` are built on first use, once this engine is cached.
+    injective iff dim e_iA = dim Ae_v, a Cartan column sum.  The socle is
+    read off the arrows, one kernel per e_iA, and D(e_iA) is then the A^op
+    projective at v, recorded in ``dual`` and in the class table of ``op``
+    without an iso test.  ``op`` and ``projinj`` are built on first use,
+    once this engine is cached.
     """
 
     def __init__(self, a: BasedAlgebra):
@@ -114,7 +118,8 @@ class _DimEngine:
         self._ext1_memo = {}
         self.gp_memo = {}
         projs, self.reg = mr.projectives(a)
-        self.proj_ids = {self.table.parts(p)[0] for p in projs}
+        # the class of each e_vA, mapped to v
+        self.proj_ids = {self.table.parts(p)[0]: v for v, p in enumerate(projs)}
 
     @cached_property
     def op(self) -> "_DimEngine":
@@ -122,14 +127,30 @@ class _DimEngine:
 
     @cached_property
     def projinj(self) -> dict:
-        projs, _ = mr.projectives(self.a)
-        socs = [self.op._omega(self.dual(self.table.parts(p)[0]))[0]
-                for p in projs]
-        return {s[0]: i for i, (p, s) in enumerate(zip(projs, socs))
-                if len(s) == 1 and p.dim == self.a.cartan[:, s[0]].sum()}
+        a = self.a
+        op_projs, _ = mr.projectives(self.op.a)
+        out = {}
+        for i, p in enumerate(mr.projectives(a)[0]):
+            # soc e_iA: the x with x alpha = 0 for every arrow alpha
+            acts = mr._arrow_actions(p).transpose(1, 0, 2).reshape(p.dim, -1)
+            soc = linalg.nullspace(a.field, acts.T)
+            v = int(mr._vertices(p)[soc.any(axis=0)][0])
+            ci = self.table.parts(p)[0]
+            if len(soc) == 1 and p.dim == a.cartan[:, v].sum():
+                out[v] = i
+                # e_iA = D(Ae_v), so D(e_iA) is the A^op projective e_vA^op
+                self._dual_memo[ci] = self.op.table.parts(op_projs[v])[0]
+                self.op.table.record(mr.dual(p), [self._dual_memo[ci]])
+            else:
+                # in projective order, so the classes of op keep their ids
+                self.dual(ci)
+        return out
 
     def _omega(self, ci: int) -> tuple:
         """(summand idempotents of P, Omega X) for X = reps[ci]."""
+        if ci in self.proj_ids:
+            # e_vA is its own cover
+            return [self.proj_ids[ci]], mr.zero_module(self.a)
         if ci not in self._omega_memo:
             cov = mr.projective_cover(self.table.reps[ci])
             self._omega_memo[ci] = (cov.summand_idems,
@@ -414,7 +435,7 @@ def _require_symmetric_generator(b: BasedAlgebra, m):
         raise NotSymmetric("base algebra is not symmetric")
     eng = _engine(b)
     mclasses = set(eng.table.parts(m))
-    missing = eng.proj_ids - mclasses
+    missing = set(eng.proj_ids) - mclasses
     if missing:
         raise NotGenerator("module misses projective class(es) %s" %
                            sorted(missing))

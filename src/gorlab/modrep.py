@@ -750,6 +750,10 @@ class ClassTable:
             self._parts[key] = [self.canon(p) for p in decompose(m)]
         return self._parts[key]
 
+    def record(self, m, classes: list) -> None:
+        """Memoise the classes of m's summands, known without decomposing."""
+        self._parts.setdefault((m.algebra, m.action.tobytes()), classes)
+
 
 def iso_classes(mods) -> list:
     """One indecomposable summand per iso class among the summands of the

@@ -6,6 +6,27 @@ from gorlab import linalg as la
 from gorlab import modrep as mr
 
 
+# the six cyclic Kupisch series of the oracle benchmark
+ORACLE_SERIES = [(2,), (3, 2), (2, 3, 3), (3, 3, 3), (3, 4, 4), (4, 5, 5)]
+
+
+def dense_action_violation(f, mult, action):
+    """The structure-constant check with dense products, the reference for
+    ``algebra._action_violation``: the first (x, i, j) where row x of
+    rho(b_i) rho(b_j) differs from row x of rho(b_i b_j), or None."""
+    n, d = action.shape[:2]
+    beside = action.transpose(1, 0, 2).reshape(d, n * d)
+    flat = action.reshape(n, d * d)
+    for i in range(n):
+        lhs = f.matmul(action[i], beside).reshape(d, n, d).transpose(1, 0, 2)
+        rhs = f.matmul(mult[i], flat).reshape(n, d, d)
+        bad = np.argwhere((lhs != rhs).any(axis=2))
+        if len(bad):
+            j, x = bad[0]
+            return int(x), i, int(j)
+    return None
+
+
 @pytest.fixture(scope="session")
 def fix():
     """Shared fixture accessor; builds are cached inside gorlab.fixtures."""

@@ -12,7 +12,10 @@ from gorlab import nakayama as nak
 from gorlab import fixtures as fx
 from gorlab import serialize as ser
 
+from conftest import ORACLE_SERIES, dense_action_violation
+
 F2 = la.PrimeField(2)
+F5 = la.PrimeField(5)
 
 
 def _nak455():
@@ -334,6 +337,78 @@ def test_opposite_calls_neither_validate_nor_the_action_check(monkeypatch):
     monkeypatch.setattr(alg, "_action_violation", _reached)
     for x in (a, b):
         assert mr.opp(mr.opp(x)) is x
+
+
+def _regular_witnesses(a):
+    """(witness, reference witness) of the action check on A_A."""
+    action = a.mult.transpose(1, 0, 2)
+    return (alg._action_violation(a.field, a.mult, action),
+            dense_action_violation(a.field, a.mult, action))
+
+
+@pytest.mark.parametrize("name", fx.FIXTURE_NAMES)
+def test_action_check_passes_the_regular_action_of_each_fixture(name):
+    a = fx.build_fixture(name).algebra
+    for x in (a, mr.opp(a)):
+        assert _regular_witnesses(x) == (None, None)
+
+
+@pytest.mark.parametrize("series", ORACLE_SERIES, ids=str)
+@pytest.mark.parametrize("field", [F2, F5], ids=str)
+def test_action_check_passes_the_oracle_series(series, field):
+    a = alg.from_kupisch(nak.validate_kupisch(series), field)
+    for x in (a, mr.opp(a)):
+        assert _regular_witnesses(x) == (None, None)
+
+
+@pytest.mark.parametrize("name, field", [("kupisch-455", F2),
+                                         ("kupisch-455", F5),
+                                         ("gf4-local-gendo", None)],
+                         ids=["kupisch-455-F2", "kupisch-455-F5",
+                              "gf4-local-gendo"])
+def test_action_check_finds_the_dense_witness_of_a_corruption(name, field):
+    # single entries of the structure constants changed to another value,
+    # at entries drawn with a fixed seed; the regular action is then read
+    # off the corrupted table, so the check must name the reference witness
+    a = fx.build_fixture(name, field).algebra
+    f, n = a.field, a.dim
+    rng = np.random.default_rng(29)
+    witnesses, killed = [], 0
+    for i, j, k in rng.integers(0, n, size=(60, 3)):
+        mult = a.mult.copy()
+        mult[i, j, k] = (mult[i, j, k] + rng.integers(1, f.order)) % f.order
+        action = mult.transpose(1, 0, 2)
+        got = alg._action_violation(f, mult, action)
+        assert got == dense_action_violation(f, mult, action), (i, j, k)
+        if got is not None:
+            witnesses.append(got)
+            x, wi, _ = got
+            killed += not action[wi][x].any()
+    assert len(witnesses) > 30
+    # some witness row x has x b_i = 0, a row the products leave out
+    assert killed
+
+
+def test_action_check_costs_its_nonzero_rows(monkeypatch):
+    # every product of the check on sym-777-gendo's B, counted as
+    # rows * inner * cols, against the row supports of rho and mult
+    b = fx.build_fixture("sym-777-gendo").algebra
+    f, n = b.field, b.dim
+    action = b.mult.transpose(1, 0, 2)
+    d = action.shape[1]
+    work = []
+    real = f.matmul
+
+    def counted(x, y):
+        work.append(x.shape[0] * x.shape[1] * y.shape[1])
+        return real(x, y)
+    monkeypatch.setattr(f, "matmul", counted)
+    assert alg._action_violation(f, b.mult, action) is None
+    supports = int(action.any(axis=2).sum() + b.mult.any(axis=2).sum())
+    assert len(work) == 2 * n
+    assert sum(work) <= 2 * supports * d * n * d
+    # dense products would take n * d^2 * (n * d + n^2)
+    assert 5 * sum(work) < n * d * d * (n * d + n * n)
 
 
 def test_corner_algebra_at_vertex_zero_of_455():

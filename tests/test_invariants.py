@@ -14,6 +14,8 @@ from gorlab import fixtures
 from gorlab import serialize as ser
 from gorlab.dims import HomologicalDim, PeriodicityCertificate
 
+from conftest import ORACLE_SERIES, assert_iso
+
 F2 = la.PrimeField(2)
 
 
@@ -66,10 +68,6 @@ def _linear_scan_ids(mods) -> list:
             i = len(reps) - 1
         ids.append(i)
     return ids
-
-
-# the six cyclic Kupisch series of the oracle benchmark
-ORACLE_SERIES = [(2,), (3, 2), (2, 3, 3), (3, 3, 3), (3, 4, 4), (4, 5, 5)]
 
 
 @pytest.mark.parametrize("source", ORACLE_SERIES + list(fixtures.FIXTURE_NAMES),
@@ -408,6 +406,43 @@ def test_cover_records_match_the_reference_routes(name, monkeypatch):
                                                   for v in socle), where
             for n in [eng.reg] + pool:
                 assert eng.ext1_against(ci, n) == mr.ext_dim(rep, n, 1), where
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_projinj_reads_socles_without_iso_tests(name, monkeypatch):
+    # a fresh build, so that projinj is computed here, after the opposite
+    # engine, whose own projectives may be iso-tested, is built
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    a = fixtures.build_fixture(name).algebra
+    eng = inv._engine(a)
+    eng.op
+    real, tested = mr.iso, []
+
+    def counted(m, n):
+        tested.extend(x.action.tobytes() for x in (m, n))
+        return real(m, n)
+    monkeypatch.setattr(mr, "iso", counted)
+    projinj = eng.projinj
+    projs, op_projs = mr.projectives(a)[0], mr.projectives(eng.op.a)[0]
+    # the class table of op knows each D(e_iA) without a test
+    for i in projinj.values():
+        eng.op.table.parts(mr.dual(projs[i]))
+    monkeypatch.setattr(mr, "iso", real)
+    for v, i in projinj.items():
+        d = mr.dual(projs[i])
+        assert d.action.tobytes() not in tested, (name, i)
+        # D(e_iA) = e_vA^op, the class set for it
+        assert_iso(d, op_projs[v])
+        assert (eng.dual(eng.table.parts(projs[i])[0])
+                == eng.op.table.parts(op_projs[v])[0]), (name, i)
+    # the projectives with a simple socle S_v and dim e_iA = dim Ae_v
+    want = {}
+    for i, p in enumerate(projs):
+        soc = mr.structure(p).socle
+        v = int(mr._vertices(soc)[0])
+        if soc.dim == 1 and p.dim == a.cartan[:, v].sum():
+            want[v] = i
+    assert projinj == want
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)

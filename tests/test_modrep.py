@@ -13,7 +13,8 @@ from gorlab import nakayama as nak
 from gorlab import invariants as inv
 from gorlab import fixtures
 
-from conftest import assert_iso, assert_not_iso, check_right_minimal
+from conftest import (assert_iso, assert_not_iso, check_right_minimal,
+                      dense_action_violation)
 
 F2 = la.PrimeField(2)
 
@@ -44,6 +45,38 @@ def test_make_module_rejects_an_action_off_the_structure_constants(a455):
         mr.make_module(a455, action)
     action[1] = 0
     assert mr.make_module(a455, action).dim == 1
+
+
+@pytest.mark.parametrize("name", ["kupisch-455", "sym-777-gendo",
+                                  "gf4-local-gendo"])
+def test_make_module_names_the_dense_witness_of_a_corruption(name):
+    # single entries of pool-module actions changed to another value, at
+    # entries drawn with a fixed seed: make_module raises what the checks
+    # it makes, with the dense structure-constant check, give
+    fx = fixtures.build_fixture(name)
+    a, pool = fx.algebra, fx.pool
+    f = a.field
+    rng = np.random.default_rng(29)
+    raised = 0
+    for t in rng.integers(0, len(pool), size=40):
+        action = pool[t].action.copy()
+        i, x, y = (rng.integers(0, s) for s in action.shape)
+        action[i, x, y] = (action[i, x, y] + rng.integers(1, f.order)) % f.order
+        unit = la.combine(f, a.unit, action)
+        if not np.array_equal(unit, f.eye(action.shape[1])):
+            want = "unit does not act as identity"
+        else:
+            bad = dense_action_violation(f, a.mult, action)
+            want = bad and ("action violates structure constants at (%d,%d)"
+                            % bad[1:])
+        if want is None:
+            mr.make_module(a, action)
+            continue
+        with pytest.raises(ValueError) as err:
+            mr.make_module(a, action)
+        assert str(err.value) == want, (t, i, x, y)
+        raised += "structure constants" in want
+    assert raised > 20
 
 
 def test_bridge_module_dims(a455):
