@@ -12,9 +12,11 @@ Subcommands:
   the bounds, with bound-violation flags.
 * ``suite``  run the named-theorem checks over fixtures.
 
-Each subcommand declares the formats it writes (``formats``, the first is
-the default); another ``--format``, or ``--jobs`` > 1 outside ``scan``, is
-an input error.
+``main`` parses the command line once into the ``args`` of ``cmd_x(args,
+out)``: ``--format`` resolved (each subcommand declares its ``formats``,
+the first the default) and ``--field`` parsed.  Another ``--format``,
+``--jobs`` > 1 outside ``scan``, or a ``--field`` for a fixture over a field
+of its own (gf4-local-gendo) is an input error, raised before any output.
 
 Exit codes: 0 success, 1 input error, 2 theorem-suite failure,
 3 scan violation.
@@ -29,7 +31,6 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from . import invariants as inv
 from . import fixtures as fx
 from . import serialize as ser
 
-__all__ = ["main", "RunConfig", "BudgetExceeded"]
+__all__ = ["main", "BudgetExceeded"]
 
 SCAN_SCHEMA = "gorlab-scan-1"
 SCAN_BUDGET = 20000   # maximum number of series a single scan may visit
@@ -50,21 +51,6 @@ class BudgetExceeded(RuntimeError):
 
 class _CliError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    field: linalg.FieldSpec | None    # None: each fixture's default field
-    cutoff: int = inv.DEFAULT_BOUND
-    seed: int = 0
-    jobs: int = 1
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise _CliError("cutoff must be >= 1, got %d" % self.cutoff)
-        if self.jobs < 1:
-            raise _CliError("jobs must be >= 1, got %d" % self.jobs)
 
 
 def parse_field(name: str) -> linalg.FieldSpec:
@@ -100,7 +86,9 @@ def _dim_str(d) -> str:
 # nakayama
 
 
-def _nakayama_report(series, cyclic, cfg: RunConfig) -> dict:
+def _nakayama_report(args) -> dict:
+    series = _parse_series(args.series)
+    cyclic = not args.linear
     a = nak.validate_kupisch(series, cyclic=cyclic)
     core = nak.algebra_invariants_nak(a)
     indecs = list(nak.indecomposables(a))
@@ -118,8 +106,8 @@ def _nakayama_report(series, cyclic, cfg: RunConfig) -> dict:
     ng = nak.nearly_gorenstein_check_nak(a) if cyclic else None
     return {
         "schema_version": ser.SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "cutoff": cfg.cutoff,
+        "seed": args.seed,
+        "cutoff": args.cutoff,
         "series": list(series),
         "cyclic": cyclic,
         "domdim": ser.dim_to_json(core["domdim"]),
@@ -180,13 +168,11 @@ def _print_nakayama_text(rep: dict, out):
     print("seed=%d cutoff=%d" % (rep["seed"], rep["cutoff"]), file=out)
 
 
-def cmd_nakayama(args, cfg: RunConfig, out) -> int:
-    series = _parse_series(args.series)
-    cyclic = not args.linear
-    rep = _nakayama_report(series, cyclic, cfg)
-    if cfg.fmt == "json":
+def cmd_nakayama(args, out) -> int:
+    rep = _nakayama_report(args)
+    if args.fmt == "json":
         print(ser.dump_json(rep), file=out)
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         _print_dims_csv(rep, out)
     else:
         _print_nakayama_text(rep, out)
@@ -208,30 +194,30 @@ def _print_dims_csv(rep: dict, out):
 # endo
 
 
-def cmd_endo(args, cfg: RunConfig, out) -> int:
-    f = _resolve_fixture(args.fixture, cfg)
+def cmd_endo(args, out) -> int:
+    f = _resolve_fixture(args.fixture, args.field)
     a = f.algebra
-    dd = inv.algebra_domdim(a, cfg.cutoff)
-    left, right = inv.gorenstein_dims(a, cfg.cutoff)
-    gendo = inv.gendo_symmetric_check(a, cfg.cutoff)
+    dd = inv.algebra_domdim(a, args.cutoff)
+    left, right = inv.gorenstein_dims(a, args.cutoff)
+    gendo = inv.gendo_symmetric_check(a, args.cutoff)
     mueller = chen = None
     if f.endo is not None and f.base_algebra is not None:
         gen = mr.direct_sum(list(f.endo.summands))
         try:
-            mueller = inv.mueller_domdim(f.base_algebra, gen, cfg.cutoff)
-            chen = inv.chen_koenig_injdim(f.base_algebra, gen, cfg.cutoff,
+            mueller = inv.mueller_domdim(f.base_algebra, gen, args.cutoff)
+            chen = inv.chen_koenig_injdim(f.base_algebra, gen, args.cutoff,
                                           dd=mueller)
         except (inv.NotSymmetric, inv.NotGenerator) as e:
             mueller = None
             chen = {"note": "not applicable: %s" % e}
     fdom = None
     if f.pool:
-        fdom = inv.fdomdim_pool(f.pool, cfg.cutoff)
-    checks = inv.theorem_suite(f, cfg.cutoff)
+        fdom = inv.fdomdim_pool(f.pool, args.cutoff)
+    checks = inv.theorem_suite(f, args.cutoff)
     rep = {
         "schema_version": ser.SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "cutoff": cfg.cutoff,
+        "seed": args.seed,
+        "cutoff": args.cutoff,
         "fixture": f.name,
         "algebra_dim": a.dim,
         "domdim": ser.dim_to_json(dd),
@@ -251,7 +237,7 @@ def cmd_endo(args, cfg: RunConfig, out) -> int:
         "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
                    for c in checks],
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(ser.dump_json(rep), file=out)
     else:
         print("fixture: %s (dim %d)" % (f.name, a.dim), file=out)
@@ -276,30 +262,23 @@ def cmd_endo(args, cfg: RunConfig, out) -> int:
         for c in checks:
             print("  check %-44s %-4s %s" % (c.name, c.status, c.detail),
                   file=out)
-        print("seed=%d cutoff=%d" % (cfg.seed, cfg.cutoff), file=out)
-    if any(c.status == "fail" for c in checks):
-        return 2
-    return 0
+        print("seed=%d cutoff=%d" % (args.seed, args.cutoff), file=out)
+    return 2 if any(c.status == "fail" for c in checks) else 0
 
 
 # ---------------------------------------------------------------------------
 # module
 
 
-def _resolve_fixture(name, cfg: RunConfig):
-    if name is None:
-        raise _CliError("a --fixture name is required")
+def _resolve_fixture(name, field):
     if name.startswith("kupisch-s"):
         s = name[len("kupisch-s"):]
         if not (s.isascii() and s.isdigit()):
             raise _CliError("fixture %r: use kupisch-s<N> for a whole number N"
                             % name)
-        return fx.parametric_kupisch(int(s), cfg.field)
-    if name == "gf4-local-gendo" and cfg.field is not None:
-        raise _CliError("fixture gf4-local-gendo is defined over GF(4) only; "
-                        "drop --field")
+        return fx.parametric_kupisch(int(s), field)
     try:
-        return fx.build_fixture(name, cfg.field)
+        return fx.build_fixture(name, field)
     except KeyError as e:
         raise _CliError(str(e))
 
@@ -315,10 +294,10 @@ def _extra_module(f, key: str, algebra, what: str):
     return f.extras[key]
 
 
-def _resolve_module(spec: str, f, cfg: RunConfig):
+def _resolve_module(spec: str, f, field):
     spec = spec.strip()
     if spec.startswith("@"):
-        return _module_file(spec[1:], f, cfg)
+        return _module_file(spec[1:], f, field)
     pair = spec.startswith("[") and spec.endswith("]")
     if not (pair or spec.startswith(("hom:", "extra:"))):
         raise _CliError("cannot parse module spec %r "
@@ -345,7 +324,7 @@ def _resolve_module(spec: str, f, cfg: RunConfig):
     return mr.bridge_module(f.algebra, i, k)
 
 
-def _module_file(path: str, f, cfg: RunConfig):
+def _module_file(path: str, f, field):
     """The module stored at path, over its algebra_ref (a fixture name or an
     algebra JSON file) or else over the --fixture algebra."""
     d = ser.load_json(path)
@@ -355,7 +334,7 @@ def _module_file(path: str, f, cfg: RunConfig):
     if not ref and f is None:
         raise _CliError("a --fixture name or an algebra_ref is required")
     if ref and not ref.endswith(".json"):
-        f = _resolve_fixture(ref, cfg)
+        f = _resolve_fixture(ref, field)
     try:
         a = (ser.algebra_from_json(ser.load_json(ref)) if ref.endswith(".json")
              else f.algebra)
@@ -364,25 +343,25 @@ def _module_file(path: str, f, cfg: RunConfig):
         raise _CliError("malformed module file %s: %r" % (path, e))
 
 
-def cmd_module(args, cfg: RunConfig, out) -> int:
-    f = _resolve_fixture(args.fixture, cfg) if args.fixture else None
-    m = _resolve_module(args.spec, f, cfg)
+def cmd_module(args, out) -> int:
+    f = _resolve_fixture(args.fixture, args.field) if args.fixture else None
+    m = _resolve_module(args.spec, f, args.field)
     a = m.algebra
     dims = {
-        "projdim": inv.module_projdim(m, cfg.cutoff),
-        "injdim": inv.module_injdim(m, cfg.cutoff),
-        "domdim": inv.module_domdim(m, cfg.cutoff),
-        "codomdim": inv.module_codomdim(m, cfg.cutoff),
+        "projdim": inv.module_projdim(m, args.cutoff),
+        "injdim": inv.module_injdim(m, args.cutoff),
+        "domdim": inv.module_domdim(m, args.cutoff),
+        "codomdim": inv.module_codomdim(m, args.cutoff),
     }
     verdicts = {
-        "gp": inv.gp_test(a, m, cfg.cutoff),
-        "gi": inv.gi_test(a, m, cfg.cutoff),
-        "gpi": inv.gpi_test(a, m, cfg.cutoff),
+        "gp": inv.gp_test(a, m, args.cutoff),
+        "gi": inv.gi_test(a, m, args.cutoff),
+        "gpi": inv.gpi_test(a, m, args.cutoff),
     }
     rep = {
         "schema_version": ser.SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "cutoff": cfg.cutoff,
+        "seed": args.seed,
+        "cutoff": args.cutoff,
         "fixture": f.name if f else None,
         "module": ser.module_to_json(m, algebra_ref=f.name if f else ""),
         "dims": {k: ser.dim_to_json(v) for k, v in dims.items()},
@@ -392,7 +371,7 @@ def cmd_module(args, cfg: RunConfig, out) -> int:
                          "bound": v.bound}
                      for k, v in verdicts.items()},
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(ser.dump_json(rep), file=out)
     else:
         print("module: %s (dim %d) over %s"
@@ -402,7 +381,7 @@ def cmd_module(args, cfg: RunConfig, out) -> int:
             print("%-10s %s" % (k, _dim_str(v)), file=out)
         for k, v in verdicts.items():
             print("%-10s %s" % (k, v), file=out)
-        print("seed=%d cutoff=%d" % (cfg.seed, cfg.cutoff), file=out)
+        print("seed=%d cutoff=%d" % (args.seed, args.cutoff), file=out)
     return 0
 
 
@@ -477,17 +456,17 @@ SCAN_COLUMNS = ["schema_version", "series", "domdim", "gordim", "fdomdim",
                 "viol_g_plus_1", "viol_gorenstein_dominant", "seed"]
 
 
-def cmd_scan(args, cfg: RunConfig, out) -> int:
+def cmd_scan(args, out) -> int:
     if args.n_max < 1 or args.c_max < 2:
         raise _CliError("need n_max >= 1 and c_max >= 2")
     if _series_count(args.n_max, args.c_max, SCAN_BUDGET) > SCAN_BUDGET:
         raise BudgetExceeded("more than %d series requested; the scan "
                              "budget is %d" % (SCAN_BUDGET, SCAN_BUDGET))
     series = list(_cyclic_series(args.n_max, args.c_max))
-    row = functools.partial(_scan_row, field=cfg.field, cutoff=cfg.cutoff)
-    if cfg.jobs > 1:
+    row = functools.partial(_scan_row, field=args.field, cutoff=args.cutoff)
+    if args.jobs > 1:
         # the pool starts all its workers at once: no more than there is work
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(series))) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(series))) as pool:
             rows = list(pool.map(row, series, chunksize=8))
     else:
         rows = [row(s) for s in series]
@@ -499,7 +478,7 @@ def cmd_scan(args, cfg: RunConfig, out) -> int:
                 or r["viol_gorenstein_dominant"])
         violated = violated or viol
         w.writerow([SCAN_SCHEMA] + [r[c] for c in SCAN_COLUMNS[1:-1]]
-                   + [cfg.seed])
+                   + [args.seed])
     return 3 if violated else 0
 
 
@@ -507,17 +486,16 @@ def cmd_scan(args, cfg: RunConfig, out) -> int:
 # suite
 
 
-def cmd_suite(args, cfg: RunConfig, out) -> int:
+def cmd_suite(args, out) -> int:
     names = args.fixtures or fx.FIXTURE_NAMES
+    fixtures = [_resolve_fixture(name, args.field) for name in names]
     failed = False
-    for name in names:
-        f = _resolve_fixture(name, cfg)
-        checks = inv.theorem_suite(f, cfg.cutoff)
-        for c in checks:
+    for name, f in zip(names, fixtures):
+        for c in inv.theorem_suite(f, args.cutoff):
             print("%-22s %-44s %-4s %s" % (name, c.name, c.status, c.detail),
                   file=out)
             failed = failed or c.status == "fail"
-    print("seed=%d cutoff=%d" % (cfg.seed, cfg.cutoff), file=out)
+    print("seed=%d cutoff=%d" % (args.seed, args.cutoff), file=out)
     return 2 if failed else 0
 
 
@@ -582,16 +560,19 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        fmt = args.fmt or args.formats[0]
-        if fmt not in args.formats:
+        args.fmt = args.fmt or args.formats[0]
+        if args.fmt not in args.formats:
             raise _CliError("%s writes %s, not %s" % (
-                args.command, " or ".join(args.formats), fmt))
+                args.command, " or ".join(args.formats), args.fmt))
         if args.jobs > 1 and args.command != "scan":
             raise _CliError("--jobs applies to scan only")
-        field = None if args.field is None else parse_field(args.field)
-        cfg = RunConfig(field=field, cutoff=args.cutoff,
-                        seed=args.seed, jobs=args.jobs, fmt=fmt)
-        return args.func(args, cfg, out)
+        if args.field is not None:
+            args.field = parse_field(args.field)
+        if args.cutoff < 1:
+            raise _CliError("cutoff must be >= 1, got %d" % args.cutoff)
+        if args.jobs < 1:
+            raise _CliError("jobs must be >= 1, got %d" % args.jobs)
+        return args.func(args, out)
     except (_CliError, BudgetExceeded, nak.KupischViolation,
             alg.ValidationError, linalg.FieldError,
             json.JSONDecodeError, OSError) as e:

@@ -7,7 +7,9 @@ generator for endomorphism-algebra fixtures, and a pool of modules with a
 flag saying whether the pool is a certified-complete list of
 indecomposables.  A fixture declares only what the program cannot compute:
 its field is ``algebra.field``, and the theorem checks decide symmetry and
-gendo-symmetry from the algebra itself.
+gendo-symmetry from the algebra itself.  One table maps each name to its
+builder and declares the fixtures over a field of their own (gf4-local-gendo),
+for which :func:`build_fixture` rejects any field it is given.
 """
 
 from __future__ import annotations
@@ -20,17 +22,6 @@ from . import linalg, algebra as alg, modrep as mr, nakayama as nak
 
 __all__ = ["Fixture", "FIXTURE_NAMES", "build_fixture", "parametric_kupisch",
            "penny_farthing_algebra", "gf4_local_algebra", "m_ab"]
-
-FIXTURE_NAMES = [
-    "kupisch-455",
-    "kupisch-56",
-    "sym-777-gendo",
-    "penny-farthing-gendo",
-    "gf4-local-gendo",
-    "a2-line",
-    "auslander-22",
-    "two-periodic-demo",
-]
 
 
 @dataclass
@@ -51,28 +42,22 @@ _CACHE: dict = {}
 
 
 def build_fixture(name: str, field: linalg.FieldSpec | None = None) -> Fixture:
+    """The named fixture over field (GF(2) when None; a fixture over its own
+    field takes None only), cached by (name, field)."""
     key = (name, field)
     if key in _CACHE:
         return _CACHE[key]
-    if name == "kupisch-455":
-        fx = _kupisch_fixture((4, 5, 5), field or linalg.PrimeField(2))
-    elif name == "kupisch-56":
-        fx = _kupisch_fixture((5, 6), field or linalg.PrimeField(2))
-    elif name == "sym-777-gendo":
-        fx = _sym_777_gendo(field or linalg.PrimeField(2))
-    elif name == "penny-farthing-gendo":
-        fx = _penny_farthing_gendo(field or linalg.PrimeField(2))
-    elif name == "gf4-local-gendo":
-        fx = _gf4_gendo()
-    elif name == "a2-line":
-        fx = _kupisch_fixture((2, 1), field or linalg.PrimeField(2), cyclic=False)
-    elif name == "auslander-22":
-        fx = _auslander_22(field or linalg.PrimeField(2))
-    elif name == "two-periodic-demo":
-        fx = _two_periodic_demo(field or linalg.PrimeField(2))
-    else:
+    if name not in _FIXTURES:
         raise KeyError("unknown fixture %r (known: %s)"
                        % (name, ", ".join(FIXTURE_NAMES)))
+    build, own_field = _FIXTURES[name]
+    if own_field is None:
+        fx = build(field or linalg.PrimeField(2))
+    elif field is None:
+        fx = build()
+    else:
+        raise linalg.FieldError("fixture %s is defined over %s only"
+                                % (name, own_field))
     _CACHE[key] = fx
     return fx
 
@@ -80,16 +65,15 @@ def build_fixture(name: str, field: linalg.FieldSpec | None = None) -> Fixture:
 def parametric_kupisch(s: int, field: linalg.FieldSpec | None = None) -> Fixture:
     """The series (3s+1, 3s+2, 3s+2)."""
     return _kupisch_fixture((3 * s + 1, 3 * s + 2, 3 * s + 2),
-                            field or linalg.PrimeField(2),
-                            name="kupisch-%d%d%d" % (3 * s + 1, 3 * s + 2, 3 * s + 2))
+                            field or linalg.PrimeField(2))
 
 
-def _kupisch_fixture(c, field, cyclic=True, name=None) -> Fixture:
+def _kupisch_fixture(c, field, cyclic=True) -> Fixture:
     series = nak.validate_kupisch(c, cyclic=cyclic)
     a = alg.from_kupisch(series, field)
     pool = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
     return Fixture(
-        name=name or "kupisch-" + "".join(str(x) for x in c),
+        name="kupisch-" + "".join(str(x) for x in c),
         algebra=a, nak=series,
         pool=pool, pool_certified=True,
         cm_finite=True,
@@ -216,7 +200,6 @@ def _auslander_22(field) -> Fixture:
     series = nak.validate_kupisch((2, 2))
     a = alg.from_kupisch(series, field)
     indecs = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
-    _, reg = mr.projectives(a)
     endo = mr.endo_algebra(indecs)
     pool = [mr.hom_functor(endo, x) for x in indecs]
     return Fixture(
@@ -236,3 +219,18 @@ def _two_periodic_demo(field) -> Fixture:
                        extras={"w": w, "base_series": series})
     fx.extras["base_pool_certified"] = True
     return fx
+
+
+# name -> (builder, own field): a builder with no own field takes the field
+# of build_fixture; one defined over its own field takes no field
+_FIXTURES = {
+    "kupisch-455": (lambda k: _kupisch_fixture((4, 5, 5), k), None),
+    "kupisch-56": (lambda k: _kupisch_fixture((5, 6), k), None),
+    "sym-777-gendo": (_sym_777_gendo, None),
+    "penny-farthing-gendo": (_penny_farthing_gendo, None),
+    "gf4-local-gendo": (_gf4_gendo, "GF(4)"),
+    "a2-line": (lambda k: _kupisch_fixture((2, 1), k, cyclic=False), None),
+    "auslander-22": (_auslander_22, None),
+    "two-periodic-demo": (_two_periodic_demo, None),
+}
+FIXTURE_NAMES = list(_FIXTURES)

@@ -222,6 +222,32 @@ def test_field_flag_rejected_for_fixed_field_fixture():
         assert code == 1
 
 
+def test_build_fixture_rejects_any_field_for_gf4_local_gendo():
+    for field in (la.PrimeField(2), la.PrimeField(3), la.GF4()):
+        with pytest.raises(la.FieldError, match="gf4-local-gendo"):
+            fx.build_fixture("gf4-local-gendo", field)
+    assert fx.build_fixture("gf4-local-gendo").algebra.field == la.GF4()
+
+
+def test_fixture_names_keep_their_order():
+    assert fx.FIXTURE_NAMES == [
+        "kupisch-455", "kupisch-56", "sym-777-gendo", "penny-farthing-gendo",
+        "gf4-local-gendo", "a2-line", "auslander-22", "two-periodic-demo"]
+
+
+def test_suite_resolves_every_fixture_before_any_output():
+    # gf4-local-gendo, fifth of the fixtures, takes no field: the suite
+    # fails before it prints a row for the fixtures before it
+    for argv in (["--field", "3", "suite"],
+                 ["suite", "--fixture", "a2-line", "--fixture", "no-such"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(argv)
+        assert (code, text) == (1, ""), argv
+        assert err.getvalue().startswith("error:"), argv
+        assert len(err.getvalue().splitlines()) == 1, argv
+
+
 def test_scan_csv_schema_and_clean_exit():
     code, text = run(["scan", "2", "5"])
     assert code == 0

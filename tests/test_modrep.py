@@ -1049,23 +1049,36 @@ def _gf4_eight_dim_modules(fx):
     return [mr.syzygy(ds, 2), mr.syzygy(ds, 3), mr.cosyzygy(s, 2)]
 
 
-def test_local_certificate_settles_before_random_search(fix, monkeypatch):
-    mods = _gf4_eight_dim_modules(fix("gf4-local-gendo"))
-    stages = []
+def _record_searches(monkeypatch):
+    """A list that gets (random_budget, exhaustive_limit, order ** k, split
+    found) for each later call of search_combinations.  One decompose
+    step calls it twice at most: the unit stage (budgets 0, 0), then, unless
+    _is_local certifies End(m) local, the fallback with random draws; a
+    split the fallback finds when order ** k > exhaustive_limit came from
+    the draws."""
+    calls = []
     real = la.search_combinations
 
     def spy(field, k, test, random_budget, exhaustive_limit):
-        stages.append((random_budget, exhaustive_limit))
-        return real(field, k, test, random_budget, exhaustive_limit)
+        hit, exhausted = real(field, k, test, random_budget, exhaustive_limit)
+        calls.append((random_budget, exhaustive_limit, field.order ** k,
+                      hit is not None))
+        return hit, exhausted
 
     monkeypatch.setattr(la, "search_combinations", spy)
+    return calls
+
+
+def test_local_certificate_settles_before_random_search(fix, monkeypatch):
+    mods = _gf4_eight_dim_modules(fix("gf4-local-gendo"))
+    searches = _record_searches(monkeypatch)
     for m in mods:
         st = mr.structure(m)
         assert (m.dim, len(mr.hom_basis(m, m))) == (8, 7)
         assert st.top.dim > 1 and st.socle.dim > 1
-        stages.clear()
+        searches.clear()
         assert mr.decompose(m) == [m] and m.indec_certain
-        assert stages == [(0, 0)]     # the unit stage only
+        assert [c[:2] for c in searches] == [(0, 0)]   # the unit stage only
 
 
 def test_direct_sums_fail_the_certificate_and_split(fix, a455):
@@ -1086,6 +1099,11 @@ def test_direct_sums_fail_the_certificate_and_split(fix, a455):
             assert any(mr.iso(p, z).isomorphic for z in (x, y))
 
 
+# how many of the modules below reach the fallback search of decompose once
+# _is_local certifies nothing (none for the other fixtures)
+_FALLBACK_MODULES = {"penny-farthing-gendo": 4, "gf4-local-gendo": 4}
+
+
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
 def test_decompose_matches_exhaustive_search_on_pools(fix, name, monkeypatch):
     # pool modules alone never get past the unit stage; their first two
@@ -1097,18 +1115,26 @@ def test_decompose_matches_exhaustive_search_on_pools(fix, name, monkeypatch):
         mods.append(m)
         for op in (mr.syzygy, mr.cosyzygy):
             mods += [x for x in (op(m), op(m, 2)) if x.dim]
+    searches = _record_searches(monkeypatch)
+    reached = 0
     for m in mods:
         if f.order ** len(mr.hom_basis(m, m)) > 1 << 16:
             continue
         parts = mr.decompose(m)
         with monkeypatch.context() as mp:
-            # without the certificate decompose is the exhaustive search
+            # without the certificate decompose is the exhaustive search;
+            # it runs on a fresh copy of m, since decompose returns a module
+            # it has already certified indecomposable as it is
             mp.setattr(mr, "_is_local", lambda field, mats: False)
-            ref = mr.decompose(m)
+            searches.clear()
+            ref = mr.decompose(mr.RightModule(m.algebra, m.dim, m.action,
+                                              m.label))
+            reached += any(c[0] for c in searches)
         assert [p.dim for p in parts] == [r.dim for r in ref]
         assert all(p.indec_certain for p in parts + ref)
         for p, r in zip(parts, ref):
             assert_iso(p, r)
+    assert reached == _FALLBACK_MODULES.get(name, 0)
 
 
 def test_sum_without_a_splitting_basis_element_still_splits(monkeypatch):
@@ -1128,13 +1154,64 @@ def test_sum_without_a_splitting_basis_element_still_splits(monkeypatch):
     f = b.field
     assert la.rank_raw(f, np.array([x.ravel() for x in basis])) == len(basis)
     assert len(basis) == len(mr.hom_basis(s, s))
-    real = mr.hom_basis
-    monkeypatch.setattr(mr, "hom_basis", lambda x, y: [
-        mr.ModuleMap(s, s, z) for z in basis] if x is y is s else real(x, y))
+    real = mr._hom_space
+    flat = np.array([z.ravel() for z in basis])
+    # decompose reads only the basis rows of _hom_space(s, s), not its keys
+    monkeypatch.setattr(mr, "_hom_space", lambda x, y: (flat, None)
+                        if x is y is s else real(x, y))
     for z in basis:     # no basis element is a Fitting splitter
         assert la.rank_raw(f, mr._fitting_power(f, z)) in (0, s.dim)
     assert not mr._is_local(f, np.array(basis))
+    searches = _record_searches(monkeypatch)
     parts = mr.decompose(s)
+    # the unit stage finds nothing and the fallback splits s; both parts
+    # have a simple top, so decompose runs no search on them
+    assert [(c[0], c[3]) for c in searches] == [(0, False), (50, True)]
     assert [p.dim for p in parts] == [3, 3]
     assert all(p.indec_certain for p in parts)
     assert all(mr.iso(p, m).isomorphic for p in parts)
+
+
+def _graded_twist(m, rng):
+    """m in a random graded basis: the rows of a random invertible P with
+    P[i, j] = 0 unless basis vectors i and j lie at one vertex, with its
+    columns permuted; rho(x) becomes P^-1 rho(x) P."""
+    f = m.algebra.field
+    vertices = mr._vertices(m)
+    same = vertices[:, None] == vertices[None, :]
+    p = rng.integers(0, f.order, (m.dim, m.dim)) * same
+    while not la.is_invertible(f, p):
+        p = rng.integers(0, f.order, (m.dim, m.dim)) * same
+    p = p[:, rng.permutation(m.dim)]
+    p_inv = la.solve_raw(f, p, f.eye(m.dim))
+    return mr.make_module(m.algebra, [f.matmul(f.matmul(p_inv, x), p)
+                                      for x in m.action])
+
+
+# seeds whose sum only the random draws of the fallback split: both are
+# over gf4-local-gendo, where 4^k > 2^16 rules out the exhaustive stage
+_RANDOM_SPLIT_SEEDS = [1028, 1467]
+
+
+def test_decompose_recovers_the_summands_of_random_sums(fix, monkeypatch):
+    # seed s draws a pool (fx.pool or fx.base_pool of a fixture), two or
+    # three of its indecomposables and a graded basis of their direct sum
+    pools = [pool for name in fixtures.FIXTURE_NAMES
+             for pool in (fix(name).pool, fix(name).base_pool) if pool]
+    searches = _record_searches(monkeypatch)
+    fallbacks = random_splits = 0
+    for seed in list(range(300)) + _RANDOM_SPLIT_SEEDS:
+        rng = np.random.default_rng(seed)
+        pool = pools[rng.integers(len(pools))]
+        picks = [pool[i] for i in rng.integers(len(pool),
+                                               size=rng.integers(2, 4))]
+        searches.clear()
+        parts = mr.decompose(_graded_twist(mr.direct_sum(picks), rng))
+        fallbacks += any(c[0] for c in searches)
+        random_splits += any(c[0] and c[2] > c[1] and c[3] for c in searches)
+        assert all(p.indec_certain for p in parts), seed
+        table = mr.ClassTable()
+        assert (sorted(table.canon(x) for x in picks)
+                == sorted(table.canon(p) for p in parts)), seed
+    assert random_splits == len(_RANDOM_SPLIT_SEEDS)
+    assert fallbacks > random_splits
