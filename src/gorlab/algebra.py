@@ -131,9 +131,6 @@ class BasedAlgebra:
     def R(self, x: np.ndarray) -> np.ndarray:
         return linalg.combine(self.field, x, self.mult.transpose(1, 0, 2))
 
-    def elem_mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.field.matmul(np.asarray(y, dtype=np.int64)[None, :], self.L(x))[0]
-
     def __repr__(self):
         return "BasedAlgebra(dim=%d, idem=%d, %r)" % (self.dim, self.n_idem, self.field)
 

@@ -45,8 +45,11 @@ def test_validation_rejects_broken_associativity():
     broken = copy.copy(a)
     broken.mult = mult
     b = [F2.eye(a.dim)[x] for x in err.value.witness]
-    assert not np.array_equal(broken.elem_mul(broken.elem_mul(b[0], b[1]), b[2]),
-                              broken.elem_mul(b[0], broken.elem_mul(b[1], b[2])))
+
+    def mul(x, y):          # x y = y L(x)
+        return F2.matmul(y[None, :], broken.L(x))[0]
+    assert not np.array_equal(mul(mul(b[0], b[1]), b[2]),
+                              mul(b[0], mul(b[1], b[2])))
 
 
 def test_validation_locates_a_non_orthogonal_idempotent_pair():
@@ -62,8 +65,9 @@ def test_validation_locates_a_non_orthogonal_idempotent_pair():
     with pytest.raises(alg.ValidationError) as err:
         alg.validate(bad)
     assert (err.value.code, err.value.witness) == ("BadIdempotents", (1, 2))
-    assert a.elem_mul(idem[1], idem[2]).any()
-    assert np.array_equal(a.elem_mul(idem[1], idem[1]), idem[1])
+    # x y = y L(x)
+    assert F2.matmul(idem[2:3], a.L(idem[1])).any()
+    assert np.array_equal(F2.matmul(idem[1:2], a.L(idem[1]))[0], idem[1])
 
 
 def test_validation_rejects_nonidempotent():
@@ -425,10 +429,10 @@ def test_cartan_matrix_row_sums_are_projective_dims():
 
 
 def _square(a):
-    """Row basis of J^2, one product of Jacobson basis elements at a time."""
+    """Row basis of J^2, spanned by the products of Jacobson basis elements."""
     jac = a.jacobson_basis
     return la.row_space_basis(a.field, np.array(
-        [a.elem_mul(x, y) for x in jac for y in jac]).reshape(-1, a.dim))
+        [a.field.matmul(jac, a.L(x)) for x in jac]).reshape(-1, a.dim))
 
 
 def _assert_arrows_lift_j_mod_j2(a):

@@ -14,7 +14,7 @@ from gorlab import invariants as inv
 from gorlab import fixtures
 
 from conftest import (assert_iso, assert_not_iso, check_right_minimal,
-                      dense_action_violation)
+                      dense_action_violation, graded_twist)
 
 F2 = la.PrimeField(2)
 
@@ -332,7 +332,8 @@ def _solve_corner(a, sel):
         xs = np.asarray(xs).reshape(-1, a.dim)
         return la.solve_raw(f, rows.T, xs.T).T
 
-    prods = [a.elem_mul(x, y) for x in rows for y in rows]
+    # the products x y = y L(x), y running fastest
+    prods = np.concatenate([f.matmul(rows, a.L(x)) for x in rows])
     rad = la.row_space_basis(f, f.matmul(a.jacobson_basis, proj))
     return [coords(prods).reshape(m, m, m), coords(e)[0],
             coords(a.idempotents[list(sel)]), coords(rad), rows]
@@ -1172,22 +1173,6 @@ def test_sum_without_a_splitting_basis_element_still_splits(monkeypatch):
     assert all(mr.iso(p, m).isomorphic for p in parts)
 
 
-def _graded_twist(m, rng):
-    """m in a random graded basis: the rows of a random invertible P with
-    P[i, j] = 0 unless basis vectors i and j lie at one vertex, with its
-    columns permuted; rho(x) becomes P^-1 rho(x) P."""
-    f = m.algebra.field
-    vertices = mr._vertices(m)
-    same = vertices[:, None] == vertices[None, :]
-    p = rng.integers(0, f.order, (m.dim, m.dim)) * same
-    while not la.is_invertible(f, p):
-        p = rng.integers(0, f.order, (m.dim, m.dim)) * same
-    p = p[:, rng.permutation(m.dim)]
-    p_inv = la.solve_raw(f, p, f.eye(m.dim))
-    return mr.make_module(m.algebra, [f.matmul(f.matmul(p_inv, x), p)
-                                      for x in m.action])
-
-
 # seeds whose sum only the random draws of the fallback split: both are
 # over gf4-local-gendo, where 4^k > 2^16 rules out the exhaustive stage
 _RANDOM_SPLIT_SEEDS = [1028, 1467]
@@ -1206,7 +1191,7 @@ def test_decompose_recovers_the_summands_of_random_sums(fix, monkeypatch):
         picks = [pool[i] for i in rng.integers(len(pool),
                                                size=rng.integers(2, 4))]
         searches.clear()
-        parts = mr.decompose(_graded_twist(mr.direct_sum(picks), rng))
+        parts = mr.decompose(graded_twist(mr.direct_sum(picks), rng))
         fallbacks += any(c[0] for c in searches)
         random_splits += any(c[0] and c[2] > c[1] and c[3] for c in searches)
         assert all(p.indec_certain for p in parts), seed

@@ -4,8 +4,9 @@
 # Usage: tools/cli_diff.sh [REV]
 #
 # REV (default HEAD) is exported with `git archive` into a temporary
-# directory; tools/cli_outputs.sh records the same CLI calls on that copy
-# and on the working tree, and `diff -r` compares the two recordings.
+# directory; the working tree's tools/cli_outputs.sh records the same CLI
+# calls on that copy and on the working tree, so both recordings have the
+# same calls and lines, and `diff -r` compares them.
 # Prints the differences and exits 1 if there are any, 0 if there are none.
 set -eu
 if [ $# -gt 1 ]; then

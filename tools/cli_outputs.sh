@@ -5,8 +5,11 @@
 #
 # SRC is a gorlab source tree (a checkout or a `git archive` of one); its
 # src/ directory is put on PYTHONPATH.  One file per call is written to OUT:
-# the call's stdout followed by a line "exit: <code>".  Two trees give the
-# same CLI output when `diff -r OUT1 OUT2` is empty.
+# the call's stdout followed by a line "exit: <code>" and a line
+# "stderr: none|error|traceback" that says whether the call wrote nothing to
+# stderr, a message, or a Python traceback.  The stderr text itself holds
+# temporary paths, so only its kind is recorded.  Two trees give the same
+# CLI output when `diff -r OUT1 OUT2` is empty.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
@@ -16,14 +19,25 @@ src=$(cd "$1" && pwd)/src
 out=$2
 mkdir -p "$out"
 
-call() {   # call NAME ARGS...: run one CLI call, record stdout and exit code
+err=$(mktemp)
+trap 'rm -f "$err"' EXIT
+
+call() {   # call NAME ARGS...: run one CLI call, record stdout, exit code
+           # and the kind of its stderr
     name=$1
     shift
     set +e
-    PYTHONPATH="$src" python3 -m gorlab.cli "$@" > "$out/$name" 2>/dev/null
+    PYTHONPATH="$src" python3 -m gorlab.cli "$@" > "$out/$name" 2> "$err"
     code=$?
     set -e
     echo "exit: $code" >> "$out/$name"
+    if grep -q '^Traceback' "$err"; then
+        echo "stderr: traceback" >> "$out/$name"
+    elif [ -s "$err" ]; then
+        echo "stderr: error" >> "$out/$name"
+    else
+        echo "stderr: none" >> "$out/$name"
+    fi
 }
 
 fixtures=$(PYTHONPATH="$src" python3 -c \
@@ -80,9 +94,9 @@ call endo-cutoff2-gf4-local-gendo.json --cutoff 2 --format json endo --fixture g
 # check that it equals 2 undecided
 call suite-cutoff1.text --cutoff 1 suite
 # malformed module specs: each must exit 1 with an error message, never a
-# traceback (the message goes to stderr, which is not recorded)
+# traceback (the message goes to stderr, whose kind is recorded)
 specs=$(mktemp -d)
-trap 'rm -rf "$specs"' EXIT
+trap 'rm -rf "$specs" "$err"' EXIT
 echo '{}' > "$specs/empty.json"
 echo '[1, 2]' > "$specs/list.json"
 echo '{"algebra_ref": "kupisch-455", "label": "x"}' > "$specs/no-dim.json"
