@@ -19,10 +19,11 @@ multiset, testing Ext^1 at each state until the orbit dies or repeats.  On
 it sit Gorenstein-projectivity certification, Müller's dominant-dimension
 formula for endomorphism algebras of generators over symmetric algebras,
 the gendo-symmetric test, and an executable suite of theorem checks run
-against the named fixtures.  The checks and the Chen-Koenig formula read
-Omega, Ext and D off the class graph of ``_DimEngine``: a module enters its
-class table once, and everything after works on class lists.  The Nakayama
-checks of the suite call the closed forms of ``nakayama``.
+against the named fixtures.  The GP test, the checks and the Chen-Koenig
+formula read Omega, Ext, D, Tr and tau off the class graph of
+``_DimEngine``: a module enters its class table once, and everything after
+works on class lists.  The Nakayama checks of the suite call the closed
+forms of ``nakayama``.
 """
 
 from __future__ import annotations
@@ -103,14 +104,21 @@ class _DimEngine:
     ``op`` is the engine of A^op and ``dual(ci)`` the class of D X there,
     whose record gives the socle of X and cosyzygy D Omega D X.
 
-    ``dual`` reads the socle of X off the arrows when dim X is a Cartan
-    column sum dim Ae_v.  The hull of a simple socle S_v is D(Ae_v), so X
-    with socle S_v and dim X = dim Ae_v is D(Ae_v), and D X is the A^op
-    projective at v, recorded in the class table of ``op`` with no
-    decomposition or iso test.  ``projinj`` maps v to i when e_iA is
-    injective with socle S_v, that is when D(e_iA) is the A^op projective
-    at v.  ``op`` and ``projinj`` are built on first use, once this engine
-    is cached.
+    ``dual`` reads the socle of X off the arrows when the dimension vector
+    of X is a Cartan column, that of D(Ae_v).  The hull of a simple socle
+    S_v is D(Ae_v), so X with socle S_v and the dimension vector of
+    D(Ae_v) is D(Ae_v), and D X is the A^op projective at v, recorded in
+    the class table of ``op`` with no decomposition or iso test.
+    ``projinj`` maps v to i when e_iA is injective with socle S_v, that is
+    when D(e_iA) is the A^op projective at v.  ``op`` and ``projinj`` are
+    built on first use, once this engine is cached.
+
+    ``tr(ci)`` is the class of the transpose Tr X in ``op``, none for a
+    projective X.  Tr Tr X = X for X indecomposable and not projective
+    (Auslander-Bridger; ARS IV.1), so the edge is recorded both ways and
+    each Tr-pair of classes is transposed once.  The translates are
+    edges too: tau X = D Tr X (``tau_parts``) and tau^-1 X = Tr D X
+    (``tau_inv_parts``).
     """
 
     def __init__(self, a: BasedAlgebra):
@@ -118,6 +126,7 @@ class _DimEngine:
         self.table = mr.ClassTable()
         self._omega_memo = {}
         self._dual_memo = {}
+        self._tr_memo = {}
         self._hom_memo = {}
         self._ext1_memo = {}
         self.gp_memo = {}
@@ -155,19 +164,41 @@ class _DimEngine:
         if ci not in self._dual_memo:
             x, a = self.table.reps[ci], self.a
             d = mr.dual(x)
-            col = a.cartan.sum(axis=0)
-            if x.dim in col:
+            # dim D(Ae_v) e_u = dim e_uAe_v, column v of the Cartan matrix
+            verts = mr._vertices(x)
+            dims = np.bincount(verts, minlength=a.n_idem)
+            if (a.cartan == dims[:, None]).all(axis=0).any():
                 # soc X: the x with x alpha = 0 for every arrow alpha
                 acts = mr._arrow_actions(x).transpose(1, 0, 2)
                 soc = linalg.nullspace(a.field, acts.reshape(x.dim, -1).T)
-                v = int(mr._vertices(x)[soc.any(axis=0)][0])
-                if len(soc) == 1 and x.dim == col[v]:
+                v = int(verts[soc.any(axis=0)][0])
+                if len(soc) == 1 and (dims == a.cartan[:, v]).all():
                     # X = D(Ae_v), so D X is the A^op projective e_vA^op
                     self.op.table.record(d, self.op.table.parts(
                         mr.projectives(self.op.a)[0][v]))
             # one class: D of an indecomposable is indecomposable
             [self._dual_memo[ci]] = self.op.table.parts(d)
         return self._dual_memo[ci]
+
+    def tr(self, ci: int) -> list:
+        """The classes of Tr reps[ci] in ``op``: none for a projective
+        class, else the one class t of Tr X, with ``op.tr(t)`` = [ci]."""
+        if ci in self.proj_ids:
+            return []
+        if ci not in self._tr_memo:
+            # Tr of an indecomposable nonprojective is one
+            [t] = self.op.table.parts(mr.transpose_tr(self.table.reps[ci]))
+            self._tr_memo[ci] = [t]
+            self.op._tr_memo.setdefault(t, [ci])
+        return self._tr_memo[ci]
+
+    def tau_parts(self, ci: int) -> list:
+        """The classes of tau reps[ci] = D Tr reps[ci]."""
+        return [self.op.dual(t) for t in self.tr(ci)]
+
+    def tau_inv_parts(self, ci: int) -> list:
+        """The classes of tau^-1 reps[ci] = Tr D reps[ci]."""
+        return self.op.tr(self.dual(ci))
 
     def omega_parts(self, classes: list, k: int) -> list:
         """The classes of Omega^k of the sum of the given classes."""
@@ -206,9 +237,10 @@ class _DimEngine:
         return sum(self.ext1_against(ci, n)
                    for ci in self.omega_parts(parts, i - 1))
 
-    def ext_window(self, m, n, bound: int):
-        """(hit, window, certificate) for Ext^i(m, n), i >= 1, in one walk
-        of the syzygy orbit of m's sorted class multiset.
+    def ext_window(self, classes: list, n, bound: int):
+        """(hit, window, certificate) for Ext^i(m, n), i >= 1, with m the
+        sum of the given classes, in one walk of the syzygy orbit of their
+        sorted multiset.
 
         Ext^i(m, n) = Ext^1(Omega^(i-1) m, n), so each state is tested
         against n before the walk moves on; ``hit`` is the least i with
@@ -217,7 +249,7 @@ class _DimEngine:
         window t, which the certificate records.  (None, None, None) at the
         bound.
         """
-        state = tuple(sorted(self.table.parts(m)))
+        state = tuple(sorted(classes))
         seen = {state: 0}
         for t in range(1, bound + 1):
             if any(self.ext1_against(ci, n) for ci in state):
@@ -401,20 +433,22 @@ def gp_test(a: BasedAlgebra, m, bound: int = DEFAULT_BOUND) -> GpVerdict:
     if m.dim == 0:
         return GpVerdict("yes", window=0)
     eng = _engine(a)
-    key = (tuple(sorted(eng.table.parts(m))), bound)
+    parts = eng.table.parts(m)
+    key = (tuple(sorted(parts)), bound)
     if key not in eng.gp_memo:
-        eng.gp_memo[key] = _gp_test_impl(m, eng, bound)
+        eng.gp_memo[key] = _gp_test_impl(parts, eng, bound)
     return eng.gp_memo[key]
 
 
-def _gp_test_impl(m, eng, bound) -> GpVerdict:
-    hit, w1, c1 = eng.ext_window(m, eng.reg, bound)
+def _gp_test_impl(parts, eng, bound) -> GpVerdict:
+    hit, w1, c1 = eng.ext_window(parts, eng.reg, bound)
     if hit is not None:
         return GpVerdict("no", hit, "Ext^i(m, A)")
     if w1 is None:
         return GpVerdict("unknown", bound=bound)
-    tr = mr.transpose_tr(m)
-    if tr.dim == 0:
+    # Tr of a sum is the sum of the Tr of its summands
+    tr = [t for ci in parts for t in eng.tr(ci)]
+    if not tr:
         return GpVerdict("yes", window=w1, certificate=(c1,))
     hit, w2, c2 = eng.op.ext_window(tr, eng.op.reg, bound)
     if hit is not None:
@@ -470,7 +504,7 @@ def mueller_domdim(b: BasedAlgebra, m,
     nothing on the left; the syzygy window of m bounds the degrees to test.
     """
     eng = _require_symmetric_generator(b, m)
-    i, w, cert = eng.ext_window(m, m, bound)
+    i, w, cert = eng.ext_window(eng.table.parts(m), m, bound)
     if i is not None:
         return HomologicalDim.finite(i + 1)
     if w is None:
@@ -499,9 +533,9 @@ def chen_koenig_injdim(b: BasedAlgebra, m, bound: int = DEFAULT_BOUND,
                         "rhs reported equal to lhs"}
     z = dd.as_int() - 2
     ids = eng.table.parts(m)
-    # tau of each class of Omega^z m; projective classes give 0
-    targets = [t for t in (mr.tau(eng.table.reps[ci])
-                           for ci in eng.omega_parts(ids, z)) if t.dim]
+    # the classes of tau Omega^z m; projective classes give none
+    targets = [eng.table.reps[t] for ci in eng.omega_parts(ids, z)
+               for t in eng.tau_parts(ci)]
     da = mr.dual(mr.regular_module(mr.opp(b)))
     tgt = mr.direct_sum(targets + [da])
     r = mr.resdim([eng.table.reps[ci] for ci in ids], tgt, cutoff=bound)
@@ -590,7 +624,7 @@ def _tau_is_omega2(eng, ci):
     certified representative.  An "iso" found by the table carries a
     witness, and "not iso" between certified indecomposables is exact, so
     the answer is then exact by Krull-Schmidt."""
-    tau = eng.table.parts(mr.tau(eng.table.reps[ci]))
+    tau = eng.tau_parts(ci)
     omega2 = eng.omega_parts([ci], 2)
     if not all(eng.table.reps[c].indec_certain for c in [ci] + tau + omega2):
         return None
@@ -680,8 +714,7 @@ def _check_d(fixture, bound):
         return CheckResult(name, "skip", "no nonprojective GPI in pool")
     reps = eng.table.reps
     # the classes of each translate
-    ops = [("tau", lambda ci: eng.table.parts(mr.tau(reps[ci]))),
-           ("tau_inv", lambda ci: eng.table.parts(mr.tau_inv(reps[ci]))),
+    ops = [("tau", eng.tau_parts), ("tau_inv", eng.tau_inv_parts),
            ("omega2", lambda ci: eng.omega_parts([ci], 2)),
            ("omega-2", lambda ci: [q for p in eng.cosyzygy_parts(ci)
                                    for q in eng.cosyzygy_parts(p)])]
@@ -753,7 +786,7 @@ def _check_g(fixture, bound):
         y = mr.corner_restrict(corner, m)
         for src, tgt, what in ((mb, y, "corner gen, %s e"),
                                (y, mb, "%s e, corner gen")):
-            hit, w, _ = ce.ext_window(src, tgt, bound)
+            hit, w, _ = ce.ext_window(ce.table.parts(src), tgt, bound)
             if hit is not None:
                 return CheckResult(name, "fail", "Ext^%d(%s) != 0"
                                    % (hit, what % m.label))

@@ -54,7 +54,6 @@ __all__ = [
     "tau_nak",
     "dims_nak",
     "hom_dim_nak",
-    "ext_dim_nak",
     "resolution_quiver",
     "gp_indecs",
     "gi_indecs",
@@ -352,18 +351,6 @@ def _ext1_nak(a, x, n) -> int:
     return (hom_dim_nak(a, syzygy_nak(a, x), n)
             - hom_dim_nak(a, projective_cover(a, x), n)
             + hom_dim_nak(a, x, n))
-
-
-def ext_dim_nak(a: NakAlgebra, m, n, i: int) -> int:
-    """dim Ext^i((i,k), (j,l)) via the Euler identity on minimal covers."""
-    if i == 0:
-        return hom_dim_nak(a, m, n)
-    x = m
-    for _ in range(i - 1):
-        if x is ZERO:
-            return 0
-        x = syzygy_nak(a, x)
-    return _ext1_nak(a, x, n)
 
 
 def _ext_vanishes_nak(a, m, targets) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from gorlab import fixtures as fx
 from gorlab import linalg as la
 from gorlab import modrep as mr
+from gorlab import nakayama as nak
 
 
 # the six cyclic Kupisch series of the oracle benchmark
@@ -146,3 +147,16 @@ def almost_split_verify(a, seq, indec_pool) -> bool:
             if span_dim != mr.hom_dim(N, M):
                 return False
     return True
+
+
+def ext_dim_nak(a, m, n, i: int) -> int:
+    """dim Ext^i((i,k), (j,l)) over a Nakayama algebra, one degree: the
+    Euler identity on minimal covers, at Omega^(i-1) of (i,k)."""
+    if i == 0:
+        return nak.hom_dim_nak(a, m, n)
+    x = m
+    for _ in range(i - 1):
+        if x is nak.ZERO:
+            return 0
+        x = nak.syzygy_nak(a, x)
+    return nak._ext1_nak(a, x, n)

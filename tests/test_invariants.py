@@ -15,7 +15,7 @@ from gorlab import serialize as ser
 from gorlab.dims import HomologicalDim, PeriodicityCertificate
 
 from conftest import (ORACLE_SERIES, almost_split_verify, assert_iso,
-                      graded_twist)
+                      ext_dim_nak, graded_twist)
 
 F2 = la.PrimeField(2)
 
@@ -224,7 +224,7 @@ def _nak_window(a, m) -> int:
 
 def _ext_degrees_nak(a, x, n, low):
     """ext_dim_nak(x, n, i), one degree at a time, for i in low..window."""
-    return [nak.ext_dim_nak(a, x, n, i)
+    return [ext_dim_nak(a, x, n, i)
             for i in range(low, _nak_window(a, x) + 1)]
 
 
@@ -266,14 +266,15 @@ def test_corner_check_decides_both_ext_directions(fix, monkeypatch, reverse,
     real = inv._DimEngine.ext_window
     sources, reversed_calls = [], []
 
-    def ext_window(self, m, n, bound):
+    def ext_window(self, classes, n, bound):
         if self.a is corner:
-            sources.append(m)
-            if n is sources[0]:
-                reversed_calls.append(m)
+            sources.append(sorted(classes))
+            # the target is the corner generator, the first walk's source
+            if sorted(self.table.parts(n)) == sources[0]:
+                reversed_calls.append(classes)
                 if reverse is not None:
                     return reverse
-        return real(self, m, n, bound)
+        return real(self, classes, n, bound)
 
     monkeypatch.setattr(inv._DimEngine, "ext_window", ext_window)
     assert inv._check_g(f, inv.DEFAULT_BOUND).status == want
@@ -494,6 +495,89 @@ def test_scan_makes_no_iso_test(monkeypatch, capsys):
     assert cli.main(["scan", "3", "7"]) == 0
     assert capsys.readouterr().out
     assert not calls
+
+
+def _gp_by_module_tr(eng, m, bound):
+    """gp_test of m with Tr m built as one module and decomposed."""
+    hit, w1, c1 = eng.ext_window(eng.table.parts(m), eng.reg, bound)
+    if hit is not None:
+        return inv.GpVerdict("no", hit, "Ext^i(m, A)")
+    if w1 is None:
+        return inv.GpVerdict("unknown", bound=bound)
+    tr = mr.decompose(mr.transpose_tr(m))
+    if not tr:
+        return inv.GpVerdict("yes", window=w1, certificate=(c1,))
+    classes = [eng.op.table.canon(p) for p in tr]
+    hit, w2, c2 = eng.op.ext_window(classes, eng.op.reg, bound)
+    if hit is not None:
+        return inv.GpVerdict("no", hit, "Ext^i(Tr m, A^op)")
+    if w2 is None:
+        return inv.GpVerdict("unknown", bound=bound)
+    return inv.GpVerdict("yes", window=max(w1, w2), certificate=(c1, c2))
+
+
+@pytest.mark.parametrize("source", list(fixtures.FIXTURE_NAMES) + [
+    (s, p) for s in ORACLE_SERIES for p in (2, 5)], ids=str)
+def test_translate_edges_match_the_module_routes(source, monkeypatch):
+    # a fresh build, so that every Tr edge checked here is made here
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    if source in fixtures.FIXTURE_NAMES:
+        pool = fixtures.build_fixture(source).pool
+    else:
+        a = alg.from_kupisch(nak.validate_kupisch(source[0]),
+                             la.PrimeField(source[1]))
+        pool = [mr.bridge_module(a, x.i, x.k)
+                for x in nak.indecomposables(a.nak_bridge["series"])]
+    a = pool[0].algebra
+    eng = inv._engine(a)
+    ids = list(dict.fromkeys(ci for m in pool for ci in eng.table.parts(m)))
+
+    def classes(e, m):
+        # iso against the table's classes, not its memo
+        return sorted(e.table.canon(p) for p in mr.decompose(m))
+
+    for ci in ids:
+        rep, where = eng.table.reps[ci], (source, eng.table.label(ci))
+        assert eng.tr(ci) == classes(eng.op, mr.transpose_tr(rep)), where
+        assert eng.tau_parts(ci) == classes(eng, mr.tau(rep)), where
+        assert eng.tau_inv_parts(ci) == classes(eng, mr.tau_inv(rep)), where
+    # every recorded edge, the reverse ones included, is a direct Tr
+    for e in (eng, eng.op):
+        for t, edge in list(e._tr_memo.items()):
+            assert edge == classes(e.op, mr.transpose_tr(e.table.reps[t])), (
+                source, e is eng, e.table.label(t))
+    assert eng.op._tr_memo
+    # Tr of a sum is the sum of the Tr of its summands
+    for ci, cj in zip(ids, ids[1:] + ids[:1]):
+        m = mr.direct_sum([eng.table.reps[ci], eng.table.reps[cj]])
+        want = _gp_by_module_tr(eng, m, inv.DEFAULT_BOUND)
+        assert inv.gp_test(a, m) == want, (source, ci, cj)
+
+
+def test_translates_are_class_edges(monkeypatch, capsys):
+    # tau and tau^-1 are read off the Tr edges of the class graph, and Tr
+    # is transposed once per Tr-pair of classes: each class is the source
+    # or the image of at most one transpose_tr call
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    real, taus, trs = mr.transpose_tr, [], []
+
+    def transpose_tr(m):
+        trs.append((m, real(m)))
+        return trs[-1][1]
+    monkeypatch.setattr(mr, "transpose_tr", transpose_tr)
+    monkeypatch.setattr(mr, "tau", taus.append)
+    monkeypatch.setattr(mr, "tau_inv", taus.append)
+    assert cli.main(["--format", "json", "endo", "--fixture",
+                     "gf4-local-gendo"]) == 0
+    assert cli.main(["suite"]) == 0
+    assert capsys.readouterr().out
+    monkeypatch.undo()
+    assert not taus and trs
+    ends = {}
+    for x in (x for call in trs for x in call):
+        [ci] = inv._engine(x.algebra).table.parts(x)
+        ends[x.algebra, ci] = ends.get((x.algebra, ci), 0) + 1
+    assert max(ends.values()) == 1, sorted(ends.values())
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)

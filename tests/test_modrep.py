@@ -14,7 +14,7 @@ from gorlab import invariants as inv
 from gorlab import fixtures
 
 from conftest import (assert_iso, assert_not_iso, check_right_minimal,
-                      dense_action_violation, graded_twist)
+                      dense_action_violation, ext_dim_nak, graded_twist)
 
 F2 = la.PrimeField(2)
 
@@ -805,7 +805,7 @@ def test_ext_matches_closed_form(a455):
         m = mr.bridge_module(a455, mi, mk)
         n = mr.bridge_module(a455, ni, nk)
         for i in range(4):
-            assert mr.ext_dim(m, n, i) == nak.ext_dim_nak(
+            assert mr.ext_dim(m, n, i) == ext_dim_nak(
                 a, nak.NakModule(mi, mk), nak.NakModule(ni, nk), i)
 
 

@@ -121,6 +121,16 @@ ser.dump_json(d, sys.argv[1])' "$specs/nonassoc-455.json"
 echo "{\"algebra_ref\": \"$specs/nonassoc-455.json\", \"dim\": 1, \"action\": [1, 0, $zeros12]}" \
     > "$specs/nonassoc.json"
 call module-file-s0-kupisch-455.json --format json module "@$specs/s0.json"
+# a decomposable module in perp A, [0,3] + [1,2] over kupisch-455, whose GP
+# test goes on to the transpose of the sum
+PYTHONPATH="$src" python3 -c '
+import sys
+from gorlab import fixtures, modrep as mr, serialize as ser
+a = fixtures.build_fixture("kupisch-455").algebra
+m = mr.direct_sum([mr.bridge_module(a, 0, 3), mr.bridge_module(a, 1, 2)])
+ser.dump_json(ser.module_to_json(m, "kupisch-455"), sys.argv[1])' \
+    "$specs/sum-0-3-1-2.json"
+call module-file-sum-0-3-1-2-kupisch-455.json --format json module "@$specs/sum-0-3-1-2.json"
 call module-error-file-off-mult.text module "@$specs/off-mult.json"
 call module-error-file-nonassoc-algebra.text module "@$specs/nonassoc.json"
 call module-error-1-3-no-fixture.text module '[1,3]'
