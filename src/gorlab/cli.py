@@ -205,8 +205,7 @@ def cmd_endo(args, out) -> int:
         gen = mr.direct_sum(list(f.endo.summands))
         try:
             mueller = inv.mueller_domdim(f.base_algebra, gen, args.cutoff)
-            chen = inv.chen_koenig_injdim(f.base_algebra, gen, args.cutoff,
-                                          dd=mueller)
+            chen = inv.chen_koenig_injdim(f.endo, args.cutoff, dd=mueller)
         except (inv.NotSymmetric, inv.NotGenerator) as e:
             mueller = None
             chen = {"note": "not applicable: %s" % e}

@@ -20,14 +20,16 @@ it sit Gorenstein-projectivity certification, Müller's dominant-dimension
 formula for endomorphism algebras of generators over symmetric algebras,
 the gendo-symmetric test, and an executable suite of theorem checks run
 against the named fixtures.  The GP test, the checks and the Chen-Koenig
-formula read Omega, Ext, D, Tr and tau off the class graph of
-``_DimEngine``: a module enters its class table once, and everything after
-works on class lists.  The Nakayama checks of the suite call the closed
-forms of ``nakayama``.
+formula read Omega, Ext, D, Tr, tau and approximation kernels off the class
+graph of ``_DimEngine``: a module enters it once, through ``parts``, which
+rejects a module over another algebra, and everything after works on class
+lists.  The Nakayama checks of the suite call the closed forms of
+``nakayama``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,10 +95,12 @@ class _DimEngine:
 
     The memos hold only facts that no query order can change: class ids,
     one cover record per class and its dual's class, Hom dimensions and
-    Ext^1 values keyed on (class, target), and GP verdicts keyed on
-    (classes, bound).  Each dimension is searched afresh per query.  A
-    module enters through ``table.parts`` once; Omega^k (``omega_parts``),
-    Ext^i (``ext_dim``) and the theorem checks then work on class lists.
+    Ext^1 values keyed on (class, target), approximation kernels keyed on
+    (generator classes, class), and GP verdicts keyed on (classes, bound).
+    Each dimension is searched afresh per query.  A module enters through
+    ``parts`` once, which rejects a module over another algebra; Omega^k
+    (``omega_parts``), Ext^i (``ext_dim``) and the theorem checks then work
+    on class lists.
 
     ``_omega(ci)`` keeps, from the projective cover P -> X of X = reps[ci],
     the summand idempotents of P and Omega X, whose classes are read when
@@ -119,6 +123,11 @@ class _DimEngine:
     each Tr-pair of classes is transposed once.  The translates are
     edges too: tau X = D Tr X (``tau_parts``) and tau^-1 X = Tr D X
     (``tau_inv_parts``).
+
+    ``resdim(gens, classes, cutoff)`` walks kernel multisets: minimal right
+    approximations are additive (Auslander-Smalo, J. Algebra 66, 1980), so
+    a class outside add(G), G the sum of the classes gens, has one edge per
+    gens, to the classes of the kernel of its add(G)-approximation.
     """
 
     def __init__(self, a: BasedAlgebra):
@@ -129,10 +138,17 @@ class _DimEngine:
         self._tr_memo = {}
         self._hom_memo = {}
         self._ext1_memo = {}
+        self._kernel_memo = {}
         self.gp_memo = {}
         projs, self.reg = mr.projectives(a)
         # the class of each e_vA, mapped to v
         self.proj_ids = {self.table.parts(p)[0]: v for v, p in enumerate(projs)}
+
+    def parts(self, m) -> list:
+        """The classes of m's summands: the one way a module enters."""
+        if m.algebra is not self.a:
+            raise mr.AlgebraMismatch("module is not over the engine's algebra")
+        return self.table.parts(m)
 
     @cached_property
     def op(self) -> "_DimEngine":
@@ -231,7 +247,7 @@ class _DimEngine:
     def ext_dim(self, m, n, i: int) -> int:
         """dim Ext^i(m, n): the Hom sum over m's classes at i = 0, else
         ``ext1_against`` summed over the classes of Omega^(i-1) m."""
-        parts = self.table.parts(m)
+        parts = self.parts(m)
         if i == 0:
             return sum(self._hom_dim(ci, n) for ci in parts)
         return sum(self.ext1_against(ci, n)
@@ -266,6 +282,33 @@ class _DimEngine:
                                                        labels)
             seen[state] = t
         return None, None, None
+
+    def resdim(self, gens: list, classes: list, cutoff: int) -> HomologicalDim:
+        """The add(G)-resolution dimension of the sum of the given classes,
+        G the sum of the classes gens.  An earlier kernel multiset inside a
+        later one certifies Infinite, as the approximations are minimal."""
+        gens, reps = tuple(sorted(set(gens))), self.table.reps
+        state, kernels = Counter(classes), []
+        for step in range(cutoff + 1):
+            outside = [ci for ci in state if ci not in gens]
+            if not outside:
+                return HomologicalDim.finite(step)
+            kernel = Counter()
+            for ci in outside:
+                if (gens, ci) not in self._kernel_memo:
+                    ker, _ = mr.kernel_submodule(mr._approximation(
+                        [reps[g] for g in gens], reps[ci]))
+                    self._kernel_memo[gens, ci] = self.table.parts(ker)
+                for p in self._kernel_memo[gens, ci]:
+                    kernel[p] += state[ci]
+            state = kernel
+            for back, old in enumerate(kernels):
+                if old <= state:
+                    cert = PeriodicityCertificate("approximation-kernel",
+                                                  back + 1, step - back)
+                    return HomologicalDim.infinite(cert)
+            kernels.append(state)
+        return HomologicalDim.at_least(cutoff, "cutoff %d exhausted" % cutoff)
 
     def hull_projective(self, ci: int) -> bool:
         """Whether the injective hull of class ci is projective."""
@@ -343,12 +386,10 @@ def module_projdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
     if m.dim == 0:
         return HomologicalDim.infinite_by_convention()
     eng = _engine(m.algebra)
-    return dim_max([eng.projdim(ci, bound) for ci in eng.table.parts(m)])
+    return dim_max([eng.projdim(ci, bound) for ci in eng.parts(m)])
 
 
 def module_injdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
-    if m.dim == 0:
-        return HomologicalDim.infinite_by_convention()
     return module_projdim(mr.dual(m), bound)
 
 
@@ -356,12 +397,10 @@ def module_domdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
     if m.dim == 0:
         return HomologicalDim.infinite_by_convention()
     eng = _engine(m.algebra)
-    return eng.domdim(eng.table.parts(m), bound)
+    return eng.domdim(eng.parts(m), bound)
 
 
 def module_codomdim(m, bound: int = DEFAULT_BOUND) -> HomologicalDim:
-    if m.dim == 0:
-        return HomologicalDim.infinite_by_convention()
     return module_domdim(mr.dual(m), bound)
 
 
@@ -433,7 +472,7 @@ def gp_test(a: BasedAlgebra, m, bound: int = DEFAULT_BOUND) -> GpVerdict:
     if m.dim == 0:
         return GpVerdict("yes", window=0)
     eng = _engine(a)
-    parts = eng.table.parts(m)
+    parts = eng.parts(m)
     key = (tuple(sorted(parts)), bound)
     if key not in eng.gp_memo:
         eng.gp_memo[key] = _gp_test_impl(parts, eng, bound)
@@ -461,8 +500,6 @@ def _gp_test_impl(parts, eng, bound) -> GpVerdict:
 def gi_test(a: BasedAlgebra, m, bound: int = DEFAULT_BOUND) -> GpVerdict:
     """Gorenstein injectivity: the dual must be Gorenstein projective
     over the opposite algebra."""
-    if m.dim == 0:
-        return GpVerdict("yes", window=0)
     return gp_test(mr.opp(a), mr.dual(m), bound)
 
 
@@ -487,8 +524,7 @@ def _require_symmetric_generator(b: BasedAlgebra, m):
     if not is_symmetric(b):
         raise NotSymmetric("base algebra is not symmetric")
     eng = _engine(b)
-    mclasses = set(eng.table.parts(m))
-    missing = set(eng.proj_ids) - mclasses
+    missing = set(eng.proj_ids) - set(eng.parts(m))
     if missing:
         raise NotGenerator("module misses projective class(es) %s" %
                            sorted(missing))
@@ -504,7 +540,7 @@ def mueller_domdim(b: BasedAlgebra, m,
     nothing on the left; the syzygy window of m bounds the degrees to test.
     """
     eng = _require_symmetric_generator(b, m)
-    i, w, cert = eng.ext_window(eng.table.parts(m), m, bound)
+    i, w, cert = eng.ext_window(eng.parts(m), m, bound)
     if i is not None:
         return HomologicalDim.finite(i + 1)
     if w is None:
@@ -513,33 +549,28 @@ def mueller_domdim(b: BasedAlgebra, m,
     return HomologicalDim.infinite(cert)
 
 
-def chen_koenig_injdim(b: BasedAlgebra, m, bound: int = DEFAULT_BOUND,
+def chen_koenig_injdim(endo: mr.EndoData, bound: int = DEFAULT_BOUND,
                        dd: HomologicalDim | None = None) -> dict:
-    """Both sides of injdim(B_B) = z+2 + resdim_add(m)(tau Omega^z(m) + D(b))
-    for B = End(m), z = domdim(B) - 2.
-
-    lhs is the directly computed injective dimension of the regular module
-    of the endomorphism algebra; rhs is the relative-resolution formula over
-    the base algebra, on the classes of m's summands.
+    """Both sides of injdim(B_B) = z+2 + resdim_add(M)(tau Omega^z(M) + D(A))
+    for B = End(M) = ``endo.algebra``, M the sum of ``endo.summands`` over a
+    symmetric A, z = domdim(B) - 2: lhs off B's own engine, rhs off A's,
+    with D(A) the duals of the A^op projectives.
     """
-    eng = _require_symmetric_generator(b, m)
-    B = mr.endo_algebra([m]).algebra
-    lhs = dim_max(module_injdim(p, bound) for p in mr.projectives(B)[0])
+    gen = mr.direct_sum(endo.summands)
+    eng = _require_symmetric_generator(gen.algebra, gen)
+    lhs = dim_max(module_injdim(p, bound)
+                  for p in mr.projectives(endo.algebra)[0])
     if dd is None:
-        dd = mueller_domdim(b, m, bound)
+        dd = mueller_domdim(gen.algebra, gen, bound)
     if dd.kind != "finite":
         return {"lhs": lhs, "rhs": lhs, "z": None,
                 "note": "domdim not finite; formula degenerate, "
                         "rhs reported equal to lhs"}
     z = dd.as_int() - 2
-    ids = eng.table.parts(m)
-    # the classes of tau Omega^z m; projective classes give none
-    targets = [eng.table.reps[t] for ci in eng.omega_parts(ids, z)
-               for t in eng.tau_parts(ci)]
-    da = mr.dual(mr.regular_module(mr.opp(b)))
-    tgt = mr.direct_sum(targets + [da])
-    r = mr.resdim([eng.table.reps[ci] for ci in ids], tgt, cutoff=bound)
-    rhs = _dim_plus(r, z + 2)
+    ids = eng.parts(gen)
+    targets = [t for ci in eng.omega_parts(ids, z) for t in eng.tau_parts(ci)]
+    targets += [eng.op.dual(ci) for ci in sorted(eng.op.proj_ids)]
+    rhs = _dim_plus(eng.resdim(ids, targets, bound), z + 2)
     return {"lhs": lhs, "rhs": rhs, "z": z}
 
 
@@ -579,7 +610,7 @@ class CheckResult:
 def _classes(a, pool):
     """(engine of a, iso-class ids of the summands of pool, in order)."""
     eng = _engine(a)
-    ids = (ci for m in pool for ci in eng.table.parts(m))
+    ids = (ci for m in pool for ci in eng.parts(m))
     return eng, list(dict.fromkeys(ids))
 
 
@@ -786,7 +817,7 @@ def _check_g(fixture, bound):
         y = mr.corner_restrict(corner, m)
         for src, tgt, what in ((mb, y, "corner gen, %s e"),
                                (y, mb, "%s e, corner gen")):
-            hit, w, _ = ce.ext_window(ce.table.parts(src), tgt, bound)
+            hit, w, _ = ce.ext_window(ce.parts(src), tgt, bound)
             if hit is not None:
                 return CheckResult(name, "fail", "Ext^%d(%s) != 0"
                                    % (hit, what % m.label))
@@ -794,7 +825,7 @@ def _check_g(fixture, bound):
         images.append(y)
     first = {}
     for t, y in enumerate(images):
-        s = first.setdefault(tuple(sorted(ce.table.parts(y))), t)
+        s = first.setdefault(tuple(sorted(ce.parts(y))), t)
         if s != t:
             return CheckResult(name, "fail", "corner restriction not "
                                "injective on classes %d, %d" % (s, t))
@@ -920,7 +951,7 @@ def _check_k(fixture, bound):
                                % (eng.table.label(ci), is_proj, dm))
     corner = _projinj_corner(a)
     mcorner = mr.corner_restrict(corner, mr.regular_module(a))
-    classes = len(set(_engine(corner.algebra).table.parts(mcorner)))
+    classes = len(set(_engine(corner.algebra).parts(mcorner)))
     expected = len(list(nak.indecomposables(fixture.extras["base_series"])))
     if classes != expected:
         return CheckResult(name, "fail",

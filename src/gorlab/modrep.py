@@ -38,7 +38,7 @@ Hom(g, A) is read off the components of g, with no Hom-space solve.
 Iso classes of indecomposables are numbered by a :class:`ClassTable`: a
 module meets ``iso`` only against the classes in its fingerprint bucket, and
 a module is read as the multiset of its summands' class ids, so the
-Krull-Schmidt matching of ``iso`` and ``resdim`` compares multisets.
+Krull-Schmidt matching of ``iso`` compares multisets.
 ``iso`` draws nothing: the random stage of ``linalg.search_combinations``
 serves only the fallback of ``decompose``.
 """
@@ -46,7 +46,6 @@ serves only the fallback of ``decompose``.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ import numpy as np
 from . import linalg
 from .algebra import (BasedAlgebra, AlgebraPresentation, validate, opposite,
                       _action_violation)
-from .dims import HomologicalDim, PeriodicityCertificate
 
 __all__ = [
     "RightModule",
@@ -87,7 +85,6 @@ __all__ = [
     "ClassTable",
     "iso_classes",
     "min_right_approx",
-    "resdim",
     "endo_algebra",
     "EndoData",
     "hom_functor",
@@ -765,7 +762,7 @@ def iso_classes(mods) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Approximations and relative dimensions
+# Approximations
 
 
 def min_right_approx(addgens, x: RightModule) -> ModuleMap:
@@ -813,36 +810,6 @@ def _approximation(gens, x: RightModule) -> ModuleMap:
         maps.append(spaces[t][0][free].reshape(-1, x.dim))
     src = direct_sum(mods) if mods else zero_module(x.algebra)
     return ModuleMap(src, x, np.concatenate(maps))
-
-
-def resdim(addgens, x: RightModule, cutoff: int = 24) -> HomologicalDim:
-    """add(M)-resolution dimension with iso-certified infinity detection.
-
-    Summands are compared as multisets of class ids in one
-    :class:`ClassTable`, whose first classes are those of add(M).  Infinite
-    is certified when an earlier approximation kernel recurs as a direct
-    summand of a later one: the approximations are minimal, so this forces
-    the chain never to terminate.
-    """
-    table = ClassTable()
-    for m in addgens:
-        table.parts(m)
-    gens = list(table.reps)
-    kernels = []     # Counters of the class ids of the kernels' summands
-    cur, parts = x, Counter(table.parts(x))
-    for step in range(cutoff + 1):
-        if all(ci < len(gens) for ci in parts):
-            return HomologicalDim.finite(step)
-        ker, _ = kernel_submodule(_approximation(gens, cur))
-        parts = Counter(table.parts(ker))
-        for back, old in enumerate(kernels):
-            if old <= parts:
-                cert = PeriodicityCertificate("approximation-kernel",
-                                              back + 1, step - back)
-                return HomologicalDim.infinite(cert)
-        kernels.append(parts)
-        cur = ker
-    return HomologicalDim.at_least(cutoff, "cutoff %d exhausted" % cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ def field_from_json(d: dict) -> linalg.FieldSpec:
 
 
 def algebra_to_json(a: alg.BasedAlgebra) -> dict:
+    """The algebra-file schema that a module file's ``algebra_ref`` can name
+    (``gorlab module @file``); ``algebra_from_json`` reads it back."""
     return {
         "schema_version": SCHEMA_VERSION,
         "field": field_to_json(a.field),

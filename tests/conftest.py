@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gorlab import fixtures as fx
 from gorlab import linalg as la
 from gorlab import modrep as mr
 from gorlab import nakayama as nak
+from gorlab.dims import HomologicalDim, PeriodicityCertificate
 
 
 # the six cyclic Kupisch series of the oracle benchmark
@@ -160,3 +163,34 @@ def ext_dim_nak(a, m, n, i: int) -> int:
             return 0
         x = nak.syzygy_nak(a, x)
     return nak._ext1_nak(a, x, n)
+
+
+def resdim_reference(addgens, x, cutoff: int = 24) -> HomologicalDim:
+    """add(M)-resolution dimension of x by approximating whole modules, the
+    reference for ``invariants._DimEngine.resdim``.
+
+    Summands are compared as multisets of class ids in one private
+    ``mr.ClassTable``, whose first classes are those of add(M).  Infinite
+    is certified when an earlier approximation kernel recurs as a direct
+    summand of a later one: the approximations are minimal, so this forces
+    the chain never to terminate.
+    """
+    table = mr.ClassTable()
+    for m in addgens:
+        table.parts(m)
+    gens = list(table.reps)
+    kernels = []     # Counters of the class ids of the kernels' summands
+    cur, parts = x, Counter(table.parts(x))
+    for step in range(cutoff + 1):
+        if all(ci < len(gens) for ci in parts):
+            return HomologicalDim.finite(step)
+        ker, _ = mr.kernel_submodule(mr._approximation(gens, cur))
+        parts = Counter(table.parts(ker))
+        for back, old in enumerate(kernels):
+            if old <= parts:
+                cert = PeriodicityCertificate("approximation-kernel",
+                                              back + 1, step - back)
+                return HomologicalDim.infinite(cert)
+        kernels.append(parts)
+        cur = ker
+    return HomologicalDim.at_least(cutoff, "cutoff %d exhausted" % cutoff)

@@ -124,7 +124,7 @@ def test_criterion_3_sym_777():
         assert md == 3
         assert inv.algebra_domdim(f.algebra) == 3
 
-        ck = inv.chen_koenig_injdim(b, gen, dd=md)
+        ck = inv.chen_koenig_injdim(f.endo, dd=md)
         rhs = ck["rhs"]
         assert rhs.is_infinite
         assert rhs.certificate.operator.startswith("approximation-kernel")

@@ -15,7 +15,7 @@ from gorlab import serialize as ser
 from gorlab.dims import HomologicalDim, PeriodicityCertificate
 
 from conftest import (ORACLE_SERIES, almost_split_verify, assert_iso,
-                      ext_dim_nak, graded_twist)
+                      ext_dim_nak, graded_twist, resdim_reference)
 
 F2 = la.PrimeField(2)
 
@@ -377,6 +377,99 @@ def test_mueller_matches_ext_per_degree(fix, name, bounds):
         got = inv.mueller_domdim(f.base_algebra, gen, bound)
         want = _mueller_by_degree(f.base_algebra, gen, bound)
         assert ser.dim_to_json(got) == ser.dim_to_json(want), (name, bound)
+
+
+# the endomorphism-algebra fixtures over a symmetric base
+SYMMETRIC_BASE_ENDOS = ["sym-777-gendo", "penny-farthing-gendo",
+                        "gf4-local-gendo", "two-periodic-demo"]
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_BASE_ENDOS)
+def test_engine_resdim_matches_the_module_walk(fix, name):
+    # the Chen-Koenig target against add(M), and every base-pool module
+    # against add(M) and then against add(A) on the same engine, whose
+    # approximation kernels differ from those against add(M); against
+    # add(A) the kernels are syzygies, which grow without end over
+    # gf4-local-gendo's base, so that pass stops at cutoff 2
+    f = fix(name)
+    b = f.base_algebra
+    eng = inv._engine(b)
+    gen = mr.direct_sum(f.endo.summands)
+    md = inv.mueller_domdim(b, gen)
+    projs, _ = mr.projectives(b)
+    cutoffs = (0, 1, 2, inv.DEFAULT_BOUND)
+    if md.kind == "finite":
+        z = md.as_int() - 2
+        x = mr.tau(mr.syzygy(gen, z))
+        da = mr.dual(mr.regular_module(mr.opp(b)))
+        target = mr.direct_sum([x, da]) if x.dim else da
+        for cutoff in cutoffs:
+            want = resdim_reference(f.endo.summands, target, cutoff)
+            got = inv.chen_koenig_injdim(f.endo, cutoff, dd=md)["rhs"]
+            want = inv._dim_plus(want, z + 2)
+            assert ser.dim_to_json(got) == ser.dim_to_json(want), (
+                name, cutoff)
+    for gens, ids, cuts in ((f.endo.summands, eng.parts(gen), cutoffs),
+                            (projs, sorted(eng.proj_ids), cutoffs[:3])):
+        for x in f.base_pool:
+            for cutoff in cuts:
+                want = resdim_reference(gens, x, cutoff)
+                got = eng.resdim(ids, eng.parts(x), cutoff)
+                assert ser.dim_to_json(got) == ser.dim_to_json(want), (
+                    name, x.label, cutoff)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_BASE_ENDOS)
+def test_chen_koenig_lhs_is_the_right_gorenstein_dimension(fix, monkeypatch,
+                                                           name):
+    # on the fixture as cached, and first thing on a fresh build
+    cached = fix(name)
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    for f in (cached, fixtures.build_fixture(name)):
+        lhs = inv.chen_koenig_injdim(f.endo)["lhs"]
+        right = inv.gorenstein_dims(f.algebra)[1]
+        assert ser.dim_to_json(lhs) == ser.dim_to_json(right), name
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_BASE_ENDOS)
+def test_endo_report_builds_no_second_endomorphism_algebra(name, monkeypatch,
+                                                           capsys):
+    # one endo_algebra call per endo report, the fixture's own; on warm
+    # engines Chen-Koenig makes no class table of its own
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    real_endo, endos = mr.endo_algebra, []
+
+    def endo_algebra(summands):
+        endos.append(summands)
+        return real_endo(summands)
+    monkeypatch.setattr(mr, "endo_algebra", endo_algebra)
+    cli.main(["--format", "json", "endo", "--fixture", name])
+    assert capsys.readouterr().out
+    assert len(endos) == 1, (name, len(endos))
+    f = fixtures.build_fixture(name)
+    inv.gorenstein_dims(f.algebra)
+    inv._engine(f.base_algebra).op
+    real_table, tables = mr.ClassTable, []
+
+    class ClassTable(real_table):
+        def __init__(self):
+            tables.append(self)
+            super().__init__()
+    monkeypatch.setattr(mr, "ClassTable", ClassTable)
+    inv.chen_koenig_injdim(f.endo)
+    assert not tables, (name, len(tables))
+
+
+@pytest.mark.parametrize("test", [inv.gp_test, inv.gi_test, inv.gpi_test,
+                                  inv.mueller_domdim])
+def test_a_module_over_another_algebra_never_enters_the_table(fix, test):
+    b = fix("sym-777-gendo").base_algebra
+    m = mr.bridge_module(fix("kupisch-56").algebra, 0, 2)
+    tables = [inv._engine(b).table, inv._engine(mr.opp(b)).table]
+    before = [(len(t.reps), len(t._parts)) for t in tables]
+    with pytest.raises(mr.AlgebraMismatch):
+        test(b, m)
+    assert [(len(t.reps), len(t._parts)) for t in tables] == before
 
 
 @pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)

@@ -90,6 +90,9 @@ call module-cutoff1-2-4-kupisch-455.text --cutoff 1 module '[2,4]' --fixture kup
 call endo-cutoff2-sym-777-gendo.text --cutoff 2 endo --fixture sym-777-gendo
 call module-cutoff2-e2j2-penny-farthing-gendo.json --cutoff 2 --format json module hom:e2j2 --fixture penny-farthing-gendo
 call endo-cutoff2-gf4-local-gendo.json --cutoff 2 --format json endo --fixture gf4-local-gendo
+# at cutoff 1 Müller's dominant dimension of penny-farthing-gendo reads >=2,
+# so Chen-Koenig reports its formula degenerate
+call endo-cutoff1-penny-farthing-gendo.json --cutoff 1 --format json endo --fixture penny-farthing-gendo
 # at cutoff 1 auslander-22's dominant dimension reads >=2, which leaves the
 # check that it equals 2 undecided
 call suite-cutoff1.text --cutoff 1 suite
