@@ -81,8 +81,7 @@ def _kupisch_fixture(c, field, cyclic=True) -> Fixture:
 
 
 def _endo_fixture(name, base, summand_specs, base_pool,
-                  pool_certified=False, cm_finite=None,
-                  extras=None) -> Fixture:
+                  cm_finite=None, extras=None) -> Fixture:
     _, reg = mr.projectives(base)
     endo = mr.endo_algebra([reg] + list(summand_specs))
     pool = []
@@ -94,7 +93,7 @@ def _endo_fixture(name, base, summand_specs, base_pool,
         name=name, algebra=endo.algebra,
         base_algebra=base, endo=endo,
         base_pool=list(base_pool), pool=pool,
-        pool_certified=pool_certified, cm_finite=cm_finite,
+        cm_finite=cm_finite,
         extras=extras or {},
     )
 
@@ -105,7 +104,7 @@ def _sym_777_gendo(field) -> Fixture:
     m = mr.bridge_module(a, 2, 5)       # e_0 J^2
     base_pool = [mr.bridge_module(a, x.i, x.k) for x in nak.indecomposables(series)]
     fx = _endo_fixture("sym-777-gendo", a, [m], base_pool,
-                       extras={"base_series": series, "generator_extra": m})
+                       extras={"generator_extra": m})
     fx.extras["base_pool_certified"] = True
     return fx
 
@@ -144,7 +143,7 @@ def _penny_farthing_gendo(field) -> Fixture:
     raw = projs + s + [e2j2]
     raw += _orbit(s[1], mr.syzygy, 3) + _orbit(s[1], mr.cosyzygy, 3)
     raw += _orbit(e2j2, mr.syzygy, 3) + _orbit(e2j2, mr.cosyzygy, 3)
-    base_pool = mr.iso_classes(m for m in raw if m.dim <= 12)
+    base_pool = mr.iso_classes(raw)
     fx = _endo_fixture("penny-farthing-gendo", a, [s[1]], base_pool,
                        cm_finite=True, extras={"s2": s[1], "e2j2": e2j2})
     fx.extras["domdim4_module"] = mr.hom_functor(fx.endo, e2j2)
@@ -188,7 +187,7 @@ def _gf4_gendo() -> Fixture:
     reg = mr.regular_module(a)
     raw = [reg, m11, m1w, m1w2, m_ab(a, 1, 0), m_ab(a, 0, 1), s,
            mr.structure(reg).radical]
-    base_pool = mr.iso_classes(m for m in raw if m.dim <= 8)
+    base_pool = mr.iso_classes(raw)
     fx = _endo_fixture("gf4-local-gendo", a, [m11], base_pool,
                        cm_finite=False,
                        extras={"m11": m11, "m1w": m1w, "m1w2": m1w2})
@@ -205,8 +204,7 @@ def _auslander_22(field) -> Fixture:
     return Fixture(
         name="auslander-22", algebra=endo.algebra,
         base_algebra=a, endo=endo, base_pool=indecs, pool=pool,
-        pool_certified=False, cm_finite=True,
-        extras={"base_series": series},
+        cm_finite=True,
     )
 
 
@@ -216,7 +214,7 @@ def _two_periodic_demo(field) -> Fixture:
     w = mr.bridge_module(a, 0, 1)      # the simple module, 2-periodic
     base_pool = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
     fx = _endo_fixture("two-periodic-demo", a, [w], base_pool,
-                       extras={"w": w, "base_series": series})
+                       extras={"w": w})
     fx.extras["base_pool_certified"] = True
     return fx
 

@@ -120,7 +120,8 @@ class _DimEngine:
     ``tr(ci)`` is the class of the transpose Tr X in ``op``, none for a
     projective X.  Tr Tr X = X for X indecomposable and not projective
     (Auslander-Bridger; ARS IV.1), so the edge is recorded both ways and
-    each Tr-pair of classes is transposed once.  The translates are
+    each Tr-pair of classes is transposed once; ``mr.transpose_tr`` covers
+    X and Omega X again, in a presentation of its own.  The translates are
     edges too: tau X = D Tr X (``tau_parts``) and tau^-1 X = Tr D X
     (``tau_inv_parts``).
 
@@ -167,7 +168,8 @@ class _DimEngine:
     def _omega(self, ci: int) -> tuple:
         """(summand idempotents of P, Omega X) for X = reps[ci]."""
         if ci in self.proj_ids:
-            # e_vA is its own cover
+            # e_vA is its own cover; without this a seed-1 bench oracle
+            # pass builds 240 covers, not 180
             return [self.proj_ids[ci]], mr.zero_module(self.a)
         if ci not in self._omega_memo:
             cov = mr.projective_cover(self.table.reps[ci])
@@ -558,8 +560,7 @@ def chen_koenig_injdim(endo: mr.EndoData, bound: int = DEFAULT_BOUND,
     """
     gen = mr.direct_sum(endo.summands)
     eng = _require_symmetric_generator(gen.algebra, gen)
-    lhs = dim_max(module_injdim(p, bound)
-                  for p in mr.projectives(endo.algebra)[0])
+    lhs = gorenstein_dims(endo.algebra, bound)[1]
     if dd is None:
         dd = mueller_domdim(gen.algebra, gen, bound)
     if dd.kind != "finite":
@@ -771,16 +772,12 @@ def _check_e(fixture, bound):
     if not (fixture.cm_finite
             and gendo_symmetric_check(fixture.algebra, bound)):
         return CheckResult(name, "skip", "needs CM-finite gendo-symmetric")
-    eng, ids = _pool_classes(fixture)
-    for ci in ids:
-        if ci in eng.proj_ids:
-            continue
-        m = eng.table.reps[ci]
-        v = gpi_test(fixture.algebra, m, bound)
-        if v.status == "yes":
-            return CheckResult(name, "fail",
-                               "nonprojective GPI %s" % eng.table.label(ci))
-    return CheckResult(name, "pass", "%d classes scanned" % len(ids))
+    eng, gpis = _nonproj_gpis(fixture, bound)
+    if gpis:
+        return CheckResult(name, "fail",
+                           "nonprojective GPI %s" % eng.table.label(gpis[0]))
+    return CheckResult(name, "pass", "%d classes scanned"
+                       % len(_pool_classes(fixture)[1]))
 
 
 def _check_f(fixture, bound):
@@ -952,7 +949,8 @@ def _check_k(fixture, bound):
     corner = _projinj_corner(a)
     mcorner = mr.corner_restrict(corner, mr.regular_module(a))
     classes = len(set(_engine(corner.algebra).parts(mcorner)))
-    expected = len(list(nak.indecomposables(fixture.extras["base_series"])))
+    expected = len(list(nak.indecomposables(
+        fixture.base_algebra.nak_bridge["series"])))
     if classes != expected:
         return CheckResult(name, "fail",
                            "corner generator has %d classes, expected %d"

@@ -124,7 +124,7 @@ class InjCoord:
         return "[%d,%d]" % (self.x, self.y)
 
 
-@dataclass
+@dataclass(eq=False)
 class NakAlgebra:
     series: KupischSeries
     selfinjective: bool
@@ -316,6 +316,7 @@ def dims_nak(a: NakAlgebra, m) -> dict:
         return {"projdim": conv, "injdim": conv,
                 "domdim": conv, "codomdim": conv}
     key = (m.i, m.k)
+    # memo: `nakayama 4,5,5` JSON in 3.5-3.7 ms, 5.9-6.4 without (Xeon vCPU)
     if key in a._dim_cache:
         return a._dim_cache[key]
     _check(a, m)

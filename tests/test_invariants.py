@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import types
 
@@ -731,6 +732,17 @@ def test_check_k_skips_an_undecided_algebra_domdim(fix):
     c = inv._check_k(f, 1)
     assert (c.status, c.detail) == ("skip", "algebra domdim >=2 undecided")
     assert inv._check_k(f, 2).status == "pass"
+
+
+def test_check_e_fails_on_the_first_nonprojective_gpi(fix):
+    # gf4-local-gendo is gendo-symmetric with a nonprojective GPI class;
+    # declared CM-finite, it must fail check (e) on the first such class
+    f = dataclasses.replace(fix("gf4-local-gendo"), cm_finite=True)
+    eng, gpis = inv._nonproj_gpis(f, inv.DEFAULT_BOUND)
+    assert eng.table.label(gpis[0]) == "Hom(X,M(1,2))"
+    by_name = {c.name: c for c in inv.theorem_suite(f)}
+    c = by_name["cm-finite-gendo-symmetric-no-nonproj-gpi"]
+    assert (c.status, c.detail) == ("fail", "nonprojective GPI Hom(X,M(1,2))")
 
 
 def test_theorem_suite_never_fails_on_nakayama_fixtures(fix):

@@ -19,6 +19,13 @@ def test_kupisch_violations():
     assert exc is not None and exc.index is not None
 
 
+def test_nak_algebras_compare_by_identity_and_hash():
+    # the generated field-wise == would compare the cartan arrays and raise
+    a, b = nak.validate_kupisch((4, 5, 5)), nak.validate_kupisch((4, 5, 5))
+    assert a == a and a != b
+    assert {a, a, b} == {a, b} and a in {a}
+
+
 def test_indecomposable_count_is_sum_of_lengths():
     a = nak.validate_kupisch((4, 5, 5))
     assert len(list(nak.indecomposables(a))) == 14
