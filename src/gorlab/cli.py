@@ -293,10 +293,7 @@ def _extra_module(f, key: str, algebra, what: str):
     return f.extras[key]
 
 
-def _resolve_module(spec: str, f, field):
-    spec = spec.strip()
-    if spec.startswith("@"):
-        return _module_file(spec[1:], f, field)
+def _resolve_module(spec: str, f):
     pair = spec.startswith("[") and spec.endswith("]")
     if not (pair or spec.startswith(("hom:", "extra:"))):
         raise _CliError("cannot parse module spec %r "
@@ -324,27 +321,36 @@ def _resolve_module(spec: str, f, field):
 
 
 def _module_file(path: str, f, field):
-    """The module stored at path, over its algebra_ref (a fixture name or an
-    algebra JSON file) or else over the --fixture algebra."""
+    """(module, fixture, algebra_ref) for the module stored at path: over
+    its algebra_ref, a fixture name or an algebra JSON file (fixture None),
+    or else over the --fixture f.  A --fixture other than the fixture the
+    algebra_ref names is an error."""
     d = ser.load_json(path)
     ref = d.get("algebra_ref", "") if isinstance(d, dict) else None
     if not isinstance(ref, str):
         raise _CliError("module file %s holds no module object" % path)
     if not ref and f is None:
         raise _CliError("a --fixture name or an algebra_ref is required")
-    if ref and not ref.endswith(".json"):
-        f = _resolve_fixture(ref, field)
+    if ref:
+        g = None if ref.endswith(".json") else _resolve_fixture(ref, field)
+        if f is not None and (g is None or g.name != f.name):
+            raise _CliError("module file %s is over %s, not over --fixture %s"
+                            % (path, ref, f.name))
+        f = g
     try:
-        a = (ser.algebra_from_json(ser.load_json(ref)) if ref.endswith(".json")
-             else f.algebra)
-        return ser.module_from_json(d, a)
+        a = ser.algebra_from_json(ser.load_json(ref)) if f is None else f.algebra
+        return ser.module_from_json(d, a), f, ref or f.name
     except (KeyError, TypeError, ValueError) as e:
         raise _CliError("malformed module file %s: %r" % (path, e))
 
 
 def cmd_module(args, out) -> int:
     f = _resolve_fixture(args.fixture, args.field) if args.fixture else None
-    m = _resolve_module(args.spec, f, args.field)
+    spec = args.spec.strip()
+    if spec.startswith("@"):
+        m, f, ref = _module_file(spec[1:], f, args.field)
+    else:
+        m, ref = _resolve_module(spec, f), f.name
     a = m.algebra
     dims = {
         "projdim": inv.module_projdim(m, args.cutoff),
@@ -362,7 +368,7 @@ def cmd_module(args, out) -> int:
         "seed": args.seed,
         "cutoff": args.cutoff,
         "fixture": f.name if f else None,
-        "module": ser.module_to_json(m, algebra_ref=f.name if f else ""),
+        "module": ser.module_to_json(m, algebra_ref=ref),
         "dims": {k: ser.dim_to_json(v) for k, v in dims.items()},
         "verdicts": {k: {"status": v.status, "witness_degree": v.witness_degree,
                          "condition": v.condition, "window": v.window,
@@ -374,7 +380,7 @@ def cmd_module(args, out) -> int:
         print(ser.dump_json(rep), file=out)
     else:
         print("module: %s (dim %d) over %s"
-              % (m.label or args.spec, m.dim, f.name if f else "file"),
+              % (m.label or args.spec, m.dim, ref),
               file=out)
         for k, v in dims.items():
             print("%-10s %s" % (k, _dim_str(v)), file=out)

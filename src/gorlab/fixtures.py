@@ -1,13 +1,15 @@
 """Named example algebras used by the test-suites and the CLI.
 
 Each fixture resolves deterministically (given the field) to a
-validated algebra together with the side data the theorem checks need:
-the underlying Nakayama series where applicable, the base algebra and
-generator for endomorphism-algebra fixtures, and a pool of modules with a
-flag saying whether the pool is a certified-complete list of
-indecomposables.  A fixture declares only what the program cannot compute:
-its field is ``algebra.field``, and the theorem checks decide symmetry and
-gendo-symmetry from the algebra itself.  One table maps each name to its
+validated algebra together with the side data the theorem checks need.
+Two constructions build them all: :func:`_kupisch_fixture` gives a Kupisch
+algebra A with its Nakayama series and the pool of all its
+indecomposables, a certified-complete list; :func:`_endo_fixture` gives
+B = End_A(A ⊕ M) with A as its base algebra, a base pool of A-modules and
+their Hom images Hom_A(A ⊕ M, X) as the pool of B.  A fixture declares only
+what the program cannot compute: its field is ``algebra.field``, the theorem
+checks decide symmetry and gendo-symmetry from the algebra itself, and
+``extras`` holds only named modules.  One table maps each name to its
 builder and declares the fixtures over a field of their own (gf4-local-gendo),
 for which :func:`build_fixture` rejects any field it is given.
 """
@@ -84,29 +86,24 @@ def _endo_fixture(name, base, summand_specs, base_pool,
                   cm_finite=None, extras=None) -> Fixture:
     _, reg = mr.projectives(base)
     endo = mr.endo_algebra([reg] + list(summand_specs))
-    pool = []
-    for x in base_pool:
-        hx = mr.hom_functor(endo, x)
-        if hx.dim:
-            pool.append(hx)
+    # no image is zero: Hom_A(A ⊕ M, X) contains Hom_A(A, X) ≅ X
     return Fixture(
         name=name, algebra=endo.algebra,
         base_algebra=base, endo=endo,
-        base_pool=list(base_pool), pool=pool,
+        base_pool=list(base_pool),
+        pool=[mr.hom_functor(endo, x) for x in base_pool],
         cm_finite=cm_finite,
         extras=extras or {},
     )
 
 
-def _sym_777_gendo(field) -> Fixture:
-    series = nak.validate_kupisch((7, 7, 7))
-    a = alg.from_kupisch(series, field)
-    m = mr.bridge_module(a, 2, 5)       # e_0 J^2
-    base_pool = [mr.bridge_module(a, x.i, x.k) for x in nak.indecomposables(series)]
-    fx = _endo_fixture("sym-777-gendo", a, [m], base_pool,
-                       extras={"generator_extra": m})
-    fx.extras["base_pool_certified"] = True
-    return fx
+def _kupisch_gendo(name, c, i, k, key, field) -> Fixture:
+    """End_A(A ⊕ M) for the Kupisch algebra A of series c and M =
+    e_iA/e_iJ^k, stored as extras[key], over the base pool of all
+    indecomposable A-modules."""
+    base = _kupisch_fixture(c, field)
+    m = mr.bridge_module(base.algebra, i, k)
+    return _endo_fixture(name, base.algebra, [m], base.pool, extras={key: m})
 
 
 def penny_farthing_algebra(field) -> alg.BasedAlgebra:
@@ -196,27 +193,11 @@ def _gf4_gendo() -> Fixture:
 
 
 def _auslander_22(field) -> Fixture:
-    series = nak.validate_kupisch((2, 2))
-    a = alg.from_kupisch(series, field)
-    indecs = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
-    endo = mr.endo_algebra(indecs)
-    pool = [mr.hom_functor(endo, x) for x in indecs]
-    return Fixture(
-        name="auslander-22", algebra=endo.algebra,
-        base_algebra=a, endo=endo, base_pool=indecs, pool=pool,
-        cm_finite=True,
-    )
-
-
-def _two_periodic_demo(field) -> Fixture:
-    series = nak.validate_kupisch((3,))
-    a = alg.from_kupisch(series, field)
-    w = mr.bridge_module(a, 0, 1)      # the simple module, 2-periodic
-    base_pool = [mr.bridge_module(a, m.i, m.k) for m in nak.indecomposables(series)]
-    fx = _endo_fixture("two-periodic-demo", a, [w], base_pool,
-                       extras={"w": w})
-    fx.extras["base_pool_certified"] = True
-    return fx
+    # M is every indecomposable, so End(A ⊕ M) is End(M): iso_classes
+    # merges the summands of A with their copies in M
+    base = _kupisch_fixture((2, 2), field)
+    return _endo_fixture("auslander-22", base.algebra, base.pool, base.pool,
+                         cm_finite=True)
 
 
 # name -> (builder, own field): a builder with no own field takes the field
@@ -224,11 +205,15 @@ def _two_periodic_demo(field) -> Fixture:
 _FIXTURES = {
     "kupisch-455": (lambda k: _kupisch_fixture((4, 5, 5), k), None),
     "kupisch-56": (lambda k: _kupisch_fixture((5, 6), k), None),
-    "sym-777-gendo": (_sym_777_gendo, None),
+    # M = e_2A/e_2J^5, which is e_0J^2
+    "sym-777-gendo": (lambda k: _kupisch_gendo(
+        "sym-777-gendo", (7, 7, 7), 2, 5, "generator_extra", k), None),
     "penny-farthing-gendo": (_penny_farthing_gendo, None),
     "gf4-local-gendo": (_gf4_gendo, "GF(4)"),
     "a2-line": (lambda k: _kupisch_fixture((2, 1), k, cyclic=False), None),
     "auslander-22": (_auslander_22, None),
-    "two-periodic-demo": (_two_periodic_demo, None),
+    # M = e_0A/e_0J, the simple module, 2-periodic
+    "two-periodic-demo": (lambda k: _kupisch_gendo(
+        "two-periodic-demo", (3,), 0, 1, "w", k), None),
 }
 FIXTURE_NAMES = list(_FIXTURES)

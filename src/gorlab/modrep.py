@@ -668,8 +668,10 @@ def decompose(m: RightModule) -> list:
     """Indecomposable summands, by Fitting splits M = Ker x^n (+) Im x^n:
     on the basis of End(m), then (unless _is_local certifies End(m) local)
     on random and on all combinations, within a budget.  A module that
-    decompose has already certified indecomposable is returned as it is."""
-    if m.indec_certain:
+    decompose has already returned whole is returned as it is: certified
+    indecomposable, or not (``indec_certain`` False), as the search draws
+    from a fixed generator and a repeat cannot change its answer."""
+    if m.indec_certain is not None:
         return [m]
     if m.dim == 0:
         return []

@@ -174,6 +174,27 @@ def test_module_file_round_trip_same_seed_same_report(tmp_path):
     assert parsed["verdicts"]["gpi"]["status"] == "yes"
 
 
+def test_module_file_report_names_the_algebra_of_the_file(tmp_path, capsys):
+    # e_0A/e_0J^2 over kupisch-56 (dimension 11), not kupisch-455 (14)
+    a = fx.build_fixture("kupisch-56").algebra
+    mpath = tmp_path / "m56.json"
+    ser.dump_json(ser.module_to_json(mr.bridge_module(a, 0, 2), "kupisch-56"),
+                  str(mpath))
+    reports = []
+    for extra in ([], ["--fixture", "kupisch-56"]):
+        code, text = run(["--format", "json", "module", "@%s" % mpath] + extra)
+        assert code == 0
+        rep = json.loads(text)
+        assert rep["fixture"] == rep["module"]["algebra_ref"] == "kupisch-56"
+        assert len(rep["module"]["action"]) == a.dim == 11
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+    code, text = run(["module", "@%s" % mpath, "--fixture", "kupisch-455"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_seed_changes_only_its_echo(monkeypatch):
     def without_seed(argv, seed=None):
         # a fresh fixture cache, so that each run starts from cold engines

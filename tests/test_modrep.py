@@ -272,14 +272,18 @@ def test_hom_space_matches_the_per_arrow_reference_on_kronecker(mods):
     _assert_per_arrow_hom_spaces(mods)
 
 
-def test_hom_space_of_a_large_kronecker_sum_within_budget():
-    # M = (F2^17 => F2^17) with the arrows acting by I and by the companion
-    # matrix of x^17 + x^3 + 1, irreducible, so End(M) = GF(2^17) and
-    # End(M + M) = M_2(GF(2^17)) has dimension 68 over F2
+def _kronecker_17():
+    """M = (F2^17 => F2^17) with the arrows acting by I and by the companion
+    matrix of x^17 + x^3 + 1, irreducible, so End(M) = GF(2^17)."""
     c = np.zeros((17, 17), dtype=np.int64)
     c[np.arange(1, 17), np.arange(16)] = 1
     c[[0, 3], 16] = 1
-    m = _kronecker_module(_kronecker(F2), F2.eye(17), c)
+    return _kronecker_module(_kronecker(F2), F2.eye(17), c)
+
+
+def test_hom_space_of_a_large_kronecker_sum_within_budget():
+    # End(M + M) = M_2(GF(2^17)) has dimension 68 over F2
+    m = _kronecker_17()
     mm = mr.direct_sum([m, m])
     t0 = time.perf_counter()
     assert len(mr.hom_basis(mm, mm)) == 68
@@ -1012,6 +1016,45 @@ def test_endo_algebra_and_hom_functor_match_the_solve_references(name, field):
                               _solve_hom_functor(fx.endo, x)), (name, x.label)
 
 
+def test_endo_fixtures_are_the_fixtures_with_a_base_algebra():
+    assert ({name for name in fixtures.FIXTURE_NAMES
+             if fixtures.build_fixture(name).endo}
+            == {name for name, _ in _ENDO_FIXTURES})
+
+
+@pytest.mark.parametrize("name,field", _ENDO_FIXTURES)
+def test_endo_pool_is_one_nonzero_hom_image_per_base_module(name, field):
+    # the pool of B = End_A(A + M) is Hom_A(A + M, X) for X in the base pool,
+    # in its order; it holds Hom_A(A, X) = X, so no image is zero
+    f = fixtures.build_fixture(name, field)
+    assert len(f.pool) == len(f.base_pool) > 0
+    for x, hx in zip(f.base_pool, f.pool):
+        assert x.algebra is f.base_algebra and hx.algebra is f.algebra
+        assert hx.dim == sum(len(mr.hom_basis(s, x)) for s in f.endo.summands)
+        assert hx.dim >= x.dim > 0
+
+
+@pytest.mark.parametrize("name,c", [("sym-777-gendo", (7, 7, 7)),
+                                    ("two-periodic-demo", (3,)),
+                                    ("auslander-22", (2, 2))])
+def test_kupisch_gendo_base_pools_come_from_kupisch_fixture(name, c):
+    # the same algebra and the same modules in the same order as the
+    # certified-complete pool of _kupisch_fixture
+    f = fixtures.build_fixture(name)
+    base = fixtures._kupisch_fixture(c, F2)
+    assert base.pool_certified
+    assert f.base_algebra.nak_bridge["series"].c == c
+    assert np.array_equal(f.base_algebra.mult, base.algebra.mult)
+    assert ([(x.dim, x.action.tobytes()) for x in f.base_pool]
+            == [(x.dim, x.action.tobytes()) for x in base.pool])
+
+
+def test_fixture_extras_hold_only_modules():
+    for name in fixtures.FIXTURE_NAMES:
+        extras = fixtures.build_fixture(name).extras
+        assert all(isinstance(v, mr.RightModule) for v in extras.values())
+
+
 def test_endo_algebra_of_regular_module_has_same_dim(a455):
     projs, _ = mr.projectives(a455)
     endo = mr.endo_algebra(projs)
@@ -1080,6 +1123,21 @@ def test_local_certificate_settles_before_random_search(fix, monkeypatch):
         searches.clear()
         assert mr.decompose(m) == [m] and m.indec_certain
         assert [c[:2] for c in searches] == [(0, 0)]   # the unit stage only
+
+
+def test_decompose_does_not_search_again_after_an_uncertain_verdict(
+        monkeypatch):
+    # End(M) = GF(2^17) is past the exhaustive limit and _is_local does not
+    # certify it, so the first decompose spends its budget and returns M
+    # uncertain; the search draws from a fixed generator, so a repeat (here
+    # and inside iso) must not run it again
+    m = _kronecker_17()
+    searches = _record_searches(monkeypatch)
+    assert mr.decompose(m) == [m] and m.indec_certain is False
+    assert len(searches) == 2
+    assert mr.decompose(m) == [m] and m.indec_certain is False
+    assert mr.iso(m, m).isomorphic
+    assert len(searches) == 2
 
 
 def test_direct_sums_fail_the_certificate_and_split(fix, a455):
